@@ -128,6 +128,14 @@ def enumerate_variants(
     The canonical key marks the antipodal pair {0, base/2} as a set, so
     mirror-image variants and source/target swaps collapse together.
     """
+    for _, desc, g in _keyed_variants(base, max_new):
+        yield desc, g
+
+
+def _keyed_variants(
+    base: int, max_new: int
+) -> Iterator[tuple[bytes, VariantDescriptor, Graph]]:
+    """``enumerate_variants`` with each variant's canonical key in front."""
     if base < 4 or base % 2:
         raise ConfigError("variant enumeration expects an even base cycle >= 4")
     if max_new < 1:
@@ -150,7 +158,7 @@ def enumerate_variants(
                     if key in seen:
                         continue
                     seen.add(key)
-                    yield desc, g
+                    yield key, desc, g
 
 
 # ===== Search =====
@@ -290,8 +298,8 @@ def pst_search(
                     done.add((rec.key, rec.policy))
 
     cells = []
-    for idx, (desc, g) in enumerate(enumerate_variants(base, max_new)):
-        key = canonical_key(g, marks=pair).hex()
+    for idx, (raw_key, desc, _) in enumerate(_keyed_variants(base, max_new)):
+        key = raw_key.hex()
         for policy_name in policies:
             if (key, policy_name) in done:
                 continue

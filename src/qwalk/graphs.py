@@ -13,10 +13,9 @@ vertices at indices 0 and 1 and the cycle at indices 2..6.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -244,19 +243,21 @@ def complement(g: Graph) -> Graph:
 # ===== Canonical keys =====
 
 
-def _refine_colors(adj: np.ndarray, colors: list[int]) -> list[int]:
+def _refine_colors(
+    nbrs: list[list[int]], loops: list[int], colors: list[int]
+) -> list[int]:
     """Stabilize a vertex coloring under neighborhood signatures.
 
     Classic 1-dimensional refinement: a vertex's new color is its old
-    color together with the sorted multiset of neighbor colors, renamed
-    to dense integers in a vertex-order-independent way.
+    color and loop bit together with the sorted multiset of neighbor
+    colors, renamed to dense integers in a vertex-order-independent way.
     """
-    n = adj.shape[0]
+    n = len(nbrs)
     while True:
-        signatures = []
-        for v in range(n):
-            nbr = tuple(sorted(colors[w] for w in np.nonzero(adj[v])[0] if w != v))
-            signatures.append((colors[v], int(adj[v, v] != 0), nbr))
+        signatures = [
+            (colors[v], loops[v], tuple(sorted(colors[w] for w in nbrs[v])))
+            for v in range(n)
+        ]
         ranked = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
         new_colors = [ranked[sig] for sig in signatures]
         if new_colors == colors:
@@ -271,44 +272,169 @@ def _color_classes(colors: list[int]) -> list[list[int]]:
     return [classes[c] for c in sorted(classes)]
 
 
-def _orderings(classes: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    pools = [itertools.permutations(cls) for cls in classes]
-    for combo in itertools.product(*pools):
-        yield tuple(itertools.chain.from_iterable(combo))
-
-
 def canonical_key(g: Graph, marks: Sequence[int] = ()) -> bytes:
     """Relabeling-invariant key for an unweighted graph.
 
     ``marks`` singles out a set of vertices (for instance a transfer
     pair); two marked graphs get equal keys exactly when some
-    isomorphism maps marks onto marks.  The key is the minimum adjacency
-    bitstring over all vertex orders consistent with a structure-refined
-    coloring, which prunes the search well below n factorial for
-    anything that is not highly symmetric.
+    isomorphism maps marks onto marks.  The key is ``bytes([n])``
+    followed by the upper triangle (diagonal included) of the relabeled
+    adjacency, read row by row, minimized over every vertex order that
+    lists the classes of a structure-refined coloring in color order.
+
+    The minimum is found row by row rather than by listing orders.  Row
+    k holds the loop bit of the vertex at position k and its adjacency
+    to the later positions, so once the vertex is chosen, splitting
+    every later cell into its non-neighbors followed by its neighbors
+    fixes row k whatever order the cells later take, and keeps it the
+    smallest possible.  The search therefore places, at each depth, a
+    vertex of the first cell whose row is smallest, branches only on
+    ties, and cuts a branch as soon as its rows exceed the best key's.
+    A leaf that ties the best key yields an automorphism (the map
+    between the two orders); the search then returns to the depth where
+    the two orders diverged, and skips any tied candidate in the orbit
+    of an explored sibling under the automorphisms found so far that fix
+    the current prefix pointwise, because its subtree is an image of
+    one already searched (McKay & Piperno, "Practical graph isomorphism,
+    II", J. Symb. Comput. 60, 2014).
     """
     if not g.is_unweighted():
         raise ConfigError("canonical_key supports unweighted graphs only")
     adj = g.adjacency
     n = g.n
+    if n > 255:
+        raise ConfigError(
+            f"canonical_key supports at most 255 vertices (the key stores n in one byte), got {n}"
+        )
     mark_set = set(marks)
     if any(not 0 <= v < n for v in mark_set):
         raise ConfigError("mark vertex out of range")
-    colors = _refine_colors(adj, [1 if v in mark_set else 0 for v in range(n)])
-    classes = _color_classes(colors)
-    best: bytes | None = None
-    for order in _orderings(classes):
-        perm = np.asarray(order)
-        rel = adj[np.ix_(perm, perm)]
-        bits = bytearray()
-        for i in range(n):
-            for j in range(i, n):
-                bits.append(1 if rel[i, j] else 0)
-        key = bytes([n]) + bytes(bits)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    rows = (adj != 0).tolist()
+    nbrs = [[w for w, edge in enumerate(row) if edge and w != v] for v, row in enumerate(rows)]
+    loops = [int(row[v]) for v, row in enumerate(rows)]
+    colors = _refine_colors(nbrs, loops, [1 if v in mark_set else 0 for v in range(n)])
+    order = _OrderSearch(nbrs, loops).minimum(_color_classes(colors))
+    rel = adj[np.ix_(order, order)]
+    return bytes([n]) + bytes(rel[np.triu_indices(n)].astype(np.uint8))
+
+
+class _OrderSearch:
+    """Depth-first search for the vertex order with the smallest key.
+
+    Cells are vertex bitmasks, and a node is the ordered list of cells
+    covering the positions not yet filled.  Rows are integers whose bits
+    read in key order, so rows of one depth compare as integers.
+    """
+
+    def __init__(self, nbrs: list[list[int]], loops: list[int]) -> None:
+        self.nbrs = [sum(1 << w for w in ws) for ws in nbrs]  # neighbor masks
+        self.loops = loops
+        self.best: list[int] | None = None  # order of the best leaf so far
+        self.best_rows: list[int] = []
+        self.autos: list[tuple[list[int], int]] = []  # (map, mask of its fixed points)
+
+    def minimum(self, classes: list[list[int]]) -> list[int]:
+        self._node([sum(1 << v for v in cls) for cls in classes], [], [], 0, False)
+        assert self.best is not None
+        return self.best
+
+    def _node(
+        self, cells: list[int], prefix: list[int], rows: list[int], fixed: int, equal: bool
+    ) -> int | None:
+        """Search below ``prefix``; return a depth to jump back to, or None.
+
+        ``fixed`` is the mask of the prefix vertices and ``equal`` says
+        the prefix's rows equal the best key's.  A returned depth d means
+        the rest of the subtree below the first d + 1 positions is an
+        image of one already searched.
+        """
+        depth = len(prefix)
+        if not cells:
+            return self._leaf(prefix, rows, equal)
+        sizes = [cell.bit_count() for cell in cells]
+        sizes[0] -= 1  # the candidate leaves the first cell
+        scored = []
+        for v in _members(cells[0]):
+            nbr = self.nbrs[v]
+            row = self.loops[v]
+            for cell, size in zip(cells, sizes):
+                row = (row << size) | ((1 << (nbr & cell).bit_count()) - 1)
+            scored.append((row, v))
+        low = min(scored)[0]
+        if equal:
+            if low > self.best_rows[depth]:
+                return None
+            equal = low == self.best_rows[depth]
+        rows.append(low)
+        explored: list[int] = []
+        reached = 0  # the explored candidates' orbits under the stored automorphisms
+        autos_seen = 0
+        for row, v in scored:
+            if row != low:
+                continue
+            if explored:
+                if autos_seen != len(self.autos):
+                    autos_seen = len(self.autos)
+                    reached = self._orbit(explored, fixed)
+                if reached >> v & 1:
+                    continue
+            explored.append(v)
+            reached |= 1 << v
+            nbr = self.nbrs[v]
+            split = []
+            for cell in [cells[0] & ~(1 << v)] + cells[1:]:
+                for part in (cell & ~nbr, cell & nbr):
+                    if part:
+                        split.append(part)
+            best = self.best
+            prefix.append(v)
+            back = self._node(split, prefix, rows, fixed | 1 << v, equal)
+            prefix.pop()
+            if self.best is not best:
+                equal = True  # the new best lies below this node
+            if back is not None and back < depth:
+                break
+        else:
+            back = None
+        rows.pop()
+        return back
+
+    def _leaf(self, order: list[int], rows: list[int], equal: bool) -> int | None:
+        if not equal:
+            self.best, self.best_rows = list(order), list(rows)
+            return None
+        auto = list(range(len(order)))
+        fixed = 0
+        for a, b in zip(self.best, order):
+            auto[a] = b
+            if a == b:
+                fixed |= 1 << a
+        self.autos.append((auto, fixed))
+        return next(i for i, (a, b) in enumerate(zip(self.best, order)) if a != b)
+
+    def _orbit(self, seeds: list[int], fixed: int) -> int:
+        """Mask of the orbits of ``seeds`` under the automorphisms fixing ``fixed``."""
+        gens = [auto for auto, keeps in self.autos if keeps & fixed == fixed]
+        reached = sum(1 << v for v in seeds)
+        stack = list(seeds)
+        while stack:
+            v = stack.pop()
+            for auto in gens:
+                w = auto[v]
+                if not reached >> w & 1:
+                    reached |= 1 << w
+                    stack.append(w)
+        return reached
+
+
+def _members(mask: int) -> list[int]:
+    """Set bits of ``mask`` in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # ===== Serialization =====

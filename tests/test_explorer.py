@@ -74,6 +74,10 @@ def test_enumeration_count_base4():
     assert len(keys) == 96
 
 
+def test_enumeration_count_base6():
+    assert sum(1 for _ in enumerate_variants(6, 2)) == 1097
+
+
 def test_enumeration_rejects_odd_base():
     with pytest.raises(ConfigError):
         list(enumerate_variants(5, 1))

@@ -1,5 +1,7 @@
+import itertools
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,141 @@ def test_key_separates_cycle_from_path():
 def test_mark_out_of_range():
     with pytest.raises(ConfigError):
         canonical_key(build(Cycle(4)), marks=(0, 9))
+
+
+def test_key_needs_fewer_than_256_vertices():
+    assert canonical_key(build(Path(255)))[0] == 255
+    with pytest.raises(ConfigError, match="at most 255 vertices"):
+        canonical_key(build(Path(256)))
+
+
+# The key by its definition: refine the colouring by neighbourhood
+# signatures (a copy kept apart from the library's, so that a change to
+# the colour ranks shows), then try every order inside each colour class
+# and keep the smallest bitstring.
+
+def _reference_refine(adj: np.ndarray, colors: list[int]) -> list[int]:
+    n = adj.shape[0]
+    while True:
+        signatures = []
+        for v in range(n):
+            nbr = tuple(sorted(colors[w] for w in np.nonzero(adj[v])[0] if w != v))
+            signatures.append((colors[v], int(adj[v, v] != 0), nbr))
+        ranked = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
+        new_colors = [ranked[sig] for sig in signatures]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def _brute_force_key(g: Graph, marks=()) -> bytes:
+    adj = g.adjacency
+    n = g.n
+    mark_set = set(marks)
+    colors = _reference_refine(adj, [1 if v in mark_set else 0 for v in range(n)])
+    classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+    best = None
+    for combo in itertools.product(*(itertools.permutations(cls) for cls in classes)):
+        perm = list(itertools.chain.from_iterable(combo))
+        rel = adj[np.ix_(perm, perm)]
+        bits = bytes(1 if rel[i, j] else 0 for i in range(n) for j in range(i, n))
+        key = bytes([n]) + bits
+        if best is None or key < best:
+            best = key
+    return best
+
+
+@st.composite
+def marked_graphs(draw, max_n: int = 7):
+    n = draw(st.integers(1, max_n))
+    adj = np.zeros((n, n))
+    pairs = n * (n - 1) // 2
+    adj[np.triu_indices(n, 1)] = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    adj = adj + adj.T
+    if draw(st.booleans()):
+        adj[np.diag_indices(n)] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    marks = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    return Graph(adj), tuple(marks)
+
+
+@st.composite
+def regular_marked_graphs(draw):
+    # Refinement leaves one colour class on a regular graph, so the key
+    # search meets many tied rows, not all of them related by symmetry.
+    degree = draw(st.integers(2, 4))
+    n = draw(st.integers(6, 16).filter(lambda n: n * degree % 2 == 0))
+    h = nx.random_regular_graph(degree, n, seed=draw(st.integers(0, 10**6)))
+    adj = nx.to_numpy_array(h, nodelist=range(n))
+    if draw(st.booleans()):
+        adj[np.diag_indices(n)] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    marks = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    return Graph(adj), tuple(marks)
+
+
+@given(marked_graphs())
+@settings(max_examples=150, deadline=None)
+def test_canonical_key_matches_brute_force(case):
+    g, marks = case
+    assert canonical_key(g, marks) == _brute_force_key(g, marks)
+
+
+def _to_networkx(g: Graph, marks) -> nx.Graph:
+    h = nx.Graph()
+    for v in range(g.n):
+        h.add_node(v, mark=v in marks, loop=g.has_loop(v))
+    h.add_edges_from(g.edge_set())
+    return h
+
+
+@given(
+    st.one_of(marked_graphs(max_n=8), regular_marked_graphs()),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_equal_keys_exactly_when_isomorphic_with_marks(case, rnd, perturb):
+    # the second graph is a relabelled copy, and with ``perturb`` one
+    # vertex pair (or one loop) is toggled, so both outcomes occur
+    g, marks = case
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    adj = g.adjacency[np.ix_(perm, perm)].copy()
+    if perturb:
+        i, j = rnd.randrange(g.n), rnd.randrange(g.n)
+        adj[i, j] = adj[j, i] = 1 - adj[i, j]
+    h = Graph(adj)
+    h_marks = tuple(perm.index(m) for m in marks)
+    same_key = canonical_key(g, marks) == canonical_key(h, h_marks)
+    iso = nx.is_isomorphic(
+        _to_networkx(g, marks), _to_networkx(h, h_marks), node_match=lambda a, b: a == b
+    )
+    assert same_key == iso
+
+
+def _relabeled(g: Graph, marks, seed: int):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    inv = np.argsort(perm)
+    return Graph(g.adjacency[np.ix_(perm, perm)]), tuple(int(inv[m]) for m in marks)
+
+
+@pytest.mark.parametrize(
+    "g, marks",
+    [
+        (build(Cycle(16)), ()),
+        (build(Join(Edgeless(2), Edgeless(30))), (0, 1)),
+        (Graph(nx.to_numpy_array(nx.petersen_graph())), ()),
+        (Graph(nx.to_numpy_array(nx.hypercube_graph(4))), ()),
+        (build(Complete(12)), ()),
+    ],
+    ids=["C16", "K2_30-marked", "Petersen", "Q4", "K12"],
+)
+def test_symmetric_graph_keys_survive_relabeling(g, marks):
+    # Refinement leaves colour classes of up to 30 vertices here, so
+    # listing every order inside each class would take up to 30! keys.
+    key = canonical_key(g, marks)
+    for seed in range(3):
+        moved, moved_marks = _relabeled(g, marks, seed)
+        assert canonical_key(moved, moved_marks) == key
 
 
 # ----- JSON round trips -----
