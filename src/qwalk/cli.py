@@ -39,7 +39,6 @@ from qwalk.dtqw import (
     haar_states,
     max_transfer_scan,
     state_at_vertex,
-    vertex_probability,
 )
 from qwalk.errors import ConfigError, ToleranceError
 from qwalk.explorer import interpolation_sweep, pst_search, robustness_sweep
@@ -343,16 +342,8 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
         _write_json(args.out + ".json" if args.out else None, payload)
         return 0
 
-    psi0 = inits[0]
-    report = detect_transfer(g, policy, psi0, pair, t_max=steps, lam=lam)
-    op = build_step_operator(g, policy)
-    series = np.empty((steps + 1, len(track)))
-    psi = psi0
-    for t in range(steps + 1):
-        for j, v in enumerate(track):
-            series[t, j] = vertex_probability(space, psi, v)
-        if t < steps:
-            psi = op.matrix @ psi
+    report = detect_transfer(g, policy, inits[0], pair, t_max=steps, lam=lam)
+    series = report.vertex_series[:, track]
     payload = {
         "command": "dtqw",
         "graph": args.graph,

@@ -8,6 +8,10 @@ the walker arrives.  Periodicity comes in two strengths: strict means
 the full state returns (fidelity with the start state reaches one),
 positional means all probability returns to the start vertex whatever
 the coin configuration.
+
+Every walk is stepped by one kernel, ``trajectory``, which applies U to
+a block of columns and never forms a power of U.  A step picked from a
+series is the earliest within ``TIE_TOL`` of the series maximum.
 """
 
 from __future__ import annotations
@@ -29,8 +33,11 @@ __all__ = [
     "equal_superposition",
     "vertex_probability",
     "evolve",
+    "trajectory",
+    "peak_step",
     "haar_states",
     "detect_transfer",
+    "block_scan",
     "max_transfer_scan",
     "target_block_powers",
     "TransferReport",
@@ -38,6 +45,9 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-12
+TIE_TOL = 1e-12
+_CHUNK_BYTES = 1 << 21  # bound on a trajectory piece or a table of outer products
+_CHUNK_ROWS = 256  # Haar samples folded per matrix product
 
 
 @dataclass(frozen=True)
@@ -81,17 +91,50 @@ def equal_superposition(space: ArcSpace, v: int) -> np.ndarray:
     return state_at_vertex(space, v, np.ones(d) / np.sqrt(d))
 
 
-def vertex_probability(space: ArcSpace, psi: np.ndarray, v: int) -> float:
-    block = psi[space.vertex_slice(v)]
-    return float(np.sum(np.abs(block) ** 2))
+def vertex_probability(space: ArcSpace, psi: np.ndarray, v: int) -> float | np.ndarray:
+    """Probability at v of a state, or of each state along leading axes."""
+    block = np.asarray(psi)[..., space.vertex_slice(v)]
+    return np.sum(np.abs(block) ** 2, axis=-1)
+
+
+def trajectory(op: StepOperator, cols: np.ndarray, t_max: int) -> np.ndarray:
+    """U^t @ cols for t = 0..t_max, shape (t_max + 1,) + cols.shape.
+
+    ``cols`` is an (m, k) block, such as the identity columns of a
+    vertex's ports, or a single state of shape (m,).  Each step is one
+    product with U, so no m x m power is ever formed.
+    """
+    cols = np.asarray(cols, dtype=complex)
+    out = np.empty((t_max + 1,) + cols.shape, dtype=complex)
+    out[0] = cols
+    for t in range(t_max):
+        np.matmul(op.matrix, out[t], out=out[t + 1])
+    return out
+
+
+def _trajectory_pieces(
+    op: StepOperator, cols: np.ndarray, t_max: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``trajectory(op, cols, t_max)`` in (first step, piece) pairs of at
+    most ``_CHUNK_BYTES``; each piece starts at its predecessor's end."""
+    per_piece = max(1, _CHUNK_BYTES // (16 * np.size(cols)))
+    for lo in range(0, max(t_max, 1), per_piece):
+        piece = trajectory(op, cols, min(per_piece, t_max - lo))
+        cols = piece[-1]
+        yield lo, piece
 
 
 def evolve(op: StepOperator, psi: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """Yield the state after each of the given number of steps."""
-    state = np.asarray(psi, dtype=complex)
-    for _ in range(steps):
-        state = op.matrix @ state
-        yield state
+    """The state after each of the given number of steps."""
+    return iter(trajectory(op, psi, steps)[1:])
+
+
+def peak_step(values: np.ndarray) -> int:
+    """The tie rule: the earliest step within TIE_TOL of the maximum.
+
+    ``values[i]`` belongs to step i + 1; an all-zero series peaks at 1.
+    """
+    return int(np.argmax(values >= values.max() - TIE_TOL)) + 1
 
 
 def haar_states(d: int, count: int, seed: int) -> np.ndarray:
@@ -112,6 +155,7 @@ class TransferReport:
     target_series: np.ndarray       # probability at target, index = step
     source_series: np.ndarray       # probability back at source
     fidelity_series: np.ndarray     # |<psi0|psi_t>|^2
+    vertex_series: np.ndarray       # (steps + 1, n) probability at every vertex
     pst_steps: tuple[int, ...]      # steps with target probability >= 1 - pst_tol
     strict_period: int | None       # first full-state return
     positional_period: int | None   # first all-probability return to source
@@ -147,7 +191,11 @@ def detect_transfer(
     lam: float = 0.9,
     pst_tol: float = 1e-9,
 ) -> TransferReport:
-    """Evolve for t_max steps and summarize transfer between the pair."""
+    """Evolve for t_max steps and summarize transfer between the pair.
+
+    ``max_step`` is the earliest step whose target probability is within
+    ``TIE_TOL`` of ``max_probability``.
+    """
     op = build_step_operator(g, policy)
     source, target = pair
     psi0 = np.asarray(init, dtype=complex)
@@ -155,67 +203,107 @@ def detect_transfer(
         raise ConfigError(
             f"initial state has {psi0.shape} entries, arc space has {op.space.n_arcs}"
         )
-    target_series = np.empty(t_max + 1)
-    source_series = np.empty(t_max + 1)
+    probs = np.empty((t_max + 1, g.n))
     fidelity_series = np.empty(t_max + 1)
-    target_series[0] = vertex_probability(op.space, psi0, target)
-    source_series[0] = vertex_probability(op.space, psi0, source)
-    fidelity_series[0] = abs(np.vdot(psi0, psi0)) ** 2
-    psi = psi0
-    for t in range(1, t_max + 1):
-        psi = op.matrix @ psi
-        target_series[t] = vertex_probability(op.space, psi, target)
-        source_series[t] = vertex_probability(op.space, psi, source)
-        fidelity_series[t] = abs(np.vdot(psi0, psi)) ** 2
-    drift = abs(np.linalg.norm(psi) - 1.0)
+    for lo, piece in _trajectory_pieces(op, psi0, t_max):
+        for v in range(g.n):
+            probs[lo : lo + len(piece), v] = vertex_probability(op.space, piece, v)
+        fidelity_series[lo : lo + len(piece)] = np.abs(piece @ psi0.conj()) ** 2
+    drift = abs(np.linalg.norm(piece[-1]) - 1.0)
     if drift > 1e-9:
         raise ToleranceError(f"norm drift {drift:.3e} after {t_max} steps")
-    pst_steps = tuple(
-        int(t) for t in range(1, t_max + 1) if target_series[t] >= 1.0 - pst_tol
-    )
-    strict = next(
-        (int(t) for t in range(1, t_max + 1) if fidelity_series[t] >= 1.0 - pst_tol),
-        None,
-    )
-    positional = next(
-        (int(t) for t in range(1, t_max + 1) if source_series[t] >= 1.0 - pst_tol),
-        None,
-    )
-    max_step = int(np.argmax(target_series[1:]) + 1)
-    max_probability = float(target_series[max_step])
+    steps = np.arange(1, t_max + 1)
+    pst_steps = steps[probs[1:, target] >= 1.0 - pst_tol]
+    strict = steps[fidelity_series[1:] >= 1.0 - pst_tol]
+    positional = steps[probs[1:, source] >= 1.0 - pst_tol]
+    max_probability = float(probs[1:, target].max())
     return TransferReport(
         source=source,
         target=target,
-        target_series=target_series,
-        source_series=source_series,
+        target_series=probs[:, target],
+        source_series=probs[:, source],
         fidelity_series=fidelity_series,
-        pst_steps=pst_steps,
-        strict_period=strict,
-        positional_period=positional,
+        vertex_series=probs,
+        pst_steps=tuple(int(t) for t in pst_steps),
+        strict_period=int(strict[0]) if strict.size else None,
+        positional_period=int(positional[0]) if positional.size else None,
         max_probability=max_probability,
-        max_step=max_step,
+        max_step=peak_step(probs[1:, target]),
         high_amplitude=max_probability > lam,
         lam=lam,
         pst_tol=pst_tol,
     )
 
 
+def _port_columns(space: ArcSpace, vertices: Sequence[int]) -> np.ndarray:
+    """Identity columns of the ports of the given vertices, in that order."""
+    eye = np.eye(space.n_arcs, dtype=complex)
+    return np.hstack([eye[:, space.vertex_slice(v)] for v in vertices])
+
+
 def target_block_powers(
     op: StepOperator, pair: tuple[int, int], t_max: int
-) -> Iterator[np.ndarray]:
-    """Source-to-target blocks of U^t for t = 1..t_max.
+) -> np.ndarray:
+    """Source-to-target blocks of U^t for t = 1..t_max, shape (t_max, d_t, d_s).
 
     The block at step t maps port amplitudes at the source to port
     amplitudes at the target; its largest singular value reaching one
     certifies a perfectly transferring initial coin state at that step.
     """
     source, target = pair
-    src = op.space.vertex_slice(source)
-    tgt = op.space.vertex_slice(target)
-    power = np.eye(op.space.n_arcs, dtype=complex)
-    for _ in range(t_max):
-        power = op.matrix @ power
-        yield power[tgt, src]
+    cols = _port_columns(op.space, [source])
+    return trajectory(op, cols, t_max)[1:, op.space.vertex_slice(target)]
+
+
+def block_scan(
+    op: StepOperator,
+    pairs: Sequence[tuple[int, int]],
+    states: Sequence[np.ndarray],
+    t_max: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Haar-sampled and exact transfer across each (source, target) pair.
+
+    With B_t the source-to-target block of U^t and G_t = B_t^H B_t, a
+    source coin state s arrives at step t with probability s^H G_t s.
+    Returns per pair, from one trajectory of all source ports taken in
+    pieces: the best probability at each step t = 1..t_max over the rows
+    of ``states[i]``, the best of each row over the steps, and the top
+    eigenvalue of each G_t (the square of B_t's top singular value).
+    """
+    space = op.space
+    offsets = np.cumsum([0] + [space.degree(src) for src, _ in pairs])
+    step_best = [np.zeros(t_max) for _ in pairs]
+    sample_best = [np.zeros(len(s)) for s in states]
+    top_gram = [np.empty(t_max) for _ in pairs]
+    cols = _port_columns(space, [src for src, _ in pairs])
+    for lo, piece in _trajectory_pieces(op, cols, t_max):
+        steps = slice(lo, lo + len(piece) - 1)
+        for i, (_, tgt) in enumerate(pairs):
+            blocks = piece[1:, space.vertex_slice(tgt), offsets[i] : offsets[i + 1]]
+            grams = blocks.conj().transpose(0, 2, 1) @ blocks
+            _fold_samples(grams, states[i], step_best[i][steps], sample_best[i])
+            top_gram[i][steps] = np.linalg.eigvalsh(grams)[:, -1]
+    return list(zip(step_best, sample_best, top_gram))
+
+
+def _fold_samples(grams, states, step_best, sample_best) -> None:
+    """Fold s^H G_t s into the per-step and per-sample maxima, in place.
+
+    s^H G s = Re(sum_ij G_ij conj(s_i) s_j): one real matrix product of
+    the (Re, Im) pairs of G with those of outer(s, conj s) per chunk of
+    at most ``_CHUNK_ROWS`` samples whose outer products fit in
+    ``_CHUNK_BYTES``.
+    """
+    steps, d, _ = grams.shape
+    flat = grams.reshape(steps, d * d).view(np.float64)
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // (16 * d * d)))
+    for lo in range(0, len(states), rows):
+        s = states[lo : lo + rows]
+        outer = (s[:, :, None] * s.conj()[:, None, :]).reshape(len(s), d * d)
+        probs = flat @ outer.view(np.float64).T
+        np.maximum(step_best, probs.max(axis=1), out=step_best)
+        chunk_best = sample_best[lo : lo + rows]
+        np.maximum(chunk_best, probs.max(axis=0), out=chunk_best)
 
 
 @dataclass(frozen=True)
@@ -241,29 +329,18 @@ def max_transfer_scan(
 ) -> ScanResult:
     """Haar-sample source coin states and track the target probability.
 
-    Works on the source-to-target blocks of the step operator powers, so
-    the cost per step is one small matrix product for all samples at
-    once.
+    Works on the Gram matrices of the source-to-target blocks through
+    ``block_scan``.  ``best_step`` is the earliest step whose best
+    probability is within ``TIE_TOL`` of ``max_probability``.
     """
     op = build_step_operator(g, policy)
-    source, _ = pair
-    d = op.space.degree(source)
-    states = haar_states(d, samples, seed)      # (samples, d)
-    per_sample_max = np.zeros(samples)
-    best_probability = 0.0
-    best_step = 0
-    for t, block in enumerate(target_block_powers(op, pair, t_max), start=1):
-        probs = np.sum(np.abs(states @ block.T) ** 2, axis=1)
-        np.maximum(per_sample_max, probs, out=per_sample_max)
-        step_best = float(probs.max())
-        if step_best > best_probability:
-            best_probability = step_best
-            best_step = t
-    fraction = float(np.mean(per_sample_max > lam))
+    states = haar_states(op.space.degree(pair[0]), samples, seed)
+    [(step_best, sample_best, _)] = block_scan(op, [pair], [states], t_max)
+    best_probability = float(step_best.max())
     return ScanResult(
         max_probability=best_probability,
-        best_step=best_step,
-        fraction_over_lam=fraction,
+        best_step=peak_step(step_best),
+        fraction_over_lam=float(np.mean(sample_best > lam)),
         lam=lam,
         samples=samples,
         t_max=t_max,

@@ -9,16 +9,21 @@ count as the same when an isomorphism maps the pair onto itself.
 For each variant and coin policy the harness records the best Haar
 sampled transfer and, separately, an exact certificate: step t admits
 perfect transfer from the source if and only if the source-to-target
-block of U^t has a singular value of one.  The exact test catches the
-measure-zero initial-state families that sampling always misses.
+block B_t of U^t has a singular value of one.  The exact test catches
+the measure-zero initial-state families that sampling always misses.
+Both come from the Gram matrices G_t = B_t^H B_t: a sample s arrives
+with probability s^H G_t s, and the certificate is the top eigenvalue of
+G_t (eigvalsh over all steps at once) reaching (1 - PST_SINGULAR_TOL)^2.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import os
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -26,12 +31,13 @@ import numpy as np
 
 from qwalk.coins import CoinPolicy, UniformGrover, grover, interp_grover, parse_policy
 from qwalk.dtqw import (
-    StepOperator,
+    block_scan,
     build_step_operator,
     equal_superposition,
     haar_states,
-    state_at_vertex,
+    peak_step,
     target_block_powers,
+    trajectory,
     vertex_probability,
 )
 from qwalk.errors import ConfigError
@@ -172,7 +178,10 @@ class SearchRecord:
     marked pair, since one representative stands for a variant and its
     mirror image.  ``pst`` means some step's source-to-target block had
     a unit singular value, so an exact-transfer initial state exists
-    even when no Haar sample comes close.
+    even when no Haar sample comes close; ``pst_steps`` lists the steps
+    whose Gram matrix B^H B has a top eigenvalue of at least
+    (1 - PST_SINGULAR_TOL)^2.  ``best_step`` is the earliest step whose
+    best sampled probability is within 1e-12 of ``best_p``.
     """
 
     key: str
@@ -230,6 +239,7 @@ def _search_cell(
     same as walking away from it), so the scan runs the transfer both
     ways across the pair and reports whichever direction does better,
     preferring exact PST, then best probability, then sample fraction.
+    One ``block_scan`` trajectory serves both directions.
     """
     op = build_step_operator(g, policy)
     directions = (pair, (pair[1], pair[0]))
@@ -237,34 +247,16 @@ def _search_cell(
         haar_states(op.space.degree(src), samples, sd)
         for (src, _), sd in zip(directions, seeds)
     ]
-    slices = [
-        (op.space.vertex_slice(src), op.space.vertex_slice(tgt))
-        for src, tgt in directions
-    ]
-    per_sample_max = [np.zeros(samples), np.zeros(samples)]
-    best = [(0.0, 0), (0.0, 0)]
-    hits: list[list[int]] = [[], []]
-    power = np.eye(op.space.n_arcs, dtype=complex)
-    for t in range(1, t_max + 1):
-        power = op.matrix @ power
-        for i, (src_sl, tgt_sl) in enumerate(slices):
-            block = power[tgt_sl, src_sl]
-            probs = np.sum(np.abs(states[i] @ block.T) ** 2, axis=1)
-            np.maximum(per_sample_max[i], probs, out=per_sample_max[i])
-            step_best = float(probs.max())
-            if step_best > best[i][0]:
-                best[i] = (step_best, t)
-            top_singular = np.linalg.svd(block, compute_uv=False)[0]
-            if top_singular >= 1.0 - PST_SINGULAR_TOL:
-                hits[i].append(t)
-    outcomes = [
-        (bool(hits[i]), best[i][0], float(np.mean(per_sample_max[i] > lam)), i)
-        for i in range(2)
-    ]
-    pst, best_p, frac, pick = max(
-        outcomes, key=lambda o: (o[0], o[1], o[2], -o[3])
-    )
-    return best_p, best[pick][1], pst, tuple(hits[pick]), frac
+    scans = block_scan(op, directions, states, t_max)
+    steps = np.arange(1, t_max + 1)
+    outcomes = []
+    for i, (step_best, sample_best, top_gram) in enumerate(scans):
+        hits = tuple(int(t) for t in steps[top_gram >= (1.0 - PST_SINGULAR_TOL) ** 2])
+        best_p = float(step_best.max())
+        frac = float(np.mean(sample_best > lam))
+        outcomes.append((bool(hits), best_p, frac, -i, peak_step(step_best), hits))
+    pst, best_p, frac, _, best_step, hits = max(outcomes, key=lambda o: o[:4])
+    return best_p, best_step, pst, hits, frac
 
 
 def pst_search(
@@ -280,22 +272,18 @@ def pst_search(
 ) -> list[SearchRecord]:
     """Survey every variant under every policy and sort by best transfer.
 
-    With a sink path, records append to a JSON-lines file as they are
-    produced and cells already present in the file are skipped, so an
-    interrupted enumeration resumes where it stopped.  Per-cell seeds
-    derive from the master seed and the cell's position, which keeps
-    results identical however many workers run.
+    With a sink path, each record is appended to a JSON-lines file and
+    flushed as soon as its cell finishes, in cell order, and cells
+    already present in the file are skipped, so an interrupted
+    enumeration resumes where it stopped.  A torn last line, left by a
+    kill in the middle of a write, is cut from the file and its cell
+    runs again.  Per-cell seeds derive from the master seed, the cell's
+    position and its policy, which keeps results identical however many
+    workers run.
     """
     pair = (0, base // 2)
-    done: set[tuple[str, str]] = set()
-    records: list[SearchRecord] = []
-    if sink_path and os.path.exists(sink_path):
-        with open(sink_path) as fh:
-            for line in fh:
-                if line.strip():
-                    rec = SearchRecord.from_json(line)
-                    records.append(rec)
-                    done.add((rec.key, rec.policy))
+    records = _read_sink(sink_path) if sink_path and os.path.exists(sink_path) else []
+    done = {(rec.key, rec.policy) for rec in records}
 
     cells = []
     for idx, (raw_key, desc, _) in enumerate(_keyed_variants(base, max_new)):
@@ -306,29 +294,38 @@ def pst_search(
             cell_seed = np.random.SeedSequence([seed, idx, _policy_index(policy_name)])
             cells.append((key, desc, policy_name, cell_seed, pair, samples, t_max, lam))
 
-    if workers > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        sink = stack.enter_context(open(sink_path, "a")) if sink_path else None
+        if workers > 1 and len(cells) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(_run_cell, cells, chunksize=8))
-    else:
-        fresh = [_run_cell(cell) for cell in cells]
-
-    sink = open(sink_path, "a") if sink_path else None
-    try:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            fresh = pool.map(_run_cell, cells, chunksize=8)
+        else:
+            fresh = map(_run_cell, cells)
         for rec in fresh:
             if sink:
                 sink.write(rec.to_json() + "\n")
+                sink.flush()
             records.append(rec)
-    finally:
-        if sink:
-            sink.close()
     records.sort(key=lambda r: -r.best_p)
     return records
 
 
+def _read_sink(path: str) -> list[SearchRecord]:
+    """Records of a sink file, first cutting a torn last line from it."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            fh.truncate(end)
+    lines = data[:end].decode().splitlines()
+    return [SearchRecord.from_json(line) for line in lines if line.strip()]
+
+
 def _policy_index(name: str) -> int:
-    return {"O1": 1, "O2": 2, "O3": 3}.get(name, 99)
+    """Seed index of a policy: 1-3 for O1-O3, else a CRC-32 of its name."""
+    return {"O1": 1, "O2": 2, "O3": 3}.get(name) or zlib.crc32(name.encode())
 
 
 def _run_cell(cell) -> SearchRecord:
@@ -383,15 +380,9 @@ class RobustnessResult:
     step: int
 
 
-def _hub_cycle_block(n: int, step: int) -> tuple[StepOperator, np.ndarray]:
-    g = build(Join(Edgeless(2), Cycle(n)))
-    op = build_step_operator(g, UniformGrover())
-    block = None
-    for t, b in enumerate(target_block_powers(op, (0, 1), step), start=1):
-        if t == step:
-            block = b
-    assert block is not None
-    return op, block
+def _hub_cycle_block(n: int, step: int) -> np.ndarray:
+    op = build_step_operator(build(Join(Edgeless(2), Cycle(n))), UniformGrover())
+    return target_block_powers(op, (0, 1), step)[-1]
 
 
 def robustness_sweep(
@@ -419,7 +410,7 @@ def robustness_sweep(
         means = np.empty(len(n_values))
         for i, n in enumerate(n_values):
             rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-            _, block = _hub_cycle_block(n, step)
+            block = _hub_cycle_block(n, step)
             deltas = rng.uniform(0.0, 1.0, size=(runs, n))
             states = 1.0 - deltas
             states = states / np.linalg.norm(states, axis=1, keepdims=True)
@@ -432,7 +423,7 @@ def robustness_sweep(
         raise ConfigError(f"robustness kind {kind!r} needs a magnitude grid")
     out = np.empty((len(n_values), mags.size))
     for i, n in enumerate(n_values):
-        _, block = _hub_cycle_block(n, step)
+        block = _hub_cycle_block(n, step)
         for j, mag in enumerate(mags):
             amps = np.ones(n, dtype=complex)
             if kind == "defect":
@@ -524,8 +515,6 @@ def interpolation_sweep(
                 op = build_step_operator(sparse, UniformGrover())
             else:
                 op = build_step_operator(dense, _InterpPolicy(turned_on, float(c)))
-            psi = equal_superposition(op.space, 0)
-            for _ in range(step):
-                psi = op.matrix @ psi
+            psi = trajectory(op, equal_superposition(op.space, 0), step)[-1]
             out[i, j] = vertex_probability(op.space, psi, 1)
     return InterpolationResult(chain, n_values, cs, out, step)

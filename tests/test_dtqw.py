@@ -6,17 +6,27 @@ from hypothesis import strategies as st
 from qwalk.arcs import ArcSpace, shift_matrix
 from qwalk.coins import parse_policy
 from qwalk.dtqw import (
+    TIE_TOL,
+    block_scan,
     build_step_operator,
     detect_transfer,
     equal_superposition,
     evolve,
     haar_states,
     max_transfer_scan,
+    peak_step,
     state_at_vertex,
     target_block_powers,
+    trajectory,
     vertex_probability,
 )
 from qwalk.errors import ConfigError
+from qwalk.explorer import (
+    PST_SINGULAR_TOL,
+    VariantDescriptor,
+    build_variant,
+    enumerate_variants,
+)
 from qwalk.graphs import Complete, Cycle, DiamondChain, Edgeless, Join, Path, build
 
 POLICIES = ["O1", "O2", "O3"]
@@ -196,3 +206,114 @@ def test_haar_states_normalized_and_reproducible():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
     with pytest.raises(ConfigError):
         haar_states(0, 3, seed=1)
+
+
+# ----- propagation kernel -----
+
+@st.composite
+def _variants(draw):
+    base = draw(st.sampled_from([4, 6]))
+    subsets = st.lists(st.integers(0, base - 1), min_size=1, max_size=base, unique=True)
+    attachments = tuple(
+        tuple(sorted(sub)) for sub in draw(st.lists(subsets, min_size=1, max_size=2))
+    )
+    links = ((0, 1),) if len(attachments) == 2 and draw(st.booleans()) else ()
+    return VariantDescriptor(base, attachments, links)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_variants(), st.sampled_from(POLICIES))
+def test_trajectory_blocks_match_matrix_powers(desc, policy):
+    g = build_variant(desc)
+    op = build_step_operator(g, parse_policy(policy))
+    pair = (0, desc.base // 2)
+    src = op.space.vertex_slice(pair[0])
+    tgt = op.space.vertex_slice(pair[1])
+    blocks = target_block_powers(op, pair, 30)
+    states = trajectory(op, np.eye(op.space.n_arcs)[:, src], 30)
+    for t in range(1, 31):
+        power = np.linalg.matrix_power(op.matrix, t)
+        assert np.max(np.abs(blocks[t - 1] - power[tgt, src])) <= 1e-12
+        assert np.max(np.abs(states[t] - power[:, src])) <= 1e-12
+
+
+def test_trajectory_of_a_state_matches_stepping():
+    g = build(Join(Edgeless(2), Cycle(5)))
+    op = build_step_operator(g, parse_policy("O2"))
+    psi = equal_superposition(op.space, 0)
+    states = trajectory(op, psi, 12)
+    assert states.shape == (13, op.space.n_arcs)
+    assert np.array_equal(states[0], psi)
+    for t in range(12):
+        psi = op.matrix @ psi
+        assert np.array_equal(states[t + 1], psi)
+
+
+def test_gram_certificate_matches_singular_values():
+    # every C4 variant with one added node, in both directions: the top
+    # Gram eigenvalue test and the top singular value test agree each step
+    seen_hits = 0
+    for _, g in enumerate_variants(4, 1):
+        for policy in POLICIES:
+            op = build_step_operator(g, parse_policy(policy))
+            pairs = [(0, 2), (2, 0)]
+            states = [haar_states(op.space.degree(s), 20, seed=1) for s, _ in pairs]
+            scans = block_scan(op, pairs, states, 40)
+            for pair, (_, _, top_gram) in zip(pairs, scans):
+                gram_hits = top_gram >= (1.0 - PST_SINGULAR_TOL) ** 2
+                svd_hits = np.array([
+                    np.linalg.svd(block, compute_uv=False)[0] >= 1.0 - PST_SINGULAR_TOL
+                    for block in target_block_powers(op, pair, 40)
+                ])
+                assert np.array_equal(gram_hits, svd_hits), (g.edge_set(), policy, pair)
+                seen_hits += int(gram_hits.sum())
+    assert seen_hits > 0
+
+
+def test_block_scan_matches_direct_probabilities():
+    g = build(Join(Edgeless(2), Cycle(6)))
+    op = build_step_operator(g, parse_policy("O1"))
+    states = haar_states(op.space.degree(0), 70, seed=4)
+    [(step_best, sample_best, _)] = block_scan(op, [(0, 1)], [states], 25)
+    probs = np.stack([
+        np.sum(np.abs(states @ block.T) ** 2, axis=1)
+        for block in target_block_powers(op, (0, 1), 25)
+    ])
+    assert np.max(np.abs(step_best - probs.max(axis=1))) <= 1e-12
+    assert np.max(np.abs(sample_best - probs.max(axis=0))) <= 1e-12
+
+
+def test_tie_rule_takes_earliest_near_maximum():
+    values = np.array([0.2, 1.0 - TIE_TOL / 2, 0.5, 1.0, 1.0])
+    assert peak_step(values) == 2
+    assert peak_step(np.array([0.2, 1.0 - 2 * TIE_TOL, 1.0])) == 3
+    assert peak_step(np.zeros(4)) == 1
+
+
+def test_block_scan_chunks_agree_with_one_pass(monkeypatch):
+    import qwalk.dtqw as dtqw
+
+    g = build(Join(Edgeless(2), Cycle(7)))
+    op = build_step_operator(g, parse_policy("O3"))
+    pairs = [(0, 1), (2, 5)]
+    states = [haar_states(op.space.degree(s), 90, seed=s) for s, _ in pairs]
+    whole = block_scan(op, pairs, states, 33)
+    monkeypatch.setattr(dtqw, "_CHUNK_BYTES", 3000)
+    chunked = block_scan(op, pairs, states, 33)
+    for a, b in zip(whole, chunked):
+        for x, y in zip(a, b):
+            assert x.shape == y.shape
+            assert np.max(np.abs(x - y)) <= 1e-12
+
+
+def test_detect_transfer_pieces_agree_with_one_pass(monkeypatch):
+    import qwalk.dtqw as dtqw
+
+    g = build(DiamondChain(3, loop_ends=True))
+    psi = equal_superposition(ArcSpace.from_graph(g), 0)
+    whole = detect_transfer(g, parse_policy("O1"), psi, (0, 9), t_max=47)
+    monkeypatch.setattr(dtqw, "_CHUNK_BYTES", 2000)
+    pieces = detect_transfer(g, parse_policy("O1"), psi, (0, 9), t_max=47)
+    assert np.array_equal(whole.vertex_series, pieces.vertex_series)
+    assert np.array_equal(whole.fidelity_series, pieces.fidelity_series)
+    assert whole.to_json_dict() == pieces.to_json_dict()

@@ -9,6 +9,7 @@ from qwalk.coins import parse_policy
 from qwalk.dtqw import build_step_operator, detect_transfer, state_at_vertex
 from qwalk.errors import ConfigError
 from qwalk.explorer import (
+    PST_SINGULAR_TOL,
     VariantDescriptor,
     build_variant,
     enumerate_variants,
@@ -18,7 +19,9 @@ from qwalk.explorer import (
     pst_search,
     robustness_sweep,
 )
+from qwalk import explorer
 from qwalk.arcs import ArcSpace
+from qwalk.dtqw import haar_states
 
 
 # ----- descriptors and enumeration -----
@@ -142,6 +145,94 @@ def test_search_sink_resumes(tmp_path):
     resumed = pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
     assert sorted(r.to_json() for r in resumed) == sorted(r.to_json() for r in full)
     assert len(sink.read_text().strip().splitlines()) == 24
+
+
+def test_search_sink_cuts_torn_last_line(tmp_path):
+    sink = tmp_path / "records.jsonl"
+    full = pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    lines = sink.read_text().splitlines()
+    # a kill in the middle of a write leaves half a record without its newline
+    sink.write_text("\n".join(lines[:12]) + "\n" + lines[12][:40])
+    resumed = pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    assert sorted(r.to_json() for r in resumed) == sorted(r.to_json() for r in full)
+    assert sorted(sink.read_text().splitlines()) == sorted(lines)
+
+
+def test_search_sink_streams_finished_cells(tmp_path, monkeypatch):
+    sink = tmp_path / "records.jsonl"
+    run_cell = explorer._run_cell
+    done = []
+
+    def failing_after_five(cell):
+        if len(done) == 5:
+            raise RuntimeError("killed")
+        done.append(cell)
+        return run_cell(cell)
+
+    monkeypatch.setattr(explorer, "_run_cell", failing_after_five)
+    with pytest.raises(RuntimeError):
+        pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    assert len(sink.read_text().splitlines()) == 5
+
+
+def test_policy_seeds_differ_beyond_uniform_policies():
+    assert [explorer._policy_index(p) for p in ("O1", "O2", "O3")] == [1, 2, 3]
+    names = ["table1:1", "table1:2", "table1:3", "table1:4", '{"0": [[1]]}']
+    indices = [explorer._policy_index(p) for p in names]
+    assert len(set(indices)) == len(names)
+    assert not set(indices) & {1, 2, 3}
+    assert explorer._policy_index("table1:1") == explorer._policy_index("table1:1")
+
+
+def _old_search_cell(g, policy, pair, samples, t_max, seeds, lam):
+    """The per-step search kernel as it was before the Gram form: one m x m
+    power, one |B s|^2 reduction and one SVD per step and direction.  Its
+    best step follows the tie rule, so that it can be compared exactly."""
+    op = build_step_operator(g, policy)
+    directions = (pair, (pair[1], pair[0]))
+    states = [
+        haar_states(op.space.degree(src), samples, sd)
+        for (src, _), sd in zip(directions, seeds)
+    ]
+    slices = [
+        (op.space.vertex_slice(src), op.space.vertex_slice(tgt))
+        for src, tgt in directions
+    ]
+    per_sample_max = [np.zeros(samples), np.zeros(samples)]
+    step_best = [np.empty(t_max), np.empty(t_max)]
+    hits = [[], []]
+    power = np.eye(op.space.n_arcs, dtype=complex)
+    for t in range(1, t_max + 1):
+        power = op.matrix @ power
+        for i, (src_sl, tgt_sl) in enumerate(slices):
+            block = power[tgt_sl, src_sl]
+            probs = np.sum(np.abs(states[i] @ block.T) ** 2, axis=1)
+            np.maximum(per_sample_max[i], probs, out=per_sample_max[i])
+            step_best[i][t - 1] = probs.max()
+            if np.linalg.svd(block, compute_uv=False)[0] >= 1.0 - PST_SINGULAR_TOL:
+                hits[i].append(t)
+    outcomes = []
+    for i in range(2):
+        best = float(step_best[i].max())
+        first = int(np.argmax(step_best[i] >= best - 1e-12)) + 1
+        frac = float(np.mean(per_sample_max[i] > lam))
+        outcomes.append((bool(hits[i]), best, frac, -i, first, tuple(hits[i])))
+    pst, best_p, frac, _, best_step, pst_steps = max(outcomes, key=lambda o: o[:4])
+    return best_p, best_step, pst, pst_steps, frac
+
+
+def test_search_cell_matches_per_step_reference():
+    checked = 0
+    for idx, (desc, g) in enumerate(enumerate_variants(4, 1)):
+        for policy_name in ("O1", "O2", "O3"):
+            policy = parse_policy(policy_name)
+            seeds = (1000 + idx, 2000 + idx)
+            new = explorer._search_cell(g, policy, (0, 2), 300, 40, seeds, 0.9)
+            old = _old_search_cell(g, policy, (0, 2), 300, 40, seeds, 0.9)
+            assert abs(new[0] - old[0]) <= 1e-12, (desc, policy_name)
+            assert new[1:] == old[1:], (desc, policy_name)
+            checked += 1
+    assert checked == 24
 
 
 def test_search_finds_two_step_transfer_under_grover():
