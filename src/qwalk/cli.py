@@ -28,7 +28,7 @@ from qwalk.decoherence import (
     NoiseModel,
     decohere_ct,
     density_from_state,
-    evolve_density,
+    density_steps,
     target_probability_vs_rate,
     vertex_marginal,
 )
@@ -152,16 +152,9 @@ def parse_init_spec(text: str, space: ArcSpace, source: int, seed: int) -> np.nd
     text = text.strip()
     if text == "equal":
         return equal_superposition(space, source)[None, :]
-    if text.startswith("haar:"):
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise ConfigError(f"haar spec {text!r} must be haar:<count>[:<seed>]")
-        try:
-            count = int(parts[1])
-            use_seed = int(parts[2]) if len(parts) == 3 else seed
-        except ValueError as exc:
-            raise ConfigError(f"haar spec {text!r} has non-integer fields") from exc
-        coins = haar_states(space.degree(source), count, use_seed)
+    haar = _parse_haar_spec(text, seed)
+    if haar is not None:
+        coins = haar_states(space.degree(source), *haar)
         return np.stack([state_at_vertex(space, source, c) for c in coins])
     amps = np.array([_parse_complex(tok) for tok in text.split(",")], dtype=complex)
     d = space.degree(source)
@@ -173,6 +166,20 @@ def parse_init_spec(text: str, space: ArcSpace, source: int, seed: int) -> np.nd
     if norm < 1e-12:
         raise ConfigError("explicit amplitudes cannot all be zero")
     return state_at_vertex(space, source, amps / norm)[None, :]
+
+
+def _parse_haar_spec(text: str, seed: int) -> tuple[int, int] | None:
+    """(count, seed) of a "haar:<count>[:<seed>]" spec, None for other specs."""
+    text = text.strip()
+    if not text.startswith("haar:"):
+        return None
+    parts = text.split(":")
+    if len(parts) not in (2, 3):
+        raise ConfigError(f"haar spec {text!r} must be haar:<count>[:<seed>]")
+    try:
+        return int(parts[1]), int(parts[2]) if len(parts) == 3 else seed
+    except ValueError as exc:
+        raise ConfigError(f"haar spec {text!r} has non-integer fields") from exc
 
 
 def _parse_pair(text: str, n: int, issues: list[str]) -> tuple[int, int]:
@@ -317,14 +324,12 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
     _raise_issues(issues)
 
     policy = parse_policy(args.policy)
-    space = ArcSpace.from_graph(g)
-    inits = parse_init_spec(args.init, space, pair[0], seed)
+    haar = _parse_haar_spec(args.init, seed)
 
-    if inits.shape[0] > 1:
-        parts = args.init.split(":")
-        scan_seed = int(parts[2]) if len(parts) == 3 else seed
+    if haar is not None and haar[0] > 1:
+        samples, scan_seed = haar
         scan = max_transfer_scan(
-            g, policy, pair, samples=inits.shape[0], t_max=steps, seed=scan_seed, lam=lam
+            g, policy, pair, samples=samples, t_max=steps, seed=scan_seed, lam=lam
         )
         payload = {
             "command": "dtqw-scan",
@@ -342,7 +347,8 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
         _write_json(args.out + ".json" if args.out else None, payload)
         return 0
 
-    report = detect_transfer(g, policy, inits[0], pair, t_max=steps, lam=lam)
+    psi0 = parse_init_spec(args.init, ArcSpace.from_graph(g), pair[0], seed)[0]
+    report = detect_transfer(g, policy, psi0, pair, t_max=steps, lam=lam)
     series = report.vertex_series[:, track]
     payload = {
         "command": "dtqw",
@@ -415,7 +421,7 @@ def cmd_ctqw(args: argparse.Namespace) -> int:
 
 
 def cmd_decohere(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ["steps", "dt"])
+    cfg = _merged(args, ["steps"])
     seed = _resolve_seed(args)
     issues: list[str] = []
     g = parse_graph_spec(args.graph)
@@ -438,12 +444,14 @@ def cmd_decohere(args: argparse.Namespace) -> int:
         issues.append(f"steps must be positive, got {steps}")
     if model == "ct" and args.time is None:
         issues.append("continuous model needs --time")
+    elif model == "ct" and not args.time >= 0.0:
+        issues.append(f"time must be non-negative, got {args.time}")
     _raise_issues(issues)
 
     if model == "ct":
         rho0 = np.zeros((g.n, g.n), dtype=complex)
         rho0[pair[0], pair[0]] = 1.0
-        rho = decohere_ct(g, rho0, rate, float(args.time), dt=float(cfg["dt"]))
+        rho = decohere_ct(g, rho0, rate, float(args.time))
         payload = {
             "command": "decohere-ct",
             "graph": args.graph,
@@ -488,8 +496,10 @@ def cmd_decohere(args: argparse.Namespace) -> int:
 
     op = build_step_operator(g, policy)
     noise = NoiseModel(basis=basis, rate=rate)
-    rhos = evolve_density(density_from_state(psi0), op, noise, steps)
-    marginals = np.stack([vertex_marginal(space, r) for r in rhos])
+    marginals = np.stack([
+        vertex_marginal(space, rho)
+        for rho in density_steps(density_from_state(psi0), op, noise, steps)
+    ])
     payload = {
         "command": "decohere",
         "graph": args.graph,
@@ -713,7 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", help="comma list of rates for a fixed-step sweep")
     p.add_argument("--steps", type=int, help="steps (dt model) or sweep step (default 100)")
     p.add_argument("--time", type=float, help="evolution time for the ct model")
-    p.add_argument("--dt", type=float, help="integrator step for the ct model")
+    p.add_argument("--dt", type=float,
+                   help="no effect: the ct model is propagated exactly; accepted for old command lines")
     _add_common(p)
     p.set_defaults(func=cmd_decohere)
 

@@ -8,6 +8,10 @@ with W the unitary step and the P_j an orthogonal projector family.
 Because every family used here projects onto coordinate subspaces of
 the arc basis, the projected sum is an elementwise mask: entries whose
 row and column fall in the same subspace survive, the rest are zeroed.
+``density_steps`` is the only code that steps a density matrix: it
+builds the mask and W* once per walk and yields one matrix at a time,
+so a caller that keeps only what it reads needs memory independent of
+the number of steps.
 
 Three families are offered for the discrete walk.  Position dephasing
 projects onto vertex blocks, killing coherence between vertices while
@@ -22,18 +26,23 @@ dephasing do not depend on the numbering.  Dephasing in both erases
 everything off the arc diagonal; with coins whose entries all share
 one magnitude this reproduces the classical random walk exactly.
 
-The continuous version integrates
+The continuous version solves
 
-    drho/dt = -i [A, rho] - p rho + p sum_j P_j rho P_j
+    drho/dt = L(rho) = -i [A, rho] - p rho + p sum_j P_j rho P_j
 
-with a fixed-step fourth-order Runge-Kutta scheme, halving the step
-until the trace drift stays below 1e-8.  Its projectors are the vertex
-basis.
+with the P_j the vertex basis (Kendon, quant-ph/0606016), so the last
+two terms damp the off-diagonal entries at rate p.  ``decohere_ct``
+computes rho(t) = exp(tL) rho(0) to working precision by a Taylor
+series of L applied to the n x n density itself, on time pieces short
+enough that every series converges fast; the n^2 x n^2 Liouvillian is
+never formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -46,6 +55,7 @@ __all__ = [
     "NoiseModel",
     "dephasing_mask",
     "decohere_step",
+    "density_steps",
     "evolve_density",
     "decohere_ct",
     "density_from_state",
@@ -94,6 +104,8 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
 
 
 def validate_density(rho: np.ndarray, tol: float = 1e-8) -> None:
+    if not np.all(np.isfinite(rho)):
+        raise ToleranceError("density matrix has non-finite entries")
     if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
         raise ToleranceError(f"density trace {np.trace(rho)!r} drifted from 1")
     if np.abs(rho - rho.conj().T).max() > tol:
@@ -105,68 +117,83 @@ def validate_density(rho: np.ndarray, tol: float = 1e-8) -> None:
 
 def decohere_step(rho: np.ndarray, op: StepOperator, noise: NoiseModel) -> np.ndarray:
     """One noisy step of the discrete walk."""
-    mask = dephasing_mask(op.space, noise.basis)
-    return _noisy_step(rho, op.matrix, mask, noise.rate)
+    _, rho1 = density_steps(rho, op, noise, 1)
+    return rho1
 
 
-def _noisy_step(rho: np.ndarray, u: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
-    rot = u @ rho @ u.conj().T
+def _noisy_step(
+    rho: np.ndarray, u: np.ndarray, uh: np.ndarray, mask: np.ndarray, p: float
+) -> np.ndarray:
+    rot = u @ rho @ uh
     if p == 0.0:
         return rot
     return (1.0 - p) * rot + p * (rot * mask)
+
+
+def density_steps(
+    rho0: np.ndarray, op: StepOperator, noise: NoiseModel, steps: int
+) -> Iterator[np.ndarray]:
+    """Yield the density matrices rho_0 ... rho_steps of a noisy walk.
+
+    The dephasing mask and the adjoint step are built once; each matrix
+    is yielded as soon as it is computed and not kept.
+    """
+    mask = dephasing_mask(op.space, noise.basis)
+    u = op.matrix
+    uh = u.conj().T
+    rho = np.asarray(rho0, dtype=complex)
+    yield rho
+    for _ in range(steps):
+        rho = _noisy_step(rho, u, uh, mask, noise.rate)
+        yield rho
 
 
 def evolve_density(
     rho0: np.ndarray, op: StepOperator, noise: NoiseModel, steps: int
 ) -> list[np.ndarray]:
     """Density matrices after each step, starting list with the input."""
-    mask = dephasing_mask(op.space, noise.basis)
-    out = [np.asarray(rho0, dtype=complex)]
-    for _ in range(steps):
-        out.append(_noisy_step(out[-1], op.matrix, mask, noise.rate))
-    return out
+    return list(density_steps(rho0, op, noise, steps))
 
 
-def decohere_ct(
-    g: Graph,
-    rho0: np.ndarray,
-    rate: float,
-    t: float,
-    dt: float = 1e-3,
-    trace_tol: float = 1e-8,
-    max_halvings: int = 8,
-) -> np.ndarray:
-    """Integrate the dephasing master equation to time t.
+def decohere_ct(g: Graph, rho0: np.ndarray, rate: float, t: float) -> np.ndarray:
+    """Density matrix at time t under continuous-time vertex dephasing.
 
-    Fixed-step RK4 on the vertex basis; the step is halved until the
-    trace drifts by less than trace_tol over the whole integration.
+    Returns exp(tL) rho0 for L(rho) = -i[A, rho] - rate (rho - diag rho).
+    The interval [0, t] is cut into s equal pieces of length h with
+    h (2 ||A||_1 + 2 rate) <= 1, which bounds the norm of hL by one.  On
+    each piece the Taylor series of exp(hL) is summed, term by term,
+    until a term's largest entry falls below 2**-53 times the partial
+    sum's (after Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  L
+    acts on the n x n matrix directly, so memory stays O(n^2).
+
+    Raises ConfigError for a negative or non-finite t or a density of
+    the wrong shape, and ToleranceError when the result is not a
+    density matrix (see ``validate_density``).
     """
     a = g.adjacency.astype(complex)
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (g.n, g.n):
-        raise ConfigError(f"density is {rho0.shape}, graph has {g.n} vertices")
-    eye_mask = np.eye(g.n)
+    rho = np.asarray(rho0, dtype=complex)
+    if rho.shape != (g.n, g.n):
+        raise ConfigError(f"density is {rho.shape}, graph has {g.n} vertices")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"time must be finite and non-negative, got {t}")
 
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        comm = a @ rho - rho @ a
-        return -1j * comm - rate * rho + rate * (rho * eye_mask)
+    def lindblad(x: np.ndarray) -> np.ndarray:
+        off = x.copy()
+        np.fill_diagonal(off, 0.0)
+        return -1j * (a @ x - x @ a) - rate * off
 
-    step = dt
-    for _ in range(max_halvings + 1):
-        rho = rho0.copy()
-        n_steps = max(1, int(round(t / step))) if t > 0 else 0
-        h = t / n_steps if n_steps else 0.0
-        for _ in range(n_steps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * h * k1)
-            k3 = rhs(rho + 0.5 * h * k2)
-            k4 = rhs(rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-        if drift < trace_tol:
-            return rho
-        step /= 2.0
-    raise ToleranceError(f"trace drift {drift:.3e} persists at dt = {step * 2:.3e}")
+    norm = 2.0 * float(np.abs(a).sum(axis=0).max()) + 2.0 * abs(rate)
+    pieces = max(1, math.ceil(t * norm))
+    h = t / pieces
+    for _ in range(pieces):
+        term = rho
+        k = 0
+        while np.abs(term).max() > 2.0**-53 * np.abs(rho).max():
+            k += 1
+            term = (h / k) * lindblad(term)
+            rho = rho + term
+    validate_density(rho)
+    return rho
 
 
 # ===== Classical reference walk =====
@@ -244,14 +271,11 @@ def target_probability_vs_rate(
 
     op = build_step_operator(g, policy)
     rho0 = density_from_state(init)
-    target = pair[1]
-    sl = op.space.vertex_slice(target)
+    sl = op.space.vertex_slice(pair[1])
     probs = np.empty(len(rates))
-    mask = dephasing_mask(op.space, basis)
     for i, p in enumerate(np.asarray(rates, dtype=float)):
-        rho = rho0
-        for _ in range(step):
-            rho = _noisy_step(rho, op.matrix, mask, float(p))
+        for rho in density_steps(rho0, op, NoiseModel(basis, float(p)), step):
+            pass  # only the last matrix is read
         validate_density(rho)
         probs[i] = np.real(np.trace(rho[sl, sl]))
     return RateSweep(np.asarray(rates, dtype=float), probs, step, basis)

@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qwalk.cli
+import qwalk.dtqw
 from qwalk.cli import main, parse_graph_spec, parse_init_spec
 from qwalk.arcs import ArcSpace
 from qwalk.errors import ConfigError
@@ -114,6 +117,23 @@ def test_dtqw_haar_scan_mode(tmp_path):
     assert data["best_step"] % 4 == 2
 
 
+def test_dtqw_haar_scan_draws_states_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qwalk.cli, "haar_states", counted(qwalk.cli.haar_states))
+    monkeypatch.setattr(qwalk.dtqw, "haar_states", counted(qwalk.dtqw.haar_states))
+    argv = ["dtqw", "--graph", "join k2k n=3", "--init", "haar:40:9", "--steps", "10",
+            "--out", str(tmp_path / "scan")]
+    assert main(argv) == 0
+    assert calls == [(3, 40, 9)]
+
+
 def test_config_file_and_cli_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"steps": 12}')
@@ -179,6 +199,35 @@ def test_decohere_flag_conflicts(capsys):
     err = capsys.readouterr().err
     assert "either --rate or --rates" in err
     assert "basis must be" in err
+
+
+def test_decohere_ct_is_exact_whatever_dt(capsys):
+    probs = {}
+    for dt in ("3", "0.001"):
+        argv = ["decohere", "--model", "ct", "--graph", "cycle n=4", "--time", "3", "--dt", dt]
+        assert main(argv) == 0
+        probs[dt] = np.array(json.loads(capsys.readouterr().out)["vertex_probabilities"])
+    assert np.max(np.abs(probs["3"] - probs["0.001"])) < 1e-12
+    assert np.all((probs["3"] >= 0.0) & (probs["3"] <= 1.0))
+
+
+def test_decohere_ct_rejects_negative_time(capsys):
+    argv = ["decohere", "--model", "ct", "--graph", "cycle n=4", "--time", "-1"]
+    assert main(argv) == 1
+    assert "time must be non-negative" in capsys.readouterr().err
+
+
+def test_decohere_memory_does_not_grow_with_steps(tmp_path):
+    argv = ["decohere", "--graph", "join k2c n=36", "--rate", "0.1", "--steps", "100",
+            "--out", str(tmp_path / "dec")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 216 x 216 complex density is 0.75 MB; 101 of them would be 75 MB
+    assert peak < 16e6
 
 
 def test_search_cli_schema(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qwalk.arcs import ArcSpace
 from qwalk.coins import parse_policy
@@ -13,6 +14,7 @@ from qwalk.decoherence import (
     decohere_ct,
     decohere_step,
     density_from_state,
+    density_steps,
     dephasing_mask,
     evolve_density,
     target_probability_vs_rate,
@@ -20,8 +22,8 @@ from qwalk.decoherence import (
     vertex_marginal,
 )
 from qwalk.dtqw import build_step_operator, equal_superposition, state_at_vertex
-from qwalk.errors import ConfigError
-from qwalk.graphs import Cycle, Edgeless, Join, build
+from qwalk.errors import ConfigError, ToleranceError
+from qwalk.graphs import Cycle, Edgeless, Graph, Join, build
 
 
 def mixed_coin_density(space: ArcSpace, v: int) -> np.ndarray:
@@ -62,6 +64,13 @@ def test_density_validation():
         validate_density(np.array([[0.9, 0.5], [0.1, 0.1]]))
 
 
+def test_density_validation_rejects_non_finite_entries():
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(ToleranceError, match="non-finite"):
+        validate_density(rho)
+
+
 @given(st.integers(0, 500), st.floats(0.0, 1.0))
 @settings(max_examples=30, deadline=None)
 def test_noisy_evolution_keeps_density_well_formed(seed, rate):
@@ -77,6 +86,23 @@ def test_noisy_evolution_keeps_density_well_formed(seed, rate):
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
     assert np.linalg.eigvalsh(rho).min() > -1e-10
+
+
+@pytest.mark.parametrize(
+    "basis, rate", [("coin", 0.3), ("position", 0.1), ("both", 1.0), ("coin", 0.0)]
+)
+def test_density_steps_match_per_step_loop_bit_for_bit(basis, rate):
+    g = build(Join(Edgeless(2), Cycle(5)))
+    op = build_step_operator(g, parse_policy("O2"))
+    rho = density_from_state(equal_superposition(op.space, 0))
+    mask = dephasing_mask(op.space, basis)
+    steps = density_steps(rho, op, NoiseModel(basis, rate), 7)
+    assert not isinstance(steps, list)
+    for t, got in enumerate(steps):
+        assert np.array_equal(got, rho), t
+        rot = op.matrix @ rho @ op.matrix.conj().T
+        rho = rot if rate == 0.0 else (1.0 - rate) * rot + rate * (rot * mask)
+    assert t == 7
 
 
 # ----- limits -----
@@ -163,6 +189,60 @@ def test_ct_rejects_wrong_shape():
     g = build(Cycle(4))
     with pytest.raises(ConfigError):
         decohere_ct(g, np.eye(3, dtype=complex) / 3, rate=0.1, t=1.0)
+
+
+def test_ct_rejects_negative_time():
+    g = build(Cycle(4))
+    with pytest.raises(ConfigError, match="non-negative"):
+        decohere_ct(g, np.eye(4, dtype=complex) / 4, rate=0.1, t=-1.0)
+
+
+def test_ct_result_must_be_a_density():
+    # trace one but a negative eigenvalue, which unitary evolution keeps
+    rho0 = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    with pytest.raises(ToleranceError, match="positivity"):
+        decohere_ct(build(Cycle(4)), rho0, rate=0.0, t=1.0)
+
+
+def _liouvillian(a: np.ndarray, rate: float) -> np.ndarray:
+    """Dense generator on the row-major vec(rho); a reference for small n only."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    commutator = np.kron(a, eye) - np.kron(eye, a.T)
+    return -1j * commutator - rate * np.diag(1.0 - eye.reshape(-1))
+
+
+@st.composite
+def ct_cases(draw):
+    n = draw(st.integers(1, 8))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n)] = bits
+    a = a + np.triu(a, 1).T
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho0 = z @ z.conj().T
+    rho0 /= np.trace(rho0).real
+    return Graph(a), rho0, draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 20.0))
+
+
+@given(ct_cases())
+@settings(max_examples=25, deadline=None)
+def test_ct_matches_dense_liouvillian_exponential(case):
+    g, rho0, rate, t = case
+    got = decohere_ct(g, rho0, rate=rate, t=t)
+    want = (expm(t * _liouvillian(g.adjacency, rate)) @ rho0.reshape(-1)).reshape(g.n, g.n)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_ct_large_graph_without_the_dense_liouvillian():
+    # the n^2 x n^2 generator of a 255-vertex graph would take 67 GB
+    g = build(Cycle(255))
+    psi0 = np.zeros(g.n, dtype=complex)
+    psi0[0] = 1.0
+    rho = decohere_ct(g, density_from_state(psi0), rate=0.0, t=0.2)
+    want = evolve_ct(g, psi0, 0.2)
+    assert np.max(np.abs(rho - np.outer(want, want.conj()))) < 1e-10
 
 
 # ----- rate sweeps -----
