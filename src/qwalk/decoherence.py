@@ -8,10 +8,13 @@ with W the unitary step and the P_j an orthogonal projector family.
 Because every family used here projects onto coordinate subspaces of
 the arc basis, the projected sum is an elementwise mask: entries whose
 row and column fall in the same subspace survive, the rest are zeroed.
-``density_steps`` is the only code that steps a density matrix: it
-builds the mask and W* once per walk and yields one matrix at a time,
-so a caller that keeps only what it reads needs memory independent of
-the number of steps.
+The whole step is therefore rho' = (W rho W*) * w with the weight
+matrix w = (1 - p) + p mask.  ``density_steps`` is the only code that
+steps a density matrix: it builds the weight once per walk, forms
+W rho W* with ``StepOperator.conjugate`` (batched coin blocks and the
+arc reversal, never the dense W) and yields one matrix at a time, so a
+caller that keeps only what it reads needs memory independent of the
+number of steps.
 
 Three families are offered for the discrete walk.  Position dephasing
 projects onto vertex blocks, killing coherence between vertices while
@@ -121,13 +124,9 @@ def decohere_step(rho: np.ndarray, op: StepOperator, noise: NoiseModel) -> np.nd
     return rho1
 
 
-def _noisy_step(
-    rho: np.ndarray, u: np.ndarray, uh: np.ndarray, mask: np.ndarray, p: float
-) -> np.ndarray:
-    rot = u @ rho @ uh
-    if p == 0.0:
-        return rot
-    return (1.0 - p) * rot + p * (rot * mask)
+def _dephasing_weight(mask: np.ndarray, p: float) -> np.ndarray | None:
+    """(1 - p) + p mask, or None when p = 0 leaves every entry alone."""
+    return None if p == 0.0 else (1.0 - p) + p * mask
 
 
 def density_steps(
@@ -135,16 +134,23 @@ def density_steps(
 ) -> Iterator[np.ndarray]:
     """Yield the density matrices rho_0 ... rho_steps of a noisy walk.
 
-    The dephasing mask and the adjoint step are built once; each matrix
-    is yielded as soon as it is computed and not kept.
+    Each step is ``op.conjugate`` followed by an in-place product with
+    the dephasing weight, which is built once per walk.  Each matrix is
+    yielded as soon as it is computed and not kept.
     """
-    mask = dephasing_mask(op.space, noise.basis)
-    u = op.matrix
-    uh = u.conj().T
+    weight = _dephasing_weight(dephasing_mask(op.space, noise.basis), noise.rate)
+    yield from _weighted_steps(rho0, op, weight, steps)
+
+
+def _weighted_steps(
+    rho0: np.ndarray, op: StepOperator, weight: np.ndarray | None, steps: int
+) -> Iterator[np.ndarray]:
     rho = np.asarray(rho0, dtype=complex)
     yield rho
     for _ in range(steps):
-        rho = _noisy_step(rho, u, uh, mask, noise.rate)
+        rho = op.conjugate(rho)
+        if weight is not None:
+            rho *= weight
         yield rho
 
 
@@ -242,8 +248,7 @@ def classical_walk(g: Graph, start, steps: int) -> np.ndarray:
 
 def vertex_marginal(space: ArcSpace, rho: np.ndarray) -> np.ndarray:
     """Probability per vertex from an arc-basis density matrix."""
-    diag = np.real(np.diag(rho))
-    return np.asarray([diag[space.vertex_slice(v)].sum() for v in range(space.graph.n)])
+    return np.bincount(space.heads, weights=np.real(np.diag(rho)), minlength=space.graph.n)
 
 
 # ===== Rate sweeps =====
@@ -272,9 +277,11 @@ def target_probability_vs_rate(
     op = build_step_operator(g, policy)
     rho0 = density_from_state(init)
     sl = op.space.vertex_slice(pair[1])
+    mask = dephasing_mask(op.space, basis)
     probs = np.empty(len(rates))
     for i, p in enumerate(np.asarray(rates, dtype=float)):
-        for rho in density_steps(rho0, op, NoiseModel(basis, float(p)), step):
+        weight = _dephasing_weight(mask, NoiseModel(basis, float(p)).rate)
+        for rho in _weighted_steps(rho0, op, weight, step):
             pass  # only the last matrix is read
         validate_density(rho)
         probs[i] = np.real(np.trace(rho[sl, sl]))

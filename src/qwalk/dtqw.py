@@ -9,19 +9,24 @@ the full state returns (fidelity with the start state reaches one),
 positional means all probability returns to the start vertex whatever
 the coin configuration.
 
-Every walk is stepped by one kernel, ``trajectory``, which applies U to
-a block of columns and never forms a power of U.  A step picked from a
-series is the earliest within ``TIE_TOL`` of the series maximum.
+Every state-vector walk is stepped by one kernel, ``trajectory``, which
+applies the dense U to a block of columns and never forms a power of U.
+A density matrix is stepped by ``StepOperator.conjugate``, which forms
+U rho U^H from the coin blocks and the arc reversal and never multiplies
+by the dense U.  A step picked from a series is the earliest within
+``TIE_TOL`` of the series maximum.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from qwalk.arcs import ArcSpace, shift_matrix
+from qwalk.arcs import ArcSpace
 from qwalk.coins import CoinPolicy, assemble_coin
 from qwalk.errors import ConfigError, ToleranceError
 from qwalk.graphs import Graph
@@ -52,7 +57,13 @@ _CHUNK_ROWS = 256  # Haar samples folded per matrix product
 
 @dataclass(frozen=True)
 class StepOperator:
-    """A single-step walk operator S C over the arc space of a graph."""
+    """A single-step walk operator U = S C over the arc space of a graph.
+
+    ``matrix`` is the dense U, which state vectors are stepped with.
+    ``conjugate`` steps a density matrix from the structure instead: C is
+    block diagonal with one contiguous block per vertex, and S is the
+    arc reversal ``space.reverse``, an involution.
+    """
 
     graph: Graph
     space: ArcSpace
@@ -61,15 +72,65 @@ class StepOperator:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return self.matrix @ psi
 
+    @cached_property
+    def _coin_runs(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
+        """(first arc, end arc, coin blocks, their adjoints) per run of
+        consecutive vertices of equal degree, the blocks stacked (k, d, d).
+
+        Built on first use, since only density steps need it.  C = S U
+        because S is an involution, so the blocks are read from U.
+        """
+        degrees = np.diff(self.space.offsets)
+        runs = []
+        lo = 0
+        for d, group in itertools.groupby(int(x) for x in degrees if x > 0):
+            k = len(list(group))
+            arcs = np.arange(lo, lo + k * d).reshape(k, d)
+            blocks = self.matrix[self.space.reverse[arcs][:, :, None], arcs[:, None, :]]
+            adjoints = np.ascontiguousarray(blocks.conj().transpose(0, 2, 1))
+            runs.append((lo, lo + k * d, blocks, adjoints))
+            lo += k * d
+        return tuple(runs)
+
+    def conjugate(self, rho: np.ndarray) -> np.ndarray:
+        """U rho U^H for any m x m matrix rho, Hermitian or not.
+
+        U rho U^H = S (C rho C^H) S: one batched product per coin run on
+        each side, each followed by a gather along ``space.reverse``.
+        """
+        m = self.space.n_arcs
+        rho = np.asarray(rho, dtype=complex)
+        # both products write into one buffer, so that the step's working
+        # set stays at four m x m arrays
+        work = np.empty((m, m), dtype=complex)
+        for lo, hi, blocks, _ in self._coin_runs:
+            k, d, _ = blocks.shape
+            np.matmul(blocks, rho[lo:hi].reshape(k, d, m), out=work[lo:hi].reshape(k, d, m))
+        left = work.take(self.space.reverse, axis=0)
+        for lo, hi, _, adjoints in self._coin_runs:
+            k, d, _ = adjoints.shape
+            np.matmul(
+                left[:, lo:hi].reshape(m, k, d).transpose(1, 0, 2),
+                adjoints,
+                out=work[:, lo:hi].reshape(m, k, d).transpose(1, 0, 2),
+            )
+        # take keeps C order, so the next step's reshapes are views, not
+        # copies; work[:, reverse] would not
+        return work.take(self.space.reverse, axis=1)
+
 
 def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
+    """U = S C with S the arc reversal, a row permutation of the coin.
+
+    Since S is a permutation, U^H U = C^H C, so unitarity is checked on
+    the coin.
+    """
     space = ArcSpace.from_graph(g)
     coin = assemble_coin(g, policy, space)
-    u = shift_matrix(space) @ coin
-    defect = np.abs(u.conj().T @ u - np.eye(space.n_arcs)).max()
+    defect = np.abs(coin.conj().T @ coin - np.eye(space.n_arcs)).max()
     if defect > UNITARITY_TOL:
         raise ToleranceError(f"step operator unitarity defect {defect:.3e}")
-    return StepOperator(g, space, u)
+    return StepOperator(g, space, coin[space.reverse])
 
 
 def state_at_vertex(space: ArcSpace, v: int, amplitudes: Sequence[complex]) -> np.ndarray:

@@ -55,6 +55,20 @@ def test_masks_shapes_and_limits():
         dephasing_mask(space, "flavor")
 
 
+def test_vertex_marginal_sums_each_vertex_block():
+    # vertex 3 is isolated and owns no arcs
+    a = np.zeros((5, 5))
+    for v, w in [(0, 1), (0, 2), (1, 2), (2, 4), (4, 4)]:
+        a[v, w] = a[w, v] = 1.0
+    space = ArcSpace.from_graph(Graph(a))
+    rng = np.random.default_rng(3)
+    rho = np.diag(rng.random(space.n_arcs)).astype(complex)
+    got = vertex_marginal(space, rho)
+    want = [np.real(np.diag(rho))[space.vertex_slice(v)].sum() for v in range(5)]
+    assert got.shape == (5,) and got[3] == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_density_validation():
     psi = np.array([1.0, 1.0j]) / np.sqrt(2)
     rho = density_from_state(psi)
@@ -91,7 +105,7 @@ def test_noisy_evolution_keeps_density_well_formed(seed, rate):
 @pytest.mark.parametrize(
     "basis, rate", [("coin", 0.3), ("position", 0.1), ("both", 1.0), ("coin", 0.0)]
 )
-def test_density_steps_match_per_step_loop_bit_for_bit(basis, rate):
+def test_density_steps_match_per_step_loop(basis, rate):
     g = build(Join(Edgeless(2), Cycle(5)))
     op = build_step_operator(g, parse_policy("O2"))
     rho = density_from_state(equal_superposition(op.space, 0))
@@ -99,10 +113,33 @@ def test_density_steps_match_per_step_loop_bit_for_bit(basis, rate):
     steps = density_steps(rho, op, NoiseModel(basis, rate), 7)
     assert not isinstance(steps, list)
     for t, got in enumerate(steps):
-        assert np.array_equal(got, rho), t
+        if t == 0:
+            assert np.array_equal(got, rho)
+        else:
+            assert np.max(np.abs(got - rho)) <= 1e-12, t
         rot = op.matrix @ rho @ op.matrix.conj().T
         rho = rot if rate == 0.0 else (1.0 - rate) * rot + rate * (rot * mask)
     assert t == 7
+
+
+@pytest.mark.parametrize("basis", ["coin", "position", "both"])
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+def test_density_steps_match_dense_steps_on_mixed_runs(basis, rate):
+    # degrees 3, 3, 2, 2, 2, 4 (loops at both ends): three coin runs
+    a = np.zeros((6, 6))
+    for v, w in [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (0, 0), (5, 5), (1, 5)]:
+        a[v, w] = a[w, v] = 1.0
+    op = build_step_operator(Graph(a), parse_policy("O1"))
+    u = op.matrix
+    mask = dephasing_mask(op.space, basis)
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((op.space.n_arcs, 3)) + 1j * rng.standard_normal((op.space.n_arcs, 3))
+    rho = z @ z.conj().T / np.linalg.norm(z) ** 2
+    for t, got in enumerate(density_steps(rho, op, NoiseModel(basis, rate), 12)):
+        assert np.max(np.abs(got - rho)) <= 1e-12, t
+        rot = u @ rho @ u.conj().T
+        rho = (1.0 - rate) * rot + rate * (rot * mask)
+    assert t == 12
 
 
 # ----- limits -----

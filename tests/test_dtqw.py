@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk.arcs import ArcSpace, shift_matrix
-from qwalk.coins import parse_policy
+from qwalk.coins import assemble_coin, parse_policy
 from qwalk.dtqw import (
     TIE_TOL,
     block_scan,
@@ -20,14 +22,14 @@ from qwalk.dtqw import (
     trajectory,
     vertex_probability,
 )
-from qwalk.errors import ConfigError
+from qwalk.errors import ConfigError, ToleranceError
 from qwalk.explorer import (
     PST_SINGULAR_TOL,
     VariantDescriptor,
     build_variant,
     enumerate_variants,
 )
-from qwalk.graphs import Complete, Cycle, DiamondChain, Edgeless, Join, Path, build
+from qwalk.graphs import Complete, Cycle, DiamondChain, Edgeless, Graph, Join, Path, build
 
 POLICIES = ["O1", "O2", "O3"]
 FAMILIES = [
@@ -79,6 +81,57 @@ def test_step_operator_unitary(policy):
         op = build_step_operator(build(fam), parse_policy(policy))
         m = op.matrix
         assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < 1e-12
+
+
+@st.composite
+def _graphs_and_policies(draw):
+    """A graph with loops and mixed degrees (an isolated vertex gets a
+    loop) and one of O1, O2, O3 or a JSON map with a real orthogonal
+    coin at vertex 0 and Grover elsewhere."""
+    n = draw(st.integers(1, 7))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n)] = bits
+    a = a + np.triu(a, 1).T
+    for v in range(n):
+        if not a[v].any():
+            a[v, v] = 1.0
+    g = Graph(a)
+    label = draw(st.sampled_from(POLICIES + ["json"]))
+    if label == "json":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((g.degree(0), g.degree(0))))
+        label = json.dumps({"0": q.tolist()})
+    return g, parse_policy(label)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs_and_policies())
+def test_step_matrix_is_shift_times_coin(case):
+    g, policy = case
+    op = build_step_operator(g, policy)
+    assert np.array_equal(op.matrix, shift_matrix(op.space) @ assemble_coin(g, policy, op.space))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs_and_policies(), st.integers(0, 2**32 - 1))
+def test_conjugate_matches_dense_product(case, seed):
+    g, policy = case
+    op = build_step_operator(g, policy)
+    m = op.space.n_arcs
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    u = op.matrix
+    for x in (z, z @ z.conj().T / np.trace(z @ z.conj().T).real):
+        assert np.max(np.abs(op.conjugate(x) - u @ x @ u.conj().T)) <= 1e-12
+
+
+def test_non_unitary_coin_is_rejected():
+    g = build(Cycle(4))
+    for scale in (0.5, 1.0 + 1e-11):
+        policy = parse_policy(json.dumps({"0": [[scale, 0.0], [0.0, 1.0]]}))
+        with pytest.raises(ToleranceError, match="unitarity defect"):
+            build_step_operator(g, policy)
 
 
 @given(st.integers(0, 1000))
