@@ -1,11 +1,12 @@
 """Command-line entry point exposing every workflow in the package.
 
-Subcommands: graph, dtqw, ctqw, decohere, search, robust, interp.  Each
-reads options from the command line, an optional JSON config file, and
-built-in defaults, in that order of precedence.  Randomized commands
-honor --seed, falling back to the QWALK_SEED environment variable.
-Results land in a CSV time series and a JSON report where that makes
-sense; reruns with the same inputs produce byte-identical files.
+Subcommands: graph, dtqw, ctqw, decohere, search, robust, interp.
+Options resolve from the command line, then an optional JSON config
+file, then built-in defaults.  The commands that draw random numbers
+(dtqw, decohere, search, robust) take --seed, falling back to the config
+file and then the QWALK_SEED environment variable.  Each report is a
+JSON file, next to a CSV series where the command has one; reruns with
+the same inputs produce byte-identical files.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 when a
 numerical tolerance is breached during the run.
@@ -23,7 +24,7 @@ import numpy as np
 
 from qwalk.arcs import ArcSpace
 from qwalk.coins import parse_policy
-from qwalk.ctqw import Spectrum, detect_transfer_ct, evolve_ct_many
+from qwalk.ctqw import detect_transfer_ct
 from qwalk.decoherence import (
     NoiseModel,
     decohere_ct,
@@ -61,6 +62,7 @@ DEFAULTS = {
     "lam": 0.9,
     "tmax": 100.0,
     "dt": 0.01,
+    "seed": 0,
 }
 
 
@@ -212,6 +214,15 @@ def _parse_float_list(text: str, label: str, issues: list[str]) -> list[float]:
         return []
 
 
+def _parse_track(text: str | None, pair: tuple[int, int], n: int, issues: list[str]) -> list[int]:
+    """Vertices of the CSV columns: the --track list, or the pair."""
+    track = _parse_int_list(text, "track", issues) if text else list(pair)
+    for v in track:
+        if not 0 <= v < n:
+            issues.append(f"tracked vertex {v} outside 0..{n - 1}")
+    return track
+
+
 # ===== Config merging and output helpers =====
 
 
@@ -230,58 +241,60 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _merged(args: argparse.Namespace, keys: Sequence[str]) -> dict:
-    """Resolve option values: command line, then config file, then defaults."""
+def _resolve(args: argparse.Namespace, keys: Sequence[str]) -> dict:
+    """Option values: command line, then config file, then defaults.
+
+    The config file is read once.  The seed falls back to the QWALK_SEED
+    environment variable before its default.  Each value is converted
+    to the type of its default.
+    """
     file_cfg = _load_config_file(getattr(args, "config", None))
     out = {}
     for key in keys:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            out[key] = cli_val
+        if getattr(args, key, None) is not None:
+            val = getattr(args, key)
         elif key in file_cfg:
-            out[key] = file_cfg[key]
+            val = file_cfg[key]
+        elif key == "seed" and "QWALK_SEED" in os.environ:
+            val = os.environ["QWALK_SEED"]
         else:
-            out[key] = DEFAULTS.get(key)
-    return out
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if "seed" in cfg:
+            val = DEFAULTS[key]
+        kind = type(DEFAULTS[key])
         try:
-            return int(cfg["seed"])
+            out[key] = kind(val)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config seed must be an integer, got {cfg['seed']!r}") from exc
-    env = os.environ.get("QWALK_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"QWALK_SEED must be an integer, got {env!r}") from exc
-    return 0
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {what}, got {val!r}") from exc
+    return out
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
-
-
-def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
+def _write(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout when there is no path."""
+    if path is None:
         sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _emit(args: argparse.Namespace, payload: dict, header=None, x=(), table=()) -> None:
+    """Write a command's report: <out>.json, or JSON on stdout without --out.
+
+    With a header and --out, also stream <out>.csv: the header, then one
+    row per x value holding x and that row of the 2-D table.
+    """
+    if args.out and header is not None:
+        with open(args.out + ".csv", "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for xv, row in zip(x, table):
+                fh.write(_fmt(xv) if isinstance(xv, float) else str(xv))
+                fh.write("".join("," + _fmt(v) for v in row) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(args.out + ".json" if args.out else None, text)
 
 
 def _raise_issues(issues: list[str]) -> None:
@@ -294,33 +307,23 @@ def _raise_issues(issues: list[str]) -> None:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     g = parse_graph_spec(args.spec)
-    text = graph_to_json(g) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, graph_to_json(g) + "\n")
     return 0
 
 
 def cmd_dtqw(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ["steps", "lam"])
-    seed = _resolve_seed(args)
+    cfg = _resolve(args, ["steps", "lam", "seed"])
+    seed = cfg["seed"]
     issues: list[str] = []
     g = parse_graph_spec(args.graph)
     pair = _parse_pair(args.pair, g.n, issues)
-    steps = int(cfg["steps"])
+    steps = cfg["steps"]
     if steps < 1:
         issues.append(f"steps must be positive, got {steps}")
-    lam = float(cfg["lam"])
+    lam = cfg["lam"]
     if not 0.0 < lam <= 1.0:
         issues.append(f"lam must lie in (0, 1], got {lam}")
-    track = (
-        _parse_int_list(args.track, "track", issues) if args.track else list(pair)
-    )
-    for v in track:
-        if not 0 <= v < g.n:
-            issues.append(f"tracked vertex {v} outside 0..{g.n - 1}")
+    track = _parse_track(args.track, pair, g.n, issues)
     _raise_issues(issues)
 
     policy = parse_policy(args.policy)
@@ -344,12 +347,11 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
             "samples": scan.samples,
             "t_max": scan.t_max,
         }
-        _write_json(args.out + ".json" if args.out else None, payload)
+        _emit(args, payload)
         return 0
 
     psi0 = parse_init_spec(args.init, ArcSpace.from_graph(g), pair[0], seed)[0]
     report = detect_transfer(g, policy, psi0, pair, t_max=steps, lam=lam)
-    series = report.vertex_series[:, track]
     payload = {
         "command": "dtqw",
         "graph": args.graph,
@@ -359,36 +361,24 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
         "seed": seed,
         "report": report.to_json_dict(),
     }
-    if args.out:
-        _write_csv(
-            args.out + ".csv",
-            ["step"] + [f"v{v}" for v in track],
-            ([t] + [float(series[t, j]) for j in range(len(track))] for t in range(steps + 1)),
-        )
-        _write_json(args.out + ".json", payload)
-    else:
-        _write_json(None, payload)
+    _emit(args, payload, ["step"] + [f"v{v}" for v in track],
+          range(steps + 1), report.vertex_series[:, track])
     return 0
 
 
 def cmd_ctqw(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ["tmax", "dt", "lam"])
+    cfg = _resolve(args, ["tmax", "dt", "lam"])
     issues: list[str] = []
     g = parse_graph_spec(args.graph)
     pair = _parse_pair(args.pair, g.n, issues)
-    tmax = float(cfg["tmax"])
-    dt = float(cfg["dt"])
+    tmax = cfg["tmax"]
+    dt = cfg["dt"]
     if tmax <= 0:
         issues.append(f"tmax must be positive, got {tmax}")
     if dt <= 0 or dt > tmax:
         issues.append(f"dt must lie in (0, tmax], got {dt}")
-    lam = float(cfg["lam"])
-    track = (
-        _parse_int_list(args.track, "track", issues) if args.track else list(pair)
-    )
-    for v in track:
-        if not 0 <= v < g.n:
-            issues.append(f"tracked vertex {v} outside 0..{g.n - 1}")
+    lam = cfg["lam"]
+    track = _parse_track(args.track, pair, g.n, issues)
     _raise_issues(issues)
 
     report = detect_transfer_ct(g, pair, t_max=tmax, dt=dt, lam=lam)
@@ -400,29 +390,13 @@ def cmd_ctqw(args: argparse.Namespace) -> int:
         "dt": dt,
         "report": report.to_json_dict(),
     }
-    if args.out:
-        spec = Spectrum.from_graph(g)
-        psi0 = np.zeros(g.n, dtype=complex)
-        psi0[pair[0]] = 1.0
-        states = evolve_ct_many(spec, psi0, report.times)
-        probs = np.abs(states[:, track]) ** 2
-        _write_csv(
-            args.out + ".csv",
-            ["t"] + [f"v{v}" for v in track],
-            (
-                [float(report.times[i])] + [float(p) for p in probs[i]]
-                for i in range(len(report.times))
-            ),
-        )
-        _write_json(args.out + ".json", payload)
-    else:
-        _write_json(None, payload)
+    _emit(args, payload, ["t"] + [f"v{v}" for v in track],
+          report.times, report.vertex_series[:, track])
     return 0
 
 
 def cmd_decohere(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ["steps"])
-    seed = _resolve_seed(args)
+    cfg = _resolve(args, ["steps", "seed"])
     issues: list[str] = []
     g = parse_graph_spec(args.graph)
     pair = _parse_pair(args.pair, g.n, issues)
@@ -439,7 +413,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     for r in [rate] if rates is None else rates:
         if not 0.0 <= r <= 1.0:
             issues.append(f"noise rate must lie in [0, 1], got {r}")
-    steps = int(cfg["steps"])
+    steps = cfg["steps"]
     if steps < 1:
         issues.append(f"steps must be positive, got {steps}")
     if model == "ct" and args.time is None:
@@ -460,12 +434,12 @@ def cmd_decohere(args: argparse.Namespace) -> int:
             "vertex_probabilities": [float(x) for x in np.real(np.diag(rho))],
             "target_probability": float(np.real(rho[pair[1], pair[1]])),
         }
-        _write_json(args.out + ".json" if args.out else None, payload)
+        _emit(args, payload)
         return 0
 
     policy = parse_policy(args.policy)
     space = ArcSpace.from_graph(g)
-    psi0 = parse_init_spec(args.init, space, pair[0], seed)[0]
+    psi0 = parse_init_spec(args.init, space, pair[0], cfg["seed"])[0]
 
     if rates is not None:
         sweep = target_probability_vs_rate(
@@ -480,18 +454,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
             "rates": [float(r) for r in sweep.rates],
             "target_probabilities": [float(p) for p in sweep.probabilities],
         }
-        if args.out:
-            _write_csv(
-                args.out + ".csv",
-                ["rate", "p_target"],
-                (
-                    [float(r), float(p)]
-                    for r, p in zip(sweep.rates, sweep.probabilities)
-                ),
-            )
-            _write_json(args.out + ".json", payload)
-        else:
-            _write_json(None, payload)
+        _emit(args, payload, ["rate", "p_target"], sweep.rates, sweep.probabilities[:, None])
         return 0
 
     op = build_step_operator(g, policy)
@@ -510,27 +473,18 @@ def cmd_decohere(args: argparse.Namespace) -> int:
         "final_distribution": [float(x) for x in marginals[-1]],
         "target_probability": float(marginals[-1][pair[1]]),
     }
-    if args.out:
-        _write_csv(
-            args.out + ".csv",
-            ["step"] + [f"v{v}" for v in range(g.n)],
-            ([t] + [float(x) for x in marginals[t]] for t in range(steps + 1)),
-        )
-        _write_json(args.out + ".json", payload)
-    else:
-        _write_json(None, payload)
+    _emit(args, payload, ["step"] + [f"v{v}" for v in range(g.n)], range(steps + 1), marginals)
     return 0
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ["samples", "steps", "lam"])
-    seed = _resolve_seed(args)
+    cfg = _resolve(args, ["samples", "steps", "lam", "seed"])
     issues: list[str] = []
     base = int(args.base)
     max_new = int(args.max_new)
-    samples = int(cfg["samples"])
-    t_max = int(cfg["steps"])
-    lam = float(cfg["lam"])
+    samples = cfg["samples"]
+    t_max = cfg["steps"]
+    lam = cfg["lam"]
     if samples < 1:
         issues.append(f"samples must be positive, got {samples}")
     if t_max < 1:
@@ -544,6 +498,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     min_p = float(args.min_p) if args.min_p is not None else 0.0
     _raise_issues(issues)
 
+    sink = args.out
     records = pst_search(
         base,
         max_new,
@@ -551,8 +506,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         samples=samples,
         t_max=t_max,
         lam=lam,
-        seed=seed,
-        sink_path=args.out,
+        seed=cfg["seed"],
+        sink_path=sink,
         workers=workers,
     )
     shown = 0
@@ -565,14 +520,14 @@ def cmd_search(args: argparse.Namespace) -> int:
         shown += 1
     sys.stderr.write(
         f"search: {len(records)} records ({shown} shown)"
-        + (f", sink {args.out}" if args.out else "")
+        + (f", sink {sink}" if sink else "")
         + "\n"
     )
     return 0
 
 
 def cmd_robust(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    seed = _resolve(args, ["seed"])["seed"]
     issues: list[str] = []
     kind = args.kind
     n_values = _parse_int_list(args.n, "n", issues)
@@ -602,26 +557,15 @@ def cmd_robust(args: argparse.Namespace) -> int:
     if kind == "random":
         payload["runs"] = runs
         payload["mean_probabilities"] = [float(p) for p in res.probabilities]
-        rows = (
-            [int(n), float(p)] for n, p in zip(res.n_values, res.probabilities)
-        )
-        header = ["n", "mean_p"]
+        _emit(args, payload, ["n", "mean_p"], res.n_values, res.probabilities[:, None])
     else:
         payload["magnitudes"] = [float(m) for m in res.magnitudes]
         payload["probabilities"] = {
             f"n{n}": [float(p) for p in res.probabilities[i]]
             for i, n in enumerate(res.n_values)
         }
-        header = ["magnitude"] + [f"p_n{n}" for n in res.n_values]
-        rows = (
-            [float(m)] + [float(res.probabilities[i, j]) for i in range(len(res.n_values))]
-            for j, m in enumerate(res.magnitudes)
-        )
-    if args.out:
-        _write_csv(args.out + ".csv", header, rows)
-        _write_json(args.out + ".json", payload)
-    else:
-        _write_json(None, payload)
+        _emit(args, payload, ["magnitude"] + [f"p_n{n}" for n in res.n_values],
+              res.magnitudes, res.probabilities.T)
     return 0
 
 
@@ -658,18 +602,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
             for i, n in enumerate(res.n_values)
         },
     }
-    if args.out:
-        _write_csv(
-            args.out + ".csv",
-            ["c"] + [f"p_n{n}" for n in res.n_values],
-            (
-                [float(c)] + [float(res.probabilities[i, j]) for i in range(len(res.n_values))]
-                for j, c in enumerate(res.c_grid)
-            ),
-        )
-        _write_json(args.out + ".json", payload)
-    else:
-        _write_json(None, payload)
+    _emit(args, payload, ["c"] + [f"p_n{n}" for n in res.n_values], res.c_grid, res.probabilities.T)
     return 0
 
 
@@ -678,8 +611,8 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--seed", type=int, help="master seed (falls back to QWALK_SEED)")
-    p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json")
+    p.add_argument("--seed", type=int, help="master seed (falls back to the config file, then QWALK_SEED)")
+    p.add_argument("--out", help="output path stem; writes <out>.json, and <out>.csv for a series")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -709,7 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, help="scan grid spacing (default 0.01)")
     p.add_argument("--lam", type=float)
     p.add_argument("--track", help="comma list of vertices for the CSV columns")
-    _add_common(p)
+    p.add_argument("--config", help="JSON file with default option values")
+    p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json")
     p.set_defaults(func=cmd_ctqw)
 
     p = sub.add_parser("decohere", help="evolve a dephasing walk")
@@ -760,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-points", dest="c_points", type=int, default=11,
                    help="uniform grid size on [0, 1] when --c-grid is absent")
     p.add_argument("--step", type=int, default=6, help="readout step")
-    _add_common(p)
+    p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json")
     p.set_defaults(func=cmd_interp)
 
     return parser

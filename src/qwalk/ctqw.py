@@ -93,6 +93,7 @@ class CtTransferReport:
     source: int
     target: int
     times: np.ndarray
+    vertex_series: np.ndarray  # (len(times), n) vertex probabilities
     target_series: np.ndarray
     pst_times: tuple[float, ...]
     period: float | None
@@ -141,7 +142,8 @@ def detect_transfer_ct(
     psi0[source] = 1.0
     times = np.arange(0.0, t_max + dt / 2, dt)
     states = evolve_ct_many(spec, psi0, times)
-    target_series = np.abs(states[:, target]) ** 2
+    vertex_series = np.abs(states) ** 2
+    target_series = vertex_series[:, target]
 
     def target_prob(t: float) -> float:
         return float(np.abs(spec.propagate(psi0, t)[target]) ** 2)
@@ -173,6 +175,7 @@ def detect_transfer_ct(
         source=source,
         target=target,
         times=times,
+        vertex_series=vertex_series,
         target_series=target_series,
         pst_times=pst_times,
         period=period,

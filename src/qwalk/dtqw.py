@@ -69,9 +69,6 @@ class StepOperator:
     space: ArcSpace
     matrix: np.ndarray
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.matrix @ psi
-
     @cached_property
     def _coin_runs(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
         """(first arc, end arc, coin blocks, their adjoints) per run of

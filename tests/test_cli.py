@@ -147,6 +147,44 @@ def test_config_file_and_cli_precedence(tmp_path):
     assert base2.with_suffix(".csv").read_text().strip().splitlines()[-1].startswith("5,")
 
 
+def test_config_seed_reaches_scan_and_flag_overrides_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QWALK_SEED", "77")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 5}')
+    argv = ["dtqw", "--graph", "join k2k n=3", "--init", "haar:20", "--steps", "4",
+            "--config", str(cfg)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert main(argv + ["--seed", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 8
+    cfg.write_text('{"seed": "x"}')
+    assert main(argv) == 1
+    assert "seed must be an integer" in capsys.readouterr().err
+    cfg.write_text('{"lam": "x"}')
+    assert main(argv) == 1
+    assert "lam must be a number, got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dtqw", "--graph", "join k2k n=3", "--init", "haar:20", "--steps", "4"],
+    ["decohere", "--graph", "cycle n=4", "--rate", "0.1"],
+    ["search", "--base", "4", "--max-new", "1", "--samples", "5", "--workers", "1"],
+], ids=["dtqw", "decohere", "search"])
+def test_config_file_is_read_once(argv, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"steps": 4, "seed": 3}')
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return load(path)
+
+    load = qwalk.cli._load_config_file
+    monkeypatch.setattr(qwalk.cli, "_load_config_file", counted)
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert reads == [str(cfg)]
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QWALK_SEED", "77")
     base = tmp_path / "env"
@@ -157,6 +195,50 @@ def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
 
 
 # ----- other commands -----
+
+@pytest.mark.parametrize("argv", [
+    ["ctqw", "--graph", "cycle n=4", "--seed", "1"],
+    ["interp", "--n", "3", "--c-grid", "0,1", "--seed", "1"],
+    ["interp", "--n", "3", "--c-grid", "0,1", "--config", "absent.json"],
+], ids=["ctqw-seed", "interp-seed", "interp-config"])
+def test_unused_seed_and_config_flags_are_rejected(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Each command's report files under --out; "" is the bare --out path.
+EMIT_CASES = {
+    "graph": (["graph", "cycle n=4"], [""]),
+    "dtqw": (["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "6"], [".csv", ".json"]),
+    "dtqw-scan": (["dtqw", "--graph", "join k2k n=3", "--init", "haar:20:1", "--steps", "6"],
+                  [".json"]),
+    "ctqw": (["ctqw", "--graph", "cycle n=4", "--pair", "0,2", "--tmax", "2", "--dt", "0.1"],
+             [".csv", ".json"]),
+    "decohere-dt": (["decohere", "--graph", "cycle n=4", "--pair", "0,2", "--rate", "0.1",
+                     "--steps", "4"], [".csv", ".json"]),
+    "decohere-ct": (["decohere", "--model", "ct", "--graph", "cycle n=4", "--rate", "0.1",
+                     "--time", "1"], [".json"]),
+    "decohere-rates": (["decohere", "--graph", "cycle n=4", "--pair", "0,2", "--rates", "0,0.5",
+                        "--steps", "4"], [".csv", ".json"]),
+    "robust-random": (["robust", "--kind", "random", "--n", "3,4", "--runs", "5", "--seed", "2"],
+                      [".csv", ".json"]),
+    "robust-phase": (["robust", "--kind", "phase", "--n", "3", "--magnitudes", "0,1"],
+                     [".csv", ".json"]),
+    "interp": (["interp", "--n", "3", "--c-grid", "0,1"], [".csv", ".json"]),
+}
+
+
+@pytest.mark.parametrize("argv, suffixes", EMIT_CASES.values(), ids=EMIT_CASES.keys())
+def test_out_writes_the_stdout_report(argv, suffixes, tmp_path, capsys):
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    stem = tmp_path / "r"
+    assert main(argv + ["--out", str(stem)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted("r" + s for s in suffixes)
+    report = stem if suffixes == [""] else stem.with_suffix(".json")
+    assert report.read_bytes() == stdout.encode()
+
 
 def test_ctqw_files(tmp_path):
     base = tmp_path / "ct"

@@ -132,6 +132,17 @@ def test_hub_path_best_transfer_frozen():
     assert rep.max_time == pytest.approx(34.98, abs=0.02)
 
 
+def test_report_vertex_series_is_the_scanned_evolution():
+    g = build(Cycle(6))
+    rep = detect_transfer_ct(g, (0, 3), t_max=5.0, dt=0.05)
+    psi0 = np.zeros(6, dtype=complex)
+    psi0[0] = 1.0
+    want = np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)) ** 2
+    assert rep.vertex_series.shape == (len(rep.times), 6)
+    assert np.array_equal(rep.vertex_series, want)
+    assert np.array_equal(rep.target_series, rep.vertex_series[:, 3])
+
+
 # ----- numerics -----
 
 def test_golden_section_finds_peak():
