@@ -62,13 +62,6 @@ class ArcSpace:
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])
 
-    def arc(self, v: int, w: int) -> int:
-        """Index of the arc leaving v toward w (w == v for a loop arc)."""
-        for a in self.ports(v):
-            if self.targets[a] == w:
-                return a
-        raise KeyError(f"no arc {v} -> {w}")
-
     def vertex_slice(self, v: int) -> slice:
         return slice(int(self.offsets[v]), int(self.offsets[v + 1]))
 

@@ -1,8 +1,9 @@
 """Command-line entry point exposing every workflow in the package.
 
 Subcommands: graph, dtqw, ctqw, decohere, search, robust, interp.
-Options resolve from the command line, then an optional JSON config
-file, then built-in defaults.  The commands that draw random numbers
+Numeric options resolve from the command line, then an optional JSON
+config file, then the defaults of the OPTIONS table, which also holds
+the range each value must lie in.  The commands that draw random numbers
 (dtqw, decohere, search, robust) take --seed, falling back to the config
 file and then the QWALK_SEED environment variable.  Each report is a
 JSON file, next to a CSV series where the command has one; reruns with
@@ -56,13 +57,18 @@ from qwalk.graphs import (
     graph_to_json,
 )
 
-DEFAULTS = {
-    "steps": 100,
-    "samples": 1500,
-    "lam": 0.9,
-    "tmax": 100.0,
-    "dt": 0.01,
-    "seed": 0,
+# Each numeric option: its default (whose type converts every value), the
+# condition a value must meet, and that condition in words.
+OPTIONS = {
+    "steps": (100, lambda v: v >= 1, "be positive"),
+    "samples": (1500, lambda v: v >= 1, "be positive"),
+    "lam": (0.9, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "tmax": (100.0, lambda v: 0.0 < v < float("inf"), "be positive and finite"),
+    "dt": (0.01, lambda v: v > 0.0, "be positive"),
+    "seed": (0, lambda v: v >= 0, "be non-negative"),
+    "runs": (1000, lambda v: v >= 1, "be positive"),
+    "step": (6, lambda v: v >= 1, "be positive"),
+    "c_points": (11, lambda v: v >= 2, "be at least 2"),
 }
 
 
@@ -70,8 +76,12 @@ class _Parser(argparse.ArgumentParser):
     """Argument parser that reports problems through ConfigError.
 
     Keeps exit code 1 for every configuration failure, including
-    unknown flags, instead of argparse's default exit code 2.
+    unknown flags, instead of argparse's default exit code 2.  Neither
+    the top parser nor a subcommand's takes an abbreviated flag.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ConfigError(f"{self.prog}: {message}")
@@ -143,21 +153,22 @@ def _parse_complex(token: str) -> complex:
 
 
 def parse_init_spec(text: str, space: ArcSpace, source: int, seed: int) -> np.ndarray:
-    """Initial arc states from a spec string.
+    """Initial arc state of shape (n_arcs,) from a spec string.
 
-    "equal" spreads the walker over the source ports, "haar:<count>" or
-    "haar:<count>:<seed>" draws Haar-random source coin states, and a
+    "equal" spreads the walker over the source ports, "haar:1" or
+    "haar:1:<seed>" draws one Haar-random source coin state, and a
     comma-separated amplitude list (normalized here) places explicit
-    port amplitudes at the source.  Returns an array of shape
-    (count, n_arcs); count is 1 except for haar specs.
+    port amplitudes at the source.  Only the dtqw scan takes haar specs
+    of more than one state, and it reads them with _parse_haar_spec.
     """
     text = text.strip()
     if text == "equal":
-        return equal_superposition(space, source)[None, :]
+        return equal_superposition(space, source)
     haar = _parse_haar_spec(text, seed)
     if haar is not None:
-        coins = haar_states(space.degree(source), *haar)
-        return np.stack([state_at_vertex(space, source, c) for c in coins])
+        if haar[0] != 1:
+            raise ConfigError(f"haar spec {text!r} must draw one state; only the dtqw scan takes more")
+        return state_at_vertex(space, source, haar_states(space.degree(source), *haar)[0])
     amps = np.array([_parse_complex(tok) for tok in text.split(",")], dtype=complex)
     d = space.degree(source)
     if amps.shape != (d,):
@@ -167,7 +178,7 @@ def parse_init_spec(text: str, space: ArcSpace, source: int, seed: int) -> np.nd
     norm = np.linalg.norm(amps)
     if norm < 1e-12:
         raise ConfigError("explicit amplitudes cannot all be zero")
-    return state_at_vertex(space, source, amps / norm)[None, :]
+    return state_at_vertex(space, source, amps / norm)
 
 
 def _parse_haar_spec(text: str, seed: int) -> tuple[int, int] | None:
@@ -241,30 +252,34 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, keys: Sequence[str]) -> dict:
-    """Option values: command line, then config file, then defaults.
+def _resolve(args: argparse.Namespace, keys: Sequence[str], issues: list[str]) -> dict:
+    """Resolve, convert and check the OPTIONS a command reads.
 
-    The config file is read once.  The seed falls back to the QWALK_SEED
-    environment variable before its default.  Each value is converted
-    to the type of its default.
+    Each value comes from the command line, then the config file (read
+    once), then QWALK_SEED for the seed, then the table's default.  A
+    value that fails its conversion or condition is appended to issues
+    and reads the default, so later checks can go on.  So is every
+    config key that names no option in the table.
     """
     file_cfg = _load_config_file(getattr(args, "config", None))
+    issues.extend(f"config key {k!r} names no option" for k in file_cfg if k not in OPTIONS)
     out = {}
     for key in keys:
-        if getattr(args, key, None) is not None:
-            val = getattr(args, key)
-        elif key in file_cfg:
-            val = file_cfg[key]
-        elif key == "seed" and "QWALK_SEED" in os.environ:
-            val = os.environ["QWALK_SEED"]
-        else:
-            val = DEFAULTS[key]
-        kind = type(DEFAULTS[key])
+        default, ok, rule = OPTIONS[key]
+        val = getattr(args, key, None)
+        if val is None:
+            env = os.environ.get("QWALK_SEED") if key == "seed" else None
+            val = file_cfg.get(key, default if env is None else env)
         try:
-            out[key] = kind(val)
-        except (TypeError, ValueError) as exc:
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{key} must be {what}, got {val!r}") from exc
+            val = type(default)(val)
+        except (TypeError, ValueError):
+            what = "an integer" if isinstance(default, int) else "a number"
+            issues.append(f"{key} must be {what}, got {val!r}")
+            val = default
+        if not ok(val):
+            issues.append(f"{key} must {rule}, got {val}")
+            val = default
+        out[key] = val
     return out
 
 
@@ -312,17 +327,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_dtqw(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ["steps", "lam", "seed"])
-    seed = cfg["seed"]
     issues: list[str] = []
+    cfg = _resolve(args, ["steps", "lam", "seed"], issues)
+    steps, lam, seed = cfg["steps"], cfg["lam"], cfg["seed"]
     g = parse_graph_spec(args.graph)
     pair = _parse_pair(args.pair, g.n, issues)
-    steps = cfg["steps"]
-    if steps < 1:
-        issues.append(f"steps must be positive, got {steps}")
-    lam = cfg["lam"]
-    if not 0.0 < lam <= 1.0:
-        issues.append(f"lam must lie in (0, 1], got {lam}")
     track = _parse_track(args.track, pair, g.n, issues)
     _raise_issues(issues)
 
@@ -350,7 +359,7 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
         _emit(args, payload)
         return 0
 
-    psi0 = parse_init_spec(args.init, ArcSpace.from_graph(g), pair[0], seed)[0]
+    psi0 = parse_init_spec(args.init, ArcSpace.from_graph(g), pair[0], seed)
     report = detect_transfer(g, policy, psi0, pair, t_max=steps, lam=lam)
     payload = {
         "command": "dtqw",
@@ -367,17 +376,13 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
 
 
 def cmd_ctqw(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ["tmax", "dt", "lam"])
     issues: list[str] = []
+    cfg = _resolve(args, ["tmax", "dt", "lam"], issues)
+    tmax, dt, lam = cfg["tmax"], cfg["dt"], cfg["lam"]
+    if dt > tmax:
+        issues.append(f"dt must not exceed tmax ({tmax}), got {dt}")
     g = parse_graph_spec(args.graph)
     pair = _parse_pair(args.pair, g.n, issues)
-    tmax = cfg["tmax"]
-    dt = cfg["dt"]
-    if tmax <= 0:
-        issues.append(f"tmax must be positive, got {tmax}")
-    if dt <= 0 or dt > tmax:
-        issues.append(f"dt must lie in (0, tmax], got {dt}")
-    lam = cfg["lam"]
     track = _parse_track(args.track, pair, g.n, issues)
     _raise_issues(issues)
 
@@ -396,12 +401,15 @@ def cmd_ctqw(args: argparse.Namespace) -> int:
 
 
 def cmd_decohere(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ["steps", "seed"])
     issues: list[str] = []
+    model = args.model
+    unread = ("rates", "policy", "init", "basis", "steps") if model == "ct" else ("time",)
+    issues.extend(f"--{k} is not read by --model {model}" for k in unread
+                  if getattr(args, k) is not None)
+    cfg = _resolve(args, ["steps", "seed"] if model == "dt" else [], issues)
     g = parse_graph_spec(args.graph)
     pair = _parse_pair(args.pair, g.n, issues)
-    model = args.model
-    basis = args.basis
+    basis = "coin" if args.basis is None else args.basis
     if basis not in ("coin", "position", "both"):
         issues.append(f"basis must be coin, position, or both, got {basis!r}")
     rates = None
@@ -409,13 +417,10 @@ def cmd_decohere(args: argparse.Namespace) -> int:
         rates = _parse_float_list(args.rates, "rates", issues)
         if args.rate is not None:
             issues.append("give either --rate or --rates, not both")
-    rate = float(args.rate) if args.rate is not None else 0.0
+    rate = args.rate if args.rate is not None else 0.0
     for r in [rate] if rates is None else rates:
         if not 0.0 <= r <= 1.0:
             issues.append(f"noise rate must lie in [0, 1], got {r}")
-    steps = cfg["steps"]
-    if steps < 1:
-        issues.append(f"steps must be positive, got {steps}")
     if model == "ct" and args.time is None:
         issues.append("continuous model needs --time")
     elif model == "ct" and not args.time >= 0.0:
@@ -425,21 +430,24 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     if model == "ct":
         rho0 = np.zeros((g.n, g.n), dtype=complex)
         rho0[pair[0], pair[0]] = 1.0
-        rho = decohere_ct(g, rho0, rate, float(args.time))
+        rho = decohere_ct(g, rho0, rate, args.time)
         payload = {
             "command": "decohere-ct",
             "graph": args.graph,
             "rate": rate,
-            "time": float(args.time),
+            "time": args.time,
             "vertex_probabilities": [float(x) for x in np.real(np.diag(rho))],
             "target_probability": float(np.real(rho[pair[1], pair[1]])),
         }
         _emit(args, payload)
         return 0
 
-    policy = parse_policy(args.policy)
+    policy_text = "O2" if args.policy is None else args.policy
+    policy = parse_policy(policy_text)
     space = ArcSpace.from_graph(g)
-    psi0 = parse_init_spec(args.init, space, pair[0], cfg["seed"])[0]
+    init = "equal" if args.init is None else args.init
+    psi0 = parse_init_spec(init, space, pair[0], cfg["seed"])
+    steps = cfg["steps"]
 
     if rates is not None:
         sweep = target_probability_vs_rate(
@@ -448,7 +456,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
         payload = {
             "command": "decohere-rates",
             "graph": args.graph,
-            "policy": args.policy,
+            "policy": policy_text,
             "basis": basis,
             "step": steps,
             "rates": [float(r) for r in sweep.rates],
@@ -466,7 +474,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     payload = {
         "command": "decohere",
         "graph": args.graph,
-        "policy": args.policy,
+        "policy": policy_text,
         "basis": basis,
         "rate": rate,
         "steps": steps,
@@ -478,34 +486,24 @@ def cmd_decohere(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ["samples", "steps", "lam", "seed"])
     issues: list[str] = []
-    base = int(args.base)
-    max_new = int(args.max_new)
-    samples = cfg["samples"]
-    t_max = cfg["steps"]
-    lam = cfg["lam"]
-    if samples < 1:
-        issues.append(f"samples must be positive, got {samples}")
-    if t_max < 1:
-        issues.append(f"steps must be positive, got {t_max}")
+    cfg = _resolve(args, ["samples", "steps", "lam", "seed"], issues)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         issues.append("policies list is empty")
-    workers = int(args.workers) if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     if workers < 1:
         issues.append(f"workers must be positive, got {workers}")
-    min_p = float(args.min_p) if args.min_p is not None else 0.0
     _raise_issues(issues)
 
     sink = args.out
     records = pst_search(
-        base,
-        max_new,
+        args.base,
+        args.max_new,
         policies=policies,
-        samples=samples,
-        t_max=t_max,
-        lam=lam,
+        samples=cfg["samples"],
+        t_max=cfg["steps"],
+        lam=cfg["lam"],
         seed=cfg["seed"],
         sink_path=sink,
         workers=workers,
@@ -514,7 +512,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     for rec in records:
         if args.pst_only and not rec.pst:
             continue
-        if rec.best_p < min_p:
+        if rec.best_p < args.min_p:
             continue
         sys.stdout.write(rec.to_json() + "\n")
         shown += 1
@@ -527,8 +525,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_robust(args: argparse.Namespace) -> int:
-    seed = _resolve(args, ["seed"])["seed"]
     issues: list[str] = []
+    cfg = _resolve(args, ["runs", "step", "seed"], issues)
+    runs, seed = cfg["runs"], cfg["seed"]
     kind = args.kind
     n_values = _parse_int_list(args.n, "n", issues)
     if not n_values:
@@ -538,15 +537,9 @@ def cmd_robust(args: argparse.Namespace) -> int:
         mags = _parse_float_list(args.magnitudes, "magnitudes", issues)
     if kind in ("defect", "phase") and not mags:
         issues.append(f"kind {kind!r} needs --magnitudes")
-    runs = int(args.runs)
-    if runs < 1:
-        issues.append(f"runs must be positive, got {runs}")
-    step = int(args.step)
-    if step < 1:
-        issues.append(f"step must be positive, got {step}")
     _raise_issues(issues)
 
-    res = robustness_sweep(kind, n_values, mags, runs=runs, seed=seed, step=step)
+    res = robustness_sweep(kind, n_values, mags, runs=runs, seed=seed, step=cfg["step"])
     payload = {
         "command": "robust",
         "kind": kind,
@@ -571,26 +564,20 @@ def cmd_robust(args: argparse.Namespace) -> int:
 
 def cmd_interp(args: argparse.Namespace) -> int:
     issues: list[str] = []
+    cfg = _resolve(args, ["step", "c_points"], issues)
     n_values = _parse_int_list(args.n, "n", issues)
     if not n_values:
         issues.append("need at least one size in --n")
     if args.c_grid is not None:
         c_grid = _parse_float_list(args.c_grid, "c-grid", issues)
     else:
-        points = int(args.c_points)
-        if points < 2:
-            issues.append(f"c-points must be at least 2, got {points}")
-            points = 2
-        c_grid = list(np.linspace(0.0, 1.0, points))
+        c_grid = list(np.linspace(0.0, 1.0, cfg["c_points"]))
     for c in c_grid:
         if not 0.0 <= c <= 1.0:
             issues.append(f"coupling c must lie in [0, 1], got {c}")
-    step = int(args.step)
-    if step < 1:
-        issues.append(f"step must be positive, got {step}")
     _raise_issues(issues)
 
-    res = interpolation_sweep(args.chain, n_values, c_grid, step=step)
+    res = interpolation_sweep(args.chain, n_values, c_grid, step=cfg["step"])
     payload = {
         "command": "interp",
         "chain": res.chain,
@@ -609,14 +596,21 @@ def cmd_interp(args: argparse.Namespace) -> int:
 # ===== Parser wiring =====
 
 
+def _option(p: argparse.ArgumentParser, key: str, text: str) -> None:
+    """Add OPTIONS[key] as a typed flag whose help gives its default and range."""
+    default, _, rule = OPTIONS[key]
+    p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                   help=f"{text} (default {default}; must {rule})")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--seed", type=int, help="master seed (falls back to the config file, then QWALK_SEED)")
+    _option(p, "seed", "master seed, else from the config file, then QWALK_SEED")
     p.add_argument("--out", help="output path stem; writes <out>.json, and <out>.csv for a series")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qwalk", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="qwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="build a graph and print its JSON form")
@@ -629,8 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="O2", help="O1, O2, O3, table1:<row>, or JSON map")
     p.add_argument("--init", default="equal", help='"equal", "haar:<count>[:<seed>]", or amplitudes')
     p.add_argument("--pair", default="0,1", help="source,target vertices")
-    p.add_argument("--steps", type=int, help="number of steps (default 100)")
-    p.add_argument("--lam", type=float, help="high-amplitude threshold (default 0.9)")
+    _option(p, "steps", "number of steps")
+    _option(p, "lam", "high-amplitude threshold")
     p.add_argument("--track", help="comma list of vertices for the CSV columns")
     _add_common(p)
     p.set_defaults(func=cmd_dtqw)
@@ -638,9 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ctqw", help="run a continuous walk and report transfer")
     p.add_argument("--graph", required=True)
     p.add_argument("--pair", default="0,1")
-    p.add_argument("--tmax", type=float, help="scan horizon (default 100)")
-    p.add_argument("--dt", type=float, help="scan grid spacing (default 0.01)")
-    p.add_argument("--lam", type=float)
+    _option(p, "tmax", "scan horizon")
+    _option(p, "dt", "scan grid spacing, at most tmax")
+    _option(p, "lam", "high-amplitude threshold")
     p.add_argument("--track", help="comma list of vertices for the CSV columns")
     p.add_argument("--config", help="JSON file with default option values")
     p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json")
@@ -649,14 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decohere", help="evolve a dephasing walk")
     p.add_argument("--graph", required=True)
     p.add_argument("--model", choices=("dt", "ct"), default="dt")
-    p.add_argument("--policy", default="O2")
-    p.add_argument("--init", default="equal")
+    p.add_argument("--policy", help="dt model: coin policy as for dtqw (default O2)")
+    p.add_argument("--init", help="dt model: initial state as for dtqw, one state (default equal)")
     p.add_argument("--pair", default="0,1")
-    p.add_argument("--basis", default="coin", help="coin, position, or both")
+    p.add_argument("--basis", help="dt model: coin, position, or both (default coin)")
     p.add_argument("--rate", type=float, help="dephasing rate in [0, 1]")
-    p.add_argument("--rates", help="comma list of rates for a fixed-step sweep")
-    p.add_argument("--steps", type=int, help="steps (dt model) or sweep step (default 100)")
-    p.add_argument("--time", type=float, help="evolution time for the ct model")
+    p.add_argument("--rates", help="dt model: comma list of rates for a fixed-step sweep")
+    _option(p, "steps", "dt model: steps, or the sweep step")
+    p.add_argument("--time", type=float, help="ct model: evolution time")
     p.add_argument("--dt", type=float,
                    help="no effect: the ct model is propagated exactly; accepted for old command lines")
     _add_common(p)
@@ -666,14 +660,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=4, help="even base cycle size")
     p.add_argument("--max-new", type=int, default=2, dest="max_new")
     p.add_argument("--policies", default="O1,O2,O3")
-    p.add_argument("--samples", type=int, help="Haar samples per cell (default 1500)")
-    p.add_argument("--steps", type=int, help="steps per cell (default 100)")
-    p.add_argument("--lam", type=float)
+    _option(p, "samples", "Haar samples per cell")
+    _option(p, "steps", "steps per cell")
+    _option(p, "lam", "high-amplitude threshold")
     p.add_argument("--workers", type=int, help="parallel cells (default: all cores)")
     p.add_argument("--pst-only", action="store_true", help="print only exact-transfer records")
-    p.add_argument("--min-p", type=float, help="print only records at or above this probability")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--min-p", type=float, default=0.0,
+                   help="print only records at or above this probability")
+    p.add_argument("--config", help="JSON file with default option values")
+    _option(p, "seed", "master seed, else from the config file, then QWALK_SEED")
     p.add_argument("--out", help="JSON-lines sink; existing records are not recomputed")
     p.set_defaults(func=cmd_search)
 
@@ -681,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("defect", "phase", "random"))
     p.add_argument("--n", required=True, help="comma list of cycle sizes")
     p.add_argument("--magnitudes", help="comma list of delta or theta values")
-    p.add_argument("--runs", type=int, default=1000, help="samples for kind=random")
-    p.add_argument("--step", type=int, default=6, help="readout step")
+    _option(p, "runs", "samples for kind=random")
+    _option(p, "step", "readout step")
     _add_common(p)
     p.set_defaults(func=cmd_robust)
 
@@ -691,9 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("k2kn-k2cn", "k2kn-k2pn", "k2pn-k2cn"))
     p.add_argument("--n", required=True, help="comma list of sizes")
     p.add_argument("--c-grid", dest="c_grid", help="explicit comma list of couplings")
-    p.add_argument("--c-points", dest="c_points", type=int, default=11,
-                   help="uniform grid size on [0, 1] when --c-grid is absent")
-    p.add_argument("--step", type=int, default=6, help="readout step")
+    _option(p, "c_points", "uniform grid size on [0, 1] when --c-grid is absent")
+    _option(p, "step", "readout step")
     p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json")
     p.set_defaults(func=cmd_interp)
 

@@ -145,13 +145,10 @@ def detect_transfer_ct(
     vertex_series = np.abs(states) ** 2
     target_series = vertex_series[:, target]
 
-    def target_prob(t: float) -> float:
-        return float(np.abs(spec.propagate(psi0, t)[target]) ** 2)
+    def prob_at(v: int):
+        return lambda t: float(np.abs(spec.propagate(psi0, t)[v]) ** 2)
 
-    def source_fidelity(t: float) -> float:
-        return float(np.abs(np.vdot(psi0, spec.propagate(psi0, t))) ** 2)
-
-    maxima = _refined_maxima(target_series, times, target_prob)
+    maxima = _refined_maxima(target_series, times, prob_at(target))
     pst_times = tuple(t for t, p in maxima if p >= 1.0 - pst_tol)
     if maxima:
         max_time, max_probability = max(maxima, key=lambda tp: tp[1])
@@ -161,13 +158,14 @@ def detect_transfer_ct(
     if target_series[grid_best] > max_probability:
         max_time, max_probability = float(times[grid_best]), float(target_series[grid_best])
 
-    fid_series = np.abs(np.conj(psi0) @ states.T) ** 2
+    # psi0 is the source basis vector, so its fidelity is the source probability
+    fid_series = vertex_series[:, source]
     # skip the trivial peak at t = 0: look only after fidelity first dips
     dipped = np.nonzero(fid_series < 0.5)[0]
     period = None
     if dipped.size:
         start = dipped[0]
-        for t, p in _refined_maxima(fid_series[start:], times[start:], source_fidelity):
+        for t, p in _refined_maxima(fid_series[start:], times[start:], prob_at(source)):
             if p >= 1.0 - pst_tol:
                 period = t
                 break

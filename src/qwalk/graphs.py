@@ -81,10 +81,6 @@ class Graph:
         """Number of incident edge ends at v; a self loop counts once."""
         return len(self.neighbors(v)) + (1 if self.has_loop(v) else 0)
 
-    @property
-    def degrees(self) -> list[int]:
-        return [self.degree(v) for v in range(self.n)]
-
     def is_unweighted(self) -> bool:
         adj = self.adjacency
         return bool(np.all((adj == 0) | (adj == 1)))

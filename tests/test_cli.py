@@ -47,10 +47,12 @@ def test_parse_init_specs():
     g = build(Cycle(4))
     space = ArcSpace.from_graph(g)
     eq = parse_init_spec("equal", space, 0, seed=0)
-    assert eq.shape == (1, space.n_arcs)
-    haar = parse_init_spec("haar:5:3", space, 0, seed=0)
-    assert haar.shape == (5, space.n_arcs)
-    assert np.allclose(np.linalg.norm(haar, axis=1), 1.0)
+    assert eq.shape == (space.n_arcs,)
+    haar = parse_init_spec("haar:1:3", space, 0, seed=0)
+    assert haar.shape == (space.n_arcs,)
+    assert np.isclose(np.linalg.norm(haar), 1.0)
+    with pytest.raises(ConfigError, match="must draw one state"):
+        parse_init_spec("haar:5:3", space, 0, seed=0)
     amps = parse_init_spec("1,1", space, 0, seed=0)
     assert np.allclose(np.linalg.norm(amps), 1.0)
     with pytest.raises(ConfigError, match="2 ports but 3"):
@@ -204,6 +206,123 @@ def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
 def test_unused_seed_and_config_flags_are_rejected(argv, capsys):
     assert main(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--ste", "3"],
+    ["decohere", "--graph", "cycle n=4", "--pair", "0,2", "--step", "3"],
+], ids=["dtqw-ste", "decohere-step"])
+def test_subcommands_reject_abbreviated_flags(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ----- the option table -----
+
+DTQW = ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--init", "haar:1", "--steps", "3"]
+CTQW = ["ctqw", "--graph", "cycle n=4", "--pair", "0,2", "--tmax", "2", "--dt", "0.1"]
+SEARCH = ["search", "--base", "4", "--max-new", "1", "--samples", "5", "--steps", "4",
+          "--workers", "1"]
+ROBUST = ["robust", "--kind", "random", "--n", "3", "--runs", "5"]
+INTERP = ["interp", "--n", "3"]
+
+# option: (a command that reads it, a value outside its range, the rule it breaks)
+BAD_OPTIONS = {
+    "steps": (DTQW, 0, "be positive"),
+    "samples": (SEARCH, 0, "be positive"),
+    "lam": (DTQW, 1.5, "lie in (0, 1]"),
+    "tmax": (CTQW, -1.0, "be positive and finite"),
+    "dt": (CTQW, 0.0, "be positive"),
+    "seed": (DTQW, -1, "be non-negative"),
+    "runs": (ROBUST, 0, "be positive"),
+    "step": (ROBUST, 0, "be positive"),
+    "c_points": (INTERP, 1, "be at least 2"),
+}
+
+
+def _without(argv, flag):
+    """argv with the flag and its value taken out, if it holds them."""
+    if flag not in argv:
+        return list(argv)
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("key", BAD_OPTIONS)
+def test_table_option_out_of_range_by_flag(key, capsys):
+    argv, bad, rule = BAD_OPTIONS[key]
+    flag = "--" + key.replace("_", "-")
+    assert main(_without(argv, flag) + [flag, str(bad)]) == 1
+    assert f"{key} must {rule}, got {bad}" in capsys.readouterr().err
+
+
+# interp takes no --config, so c_points is checked from the command line only
+@pytest.mark.parametrize("key", [k for k in BAD_OPTIONS if k != "c_points"])
+def test_table_option_out_of_range_by_config(key, tmp_path, capsys):
+    argv, bad, rule = BAD_OPTIONS[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: bad}))
+    flag = "--" + key.replace("_", "-")
+    assert main(_without(argv, flag) + ["--config", str(cfg)]) == 1
+    assert f"{key} must {rule}, got {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [CTQW + ["--lam", "7"], SEARCH + ["--lam", "-2"]],
+                         ids=["ctqw", "search"])
+def test_lam_is_checked_by_every_command(argv, capsys):
+    assert main(argv) == 1
+    assert "lam must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_a_problem(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"stpes": 3, "c_points": 5}')
+    assert main(DTQW + ["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config key 'stpes' names no option" in err
+    assert "c_points" not in err
+
+
+def test_robust_reads_runs_and_step_from_config(tmp_path, capsys):
+    argv = ["robust", "--kind", "random", "--n", "3,4", "--seed", "2"]
+    assert main(argv + ["--runs", "7", "--step", "4"]) == 0
+    by_flag = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"runs": 7, "step": 4}')
+    assert main(argv + ["--config", str(cfg)]) == 0
+    by_config = capsys.readouterr().out
+    assert by_config == by_flag
+    assert json.loads(by_config)["runs"] == 7 and json.loads(by_config)["step"] == 4
+
+
+DECOHERE_CT = ["decohere", "--model", "ct", "--graph", "cycle n=4", "--time", "1"]
+DECOHERE_DT = ["decohere", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "3"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (DECOHERE_CT + ["--rates", "0.1,0.5"], "--rates"),
+    (DECOHERE_CT + ["--policy", "O1"], "--policy"),
+    (DECOHERE_CT + ["--init", "equal"], "--init"),
+    (DECOHERE_CT + ["--basis", "coin"], "--basis"),
+    (DECOHERE_CT + ["--steps", "5"], "--steps"),
+    (DECOHERE_DT + ["--time", "3"], "--time"),
+], ids=["ct-rates", "ct-policy", "ct-init", "ct-basis", "ct-steps", "dt-time"])
+def test_decohere_rejects_flags_its_model_does_not_read(argv, flag, capsys):
+    assert main(argv) == 1
+    assert f"{flag} is not read by --model" in capsys.readouterr().err
+
+
+def test_decohere_ct_shares_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"steps": 5, "seed": 3}')
+    assert main(DECOHERE_CT + ["--config", str(cfg)]) == 0
+
+
+def test_decohere_takes_one_haar_state(capsys):
+    assert main(DECOHERE_DT + ["--init", "haar:1:3"]) == 0
+    capsys.readouterr()
+    assert main(DECOHERE_DT + ["--init", "haar:2:3"]) == 1
+    assert "must draw one state" in capsys.readouterr().err
 
 
 # Each command's report files under --out; "" is the bare --out path.
