@@ -190,9 +190,13 @@ def _parse_haar_spec(text: str, seed: int) -> tuple[int, int] | None:
     if len(parts) not in (2, 3):
         raise ConfigError(f"haar spec {text!r} must be haar:<count>[:<seed>]")
     try:
-        return int(parts[1]), int(parts[2]) if len(parts) == 3 else seed
+        count, haar_seed = int(parts[1]), int(parts[2]) if len(parts) == 3 else seed
     except ValueError as exc:
         raise ConfigError(f"haar spec {text!r} has non-integer fields") from exc
+    _, ok, rule = OPTIONS["seed"]
+    if not ok(haar_seed):
+        raise ConfigError(f"haar spec {text!r}: seed must {rule}, got {haar_seed}")
+    return count, haar_seed
 
 
 def _parse_pair(text: str, n: int, issues: list[str]) -> tuple[int, int]:
@@ -259,7 +263,8 @@ def _resolve(args: argparse.Namespace, keys: Sequence[str], issues: list[str]) -
     once), then QWALK_SEED for the seed, then the table's default.  A
     value that fails its conversion or condition is appended to issues
     and reads the default, so later checks can go on.  So is every
-    config key that names no option in the table.
+    config key that names no option in the table.  A boolean is no
+    number, and an integer option takes no fractional number.
     """
     file_cfg = _load_config_file(getattr(args, "config", None))
     issues.extend(f"config key {k!r} names no option" for k in file_cfg if k not in OPTIONS)
@@ -271,6 +276,10 @@ def _resolve(args: argparse.Namespace, keys: Sequence[str], issues: list[str]) -
             env = os.environ.get("QWALK_SEED") if key == "seed" else None
             val = file_cfg.get(key, default if env is None else env)
         try:
+            if isinstance(val, bool) or (
+                isinstance(default, int) and isinstance(val, float) and not val.is_integer()
+            ):
+                raise TypeError
             val = type(default)(val)
         except (TypeError, ValueError):
             what = "an integer" if isinstance(default, int) else "a number"
@@ -529,6 +538,9 @@ def cmd_robust(args: argparse.Namespace) -> int:
     cfg = _resolve(args, ["runs", "step", "seed"], issues)
     runs, seed = cfg["runs"], cfg["seed"]
     kind = args.kind
+    unread = ("magnitudes",) if kind == "random" else ("runs", "seed")
+    issues.extend(f"--{k} is not read by --kind {kind}" for k in unread
+                  if getattr(args, k) is not None)
     n_values = _parse_int_list(args.n, "n", issues)
     if not n_values:
         issues.append("need at least one cycle size in --n")
@@ -569,6 +581,8 @@ def cmd_interp(args: argparse.Namespace) -> int:
     if not n_values:
         issues.append("need at least one size in --n")
     if args.c_grid is not None:
+        if args.c_points is not None:
+            issues.append("--c-points is not read by interp with --c-grid")
         c_grid = _parse_float_list(args.c_grid, "c-grid", issues)
     else:
         c_grid = list(np.linspace(0.0, 1.0, cfg["c_points"]))

@@ -5,6 +5,13 @@ nodes, each wired to a nonempty subset of cycle vertices, with every
 edge pattern among the new nodes.  Duplicates are removed with a
 canonical key that marks the antipodal transfer pair, so two variants
 count as the same when an isomorphism maps the pair onto itself.
+Generation is orderly (after Read 1978 and McKay 1998): a candidate is
+keyed only when none of the three cycle symmetries that keep the pair
+(the two reflections and the half turn) maps it to a candidate earlier
+in iteration order.  A skipped candidate shares its key with that
+earlier image, and the first candidate of each key class has no earlier
+image, so the emitted representatives are exactly those of keying every
+candidate, at about one key per variant instead of four.
 
 For each variant and coin policy the harness records the best Haar
 sampled transfer and, separately, an exact certificate: step t admits
@@ -141,30 +148,88 @@ def enumerate_variants(
 def _keyed_variants(
     base: int, max_new: int
 ) -> Iterator[tuple[bytes, VariantDescriptor, Graph]]:
-    """``enumerate_variants`` with each variant's canonical key in front."""
+    """``enumerate_variants`` with each variant's canonical key in front.
+
+    Candidates run in a fixed order: by added-node count, then by the
+    nondecreasing tuple of attachment indices into ``subsets``, then by
+    link count, then by link tuple.  Within one node count this is the
+    order of the tuple (attachment indices, links).  A candidate is
+    skipped before it is built or keyed when a cycle symmetry that keeps
+    {0, base/2} (v -> -v, v -> v + base/2, v -> base/2 - v) maps it to
+    an earlier candidate: the added nodes are stably sorted by their
+    image's attachment index and the links relabelled to match.  The
+    attachment part is compared once per attachment tuple: an earlier
+    image tuple skips every link set on it, and only the symmetries that
+    fix the tuple are compared link set by link set.  The rule is exact.  A skipped candidate has an earlier image with the
+    same key, and the first candidate of a key class has no earlier
+    image, so it is always keyed and the ``seen`` check yields the same
+    sequence as keying every candidate would.
+    """
     if base < 4 or base % 2:
         raise ConfigError("variant enumeration expects an even base cycle >= 4")
     if max_new < 1:
         raise ConfigError("max_new must be at least 1")
-    pair = (0, base // 2)
+    half = base // 2
     subsets = [
         tuple(sorted(s))
         for r in range(1, base + 1)
         for s in itertools.combinations(range(base), r)
     ]
+    index = {s: i for i, s in enumerate(subsets)}
+    images = [
+        [index[tuple(sorted(sym(v) % base for v in s))] for s in subsets]
+        for sym in (lambda v: -v, lambda v: v + half, lambda v: half - v)
+    ]
     seen: set[bytes] = set()
     for k in range(1, max_new + 1):
         link_choices = list(itertools.combinations(range(k), 2))
-        for attachments in itertools.combinations_with_replacement(subsets, k):
+        for idxs in itertools.combinations_with_replacement(range(len(subsets)), k):
+            relabels = _fixing_relabels(idxs, images)
+            if relabels is None:
+                continue
+            attachments = tuple(subsets[i] for i in idxs)
             for link_count in range(len(link_choices) + 1):
                 for links in itertools.combinations(link_choices, link_count):
+                    if any(_relabel_links(links, pos) < links for pos in relabels):
+                        continue
                     desc = VariantDescriptor(base, attachments, links)
                     g = build_variant(desc)
-                    key = canonical_key(g, marks=pair)
+                    key = canonical_key(g, marks=(0, half))
                     if key in seen:
                         continue
                     seen.add(key)
                     yield key, desc, g
+
+
+def _fixing_relabels(
+    idxs: tuple[int, ...], images: list[list[int]]
+) -> list[list[int]] | None:
+    """Added-node relabellings of the symmetries that keep idxs in place.
+
+    None when some symmetry maps idxs to an earlier index tuple, which
+    makes every candidate on these attachments redundant.  Otherwise
+    one relabelling (old node -> new position, by a stable sort on the
+    image index) for each symmetry whose image tuple equals idxs.
+    """
+    out = []
+    for table in images:
+        mapped = [table[i] for i in idxs]
+        order = sorted(range(len(idxs)), key=mapped.__getitem__)
+        mapped_idxs = tuple(mapped[i] for i in order)
+        if mapped_idxs < idxs:
+            return None
+        if mapped_idxs == idxs:
+            pos = [0] * len(idxs)
+            for new, old in enumerate(order):
+                pos[old] = new
+            out.append(pos)
+    return out
+
+
+def _relabel_links(
+    links: tuple[tuple[int, int], ...], pos: list[int]
+) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((min(pos[i], pos[j]), max(pos[i], pos[j])) for i, j in links))
 
 
 # ===== Search =====

@@ -267,6 +267,47 @@ def test_table_option_out_of_range_by_config(key, tmp_path, capsys):
     assert f"{key} must {rule}, got {bad}" in capsys.readouterr().err
 
 
+INT_OPTIONS = [k for k in BAD_OPTIONS if isinstance(qwalk.cli.OPTIONS[k][0], int)
+               and k != "c_points"]
+
+
+@pytest.mark.parametrize("bad, shown", [(3.7, "3.7"), (True, "True")], ids=["fraction", "bool"])
+@pytest.mark.parametrize("key", INT_OPTIONS)
+def test_integer_option_from_config_must_be_an_integer(key, bad, shown, tmp_path, capsys):
+    argv, _, _ = BAD_OPTIONS[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: bad}))
+    flag = "--" + key.replace("_", "-")
+    assert main(_without(argv, flag) + ["--config", str(cfg)]) == 1
+    assert f"{key} must be an integer, got {shown}" in capsys.readouterr().err
+
+
+def test_integral_config_number_reads_as_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"steps": 3.0}')
+    assert main(_without(DTQW, "--steps") + ["--config", str(cfg)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["report"]["target_series"]) == 4
+
+
+@pytest.mark.parametrize("spec", ["haar:1:-3", "haar:5:-3"], ids=["one-state", "scan"])
+def test_haar_spec_seed_must_be_non_negative(spec, capsys):
+    assert main(_without(DTQW, "--init") + ["--init", spec]) == 1
+    assert f"haar spec '{spec}': seed must be non-negative, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["robust", "--kind", "phase", "--n", "3", "--magnitudes", "0,1", "--runs", "5"],
+     "--runs is not read by --kind phase"),
+    (["robust", "--kind", "defect", "--n", "3", "--magnitudes", "0,1", "--seed", "2"],
+     "--seed is not read by --kind defect"),
+    (ROBUST + ["--magnitudes", "0,1"], "--magnitudes is not read by --kind random"),
+    (INTERP + ["--c-grid", "0,1", "--c-points", "5"], "--c-points is not read by interp"),
+], ids=["phase-runs", "defect-seed", "random-magnitudes", "interp-c-points"])
+def test_sweeps_reject_flags_they_do_not_read(argv, message, capsys):
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [CTQW + ["--lam", "7"], SEARCH + ["--lam", "-2"]],
                          ids=["ctqw", "search"])
 def test_lam_is_checked_by_every_command(argv, capsys):

@@ -81,6 +81,48 @@ def test_enumeration_count_base6():
     assert sum(1 for _ in enumerate_variants(6, 2)) == 1097
 
 
+def _exhaustive_keyed_variants(base, max_new):
+    """Reference enumeration: build and key every candidate in order."""
+    from qwalk.graphs import canonical_key
+
+    subsets = [
+        tuple(sorted(s))
+        for r in range(1, base + 1)
+        for s in itertools.combinations(range(base), r)
+    ]
+    seen = set()
+    for k in range(1, max_new + 1):
+        link_choices = list(itertools.combinations(range(k), 2))
+        for attachments in itertools.combinations_with_replacement(subsets, k):
+            for link_count in range(len(link_choices) + 1):
+                for links in itertools.combinations(link_choices, link_count):
+                    desc = VariantDescriptor(base, attachments, links)
+                    key = canonical_key(build_variant(desc), marks=(0, base // 2))
+                    if key not in seen:
+                        seen.add(key)
+                        yield key, desc
+
+
+@pytest.mark.parametrize("base,max_new", [(4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (8, 1)])
+def test_orderly_enumeration_matches_keying_every_candidate(base, max_new):
+    orderly = [(key, desc) for key, desc, _ in explorer._keyed_variants(base, max_new)]
+    assert orderly == list(_exhaustive_keyed_variants(base, max_new))
+
+
+def test_orderly_enumeration_skips_symmetric_images(monkeypatch):
+    calls = []
+    real_key = explorer.canonical_key
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_key(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "canonical_key", counted)
+    assert len(list(enumerate_variants(6, 2))) == 1097
+    # 1,159 of the 4,095 candidates survive the symmetry check
+    assert len(calls) <= 1200
+
+
 def test_enumeration_rejects_odd_base():
     with pytest.raises(ConfigError):
         list(enumerate_variants(5, 1))
