@@ -292,10 +292,6 @@ def _resolve(args: argparse.Namespace, keys: Sequence[str], issues: list[str]) -
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write(path: str | None, text: str) -> None:
     """Write text to path, or to stdout when there is no path."""
     if path is None:
@@ -309,14 +305,17 @@ def _emit(args: argparse.Namespace, payload: dict, header=None, x=(), table=()) 
     """Write a command's report: <out>.json, or JSON on stdout without --out.
 
     With a header and --out, also stream <out>.csv: the header, then one
-    row per x value holding x and that row of the 2-D table.
+    row per x value holding x and that row of the 2-D table, each float
+    written with 17 significant digits.  Rows are converted one at a time,
+    so a long table is never held twice as Python floats.
     """
     if args.out and header is not None:
+        row_fmt = ",%.17g" * (len(header) - 1) + "\n"
         with open(args.out + ".csv", "w") as fh:
             fh.write(",".join(header) + "\n")
             for xv, row in zip(x, table):
-                fh.write(_fmt(xv) if isinstance(xv, float) else str(xv))
-                fh.write("".join("," + _fmt(v) for v in row) + "\n")
+                head = f"{xv:.17g}" if isinstance(xv, float) else str(xv)
+                fh.write(head + row_fmt % tuple(row.tolist()))
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write(args.out + ".json" if args.out else None, text)
 

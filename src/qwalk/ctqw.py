@@ -5,7 +5,13 @@ through the eigendecomposition, psi(t) = V exp(-i Lambda t) V* psi(0),
 so states at arbitrary times cost one small matrix product each.
 Transfer detection scans a time grid and sharpens every local maximum
 with golden-section search, and only the refined values are allowed to
-certify perfect transfer.
+certify perfect transfer.  All maxima of a scan are refined in lockstep:
+each iteration evaluates the objective once, on an array holding the new
+point of every bracket still open, and each bracket makes the same
+comparisons and updates as a search of its own.  A bracket closes when it
+is narrower than the tolerance, or when it returns to a state it held
+before: from t = 8192 on the float spacing exceeds the 1e-12 tolerance,
+and a bracket that can no longer shrink would otherwise cycle for ever.
 """
 
 from __future__ import annotations
@@ -46,9 +52,18 @@ class Spectrum:
             raise ToleranceError(f"eigendecomposition residual {err:.3e}")
         return cls(vals, vecs)
 
-    def propagate(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return self.eigenvectors @ (phases * (self.eigenvectors.T @ psi0))
+    def propagate(self, psi0: np.ndarray, t, vertex: int | None = None) -> np.ndarray:
+        """State at time t, or with a vertex its amplitude at each time in t.
+
+        A vertex's amplitudes are one dot product per time with that
+        vertex's row of eigenvectors, which reproduces the bits of the
+        same entry of a full state; a batched ``Y @ V.T`` would not.
+        """
+        if vertex is None:
+            phases = np.exp(-1j * self.eigenvalues * t)
+            return self.eigenvectors @ (phases * (self.eigenvectors.T @ psi0))
+        phases = np.exp(-1j * self.eigenvalues * np.asarray(t)[..., None])
+        return (phases * (self.eigenvectors.T @ psi0)) @ self.eigenvectors[vertex]
 
 
 def evolve_ct(g: Graph, psi0: np.ndarray, t: float) -> np.ndarray:
@@ -66,26 +81,47 @@ def evolve_ct_many(spec: Spectrum, psi0: np.ndarray, times: np.ndarray) -> np.nd
     return (phases * coeff) @ spec.eigenvectors.T
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Locate the maximum of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
+def golden_section_max(f, lo, hi, tol: float = 1e-12):
+    """Locate the maximum of a unimodal function on each bracket [lo, hi].
+
+    lo and hi are floats or equal-length 1-D arrays, and f maps a 1-D
+    array of points to their values.  The brackets run in lockstep (see
+    the module docstring), so each result is the one a search of that
+    bracket alone would give.  Returns (x, f(x)) at the midpoint of each
+    final bracket: floats for float ends, else arrays.
+    """
+    state = np.empty((4, np.size(lo)))
+    a, b, c, d = state  # views: a bracket's state is its column
+    a[:], b[:] = lo, hi
     h = b - a
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
+    c[:] = b - _INVPHI * h
+    d[:] = a + _INVPHI * h
+    fc, fd = np.split(f(state[2:].ravel()), 2)
+    k = np.flatnonzero(h > tol)  # open brackets
+    saved, save_at, it = None, 1, 0
+    while k.size:
+        left = fc[k] > fd[k]
+        lk, rk = k[left], k[~left]
+        b[lk], d[lk], fd[lk] = d[lk], c[lk], fc[lk]
+        a[rk], c[rk], fc[rk] = c[rk], d[rk], fd[rk]
+        h[k] = b[k] - a[k]
+        c[lk] = b[lk] - _INVPHI * h[lk]
+        d[rk] = a[rk] + _INVPHI * h[rk]
+        fk = f(np.where(left, c[k], d[k]))
+        fc[lk], fd[rk] = fk[left], fk[~left]
+        open_ = h[k] > tol
+        if saved is not None:
+            # Brent's cycle detection: a state that comes back repeats for ever
+            open_ &= (state[:, k] != saved[:, k]).any(axis=0)
+        it += 1
+        if it == save_at:
+            saved, save_at = state.copy(), 2 * save_at
+        k = k[open_]
     x = (a + b) / 2
-    return x, f(x)
+    fx = f(x)
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        return float(x[0]), float(fx[0])
+    return x, fx
 
 
 @dataclass(frozen=True)
@@ -117,14 +153,12 @@ class CtTransferReport:
         }
 
 
-def _refined_maxima(series: np.ndarray, times: np.ndarray, value_at) -> list[tuple[float, float]]:
-    """Golden-section refinement of every interior local maximum of a grid scan."""
-    out = []
-    for i in range(1, len(series) - 1):
-        if series[i] >= series[i - 1] and series[i] > series[i + 1]:
-            t, p = golden_section_max(value_at, times[i - 1], times[i + 1])
-            out.append((t, p))
-    return out
+def _refined_maxima(
+    series: np.ndarray, times: np.ndarray, value_at
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refined (times, values) of every interior local maximum of a grid scan, in grid order."""
+    i = np.flatnonzero((series[1:-1] >= series[:-2]) & (series[1:-1] > series[2:])) + 1
+    return golden_section_max(value_at, times[i - 1], times[i + 1])
 
 
 def detect_transfer_ct(
@@ -146,12 +180,13 @@ def detect_transfer_ct(
     target_series = vertex_series[:, target]
 
     def prob_at(v: int):
-        return lambda t: float(np.abs(spec.propagate(psi0, t)[v]) ** 2)
+        return lambda t: np.abs(spec.propagate(psi0, t, vertex=v)) ** 2
 
-    maxima = _refined_maxima(target_series, times, prob_at(target))
-    pst_times = tuple(t for t, p in maxima if p >= 1.0 - pst_tol)
-    if maxima:
-        max_time, max_probability = max(maxima, key=lambda tp: tp[1])
+    peak_t, peak_p = _refined_maxima(target_series, times, prob_at(target))
+    pst_times = tuple(peak_t[peak_p >= 1.0 - pst_tol].tolist())
+    if peak_p.size:
+        best = int(np.argmax(peak_p))
+        max_time, max_probability = float(peak_t[best]), float(peak_p[best])
     else:
         max_time, max_probability = 0.0, float(target_series[0])
     grid_best = int(np.argmax(target_series))
@@ -165,10 +200,10 @@ def detect_transfer_ct(
     period = None
     if dipped.size:
         start = dipped[0]
-        for t, p in _refined_maxima(fid_series[start:], times[start:], prob_at(source)):
-            if p >= 1.0 - pst_tol:
-                period = t
-                break
+        back_t, back_p = _refined_maxima(fid_series[start:], times[start:], prob_at(source))
+        certified = np.flatnonzero(back_p >= 1.0 - pst_tol)
+        if certified.size:
+            period = float(back_t[certified[0]])
     return CtTransferReport(
         source=source,
         target=target,

@@ -1,5 +1,10 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +414,30 @@ def test_ctqw_files(tmp_path):
     assert data["report"]["period"] == pytest.approx(2 * np.pi / np.sqrt(18), abs=1e-6)
     header = base.with_suffix(".csv").read_text().splitlines()[0]
     assert header == "t,v0,v1"
+
+
+def test_ctqw_finishes_at_large_times():
+    # from t = 8192 on, adjacent floats lie further apart than the refinement tolerance
+    env = dict(os.environ, PYTHONPATH=str(Path(qwalk.cli.__file__).parents[1]))
+    argv = ["ctqw", "--graph", "cycle n=8", "--pair", "0,4", "--tmax", "10000", "--dt", "1"]
+    done = subprocess.run([sys.executable, "-m", "qwalk.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["report"]["max_probability"] > 0.99
+
+
+SPECIAL = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e22, 0.1]
+
+
+@pytest.mark.parametrize("x", [range(7), (3, 1, 4, 1, 5, 9, 2), np.arange(7, dtype=np.int64),
+                               np.array(SPECIAL)], ids=["range", "int-tuple", "int64", "float64"])
+def test_emit_csv_writes_each_value_as_formatted_alone(x, tmp_path):
+    table = np.array([np.roll(SPECIAL, k) for k in range(7)])
+    header = ["x"] + [f"c{j}" for j in range(7)]
+    qwalk.cli._emit(argparse.Namespace(out=str(tmp_path / "r")), {}, header, x, table)
+    want = "".join((f"{xv:.17g}" if isinstance(xv, float) else str(xv))
+                   + "".join("," + f"{v:.17g}" for v in row) + "\n" for xv, row in zip(x, table))
+    assert (tmp_path / "r.csv").read_text() == ",".join(header) + "\n" + want
 
 
 def test_decohere_classical_limit(tmp_path):
