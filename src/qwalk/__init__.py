@@ -21,7 +21,7 @@ from qwalk.graphs import (
     graph_to_json,
     graph_from_json,
 )
-from qwalk.arcs import ArcSpace, shift_matrix
+from qwalk.arcs import ArcSpace
 from qwalk.coins import (
     grover,
     dft,
@@ -30,7 +30,6 @@ from qwalk.coins import (
     interp_grover,
     CoinPolicy,
     parse_policy,
-    assemble_coin,
 )
 from qwalk.dtqw import (
     StepOperator,
@@ -38,7 +37,6 @@ from qwalk.dtqw import (
     equal_superposition,
     state_at_vertex,
     vertex_probability,
-    evolve,
     haar_states,
     detect_transfer,
     max_transfer_scan,
@@ -54,7 +52,6 @@ from qwalk.ctqw import (
 )
 from qwalk.decoherence import (
     NoiseModel,
-    decohere_step,
     decohere_ct,
     classical_transition_matrix,
     classical_walk,

@@ -18,7 +18,7 @@ import numpy as np
 
 from qwalk.graphs import Graph
 
-__all__ = ["ArcSpace", "shift_matrix"]
+__all__ = ["ArcSpace"]
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,3 @@ class ArcSpace:
     def vertex_slice(self, v: int) -> slice:
         return slice(int(self.offsets[v]), int(self.offsets[v + 1]))
 
-
-def shift_matrix(space: ArcSpace) -> np.ndarray:
-    """Flip-flop shift as a dense permutation matrix over arcs."""
-    m = space.n_arcs
-    s = np.zeros((m, m), dtype=complex)
-    s[space.reverse, np.arange(m)] = 1.0
-    return s

@@ -170,6 +170,8 @@ def parse_init_spec(text: str, space: ArcSpace, source: int, seed: int) -> np.nd
             raise ConfigError(f"haar spec {text!r} must draw one state; only the dtqw scan takes more")
         return state_at_vertex(space, source, haar_states(space.degree(source), *haar)[0])
     amps = np.array([_parse_complex(tok) for tok in text.split(",")], dtype=complex)
+    if not np.all(np.isfinite(amps)):
+        raise ConfigError(f"amplitudes must be finite, got {text!r}")
     d = space.degree(source)
     if amps.shape != (d,):
         raise ConfigError(
@@ -423,6 +425,8 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     rates = None
     if args.rates is not None:
         rates = _parse_float_list(args.rates, "rates", issues)
+        if not rates:
+            issues.append("need at least one rate in --rates")
         if args.rate is not None:
             issues.append("give either --rate or --rates, not both")
     rate = args.rate if args.rate is not None else 0.0
@@ -546,6 +550,7 @@ def cmd_robust(args: argparse.Namespace) -> int:
     mags = None
     if args.magnitudes is not None:
         mags = _parse_float_list(args.magnitudes, "magnitudes", issues)
+        issues.extend(f"magnitudes must be finite, got {m}" for m in mags if not np.isfinite(m))
     if kind in ("defect", "phase") and not mags:
         issues.append(f"kind {kind!r} needs --magnitudes")
     _raise_issues(issues)
@@ -583,6 +588,8 @@ def cmd_interp(args: argparse.Namespace) -> int:
         if args.c_points is not None:
             issues.append("--c-points is not read by interp with --c-grid")
         c_grid = _parse_float_list(args.c_grid, "c-grid", issues)
+        if not c_grid:
+            issues.append("need at least one coupling in --c-grid")
     else:
         c_grid = list(np.linspace(0.0, 1.0, cfg["c_points"]))
     for c in c_grid:

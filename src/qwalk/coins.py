@@ -29,7 +29,6 @@ from typing import Union
 
 import numpy as np
 
-from qwalk.arcs import ArcSpace
 from qwalk.errors import ConfigError
 from qwalk.graphs import Graph
 
@@ -46,7 +45,6 @@ __all__ = [
     "ExplicitMap",
     "CoinPolicy",
     "parse_policy",
-    "assemble_coin",
 ]
 
 
@@ -243,19 +241,3 @@ def parse_policy(text: str) -> CoinPolicy:
         return ExplicitMap(coins, fallback=UniformGrover())
     raise ConfigError(f"unknown coin policy {text!r}")
 
-
-def assemble_coin(g: Graph, policy: CoinPolicy, space: ArcSpace | None = None) -> np.ndarray:
-    """Block-diagonal coin over the arc space, one block per vertex."""
-    if space is None:
-        space = ArcSpace.from_graph(g)
-    out = np.zeros((space.n_arcs, space.n_arcs), dtype=complex)
-    for v in range(g.n):
-        d = space.degree(v)
-        block = np.asarray(policy.coin_for(g, v, d), dtype=complex)
-        if block.shape != (d, d):
-            raise ConfigError(
-                f"vertex {v}: coin block is {block.shape}, expected ({d}, {d})"
-            )
-        sl = space.vertex_slice(v)
-        out[sl, sl] = block
-    return out

@@ -50,14 +50,13 @@ from typing import Iterator
 import numpy as np
 
 from qwalk.arcs import ArcSpace
-from qwalk.dtqw import StepOperator
+from qwalk.dtqw import StepOperator, build_step_operator
 from qwalk.errors import ConfigError, ToleranceError
 from qwalk.graphs import Graph
 
 __all__ = [
     "NoiseModel",
     "dephasing_mask",
-    "decohere_step",
     "density_steps",
     "evolve_density",
     "decohere_ct",
@@ -116,12 +115,6 @@ def validate_density(rho: np.ndarray, tol: float = 1e-8) -> None:
     lo = np.linalg.eigvalsh(rho).min()
     if lo < -tol:
         raise ToleranceError(f"density matrix lost positivity (min eigenvalue {lo:.3e})")
-
-
-def decohere_step(rho: np.ndarray, op: StepOperator, noise: NoiseModel) -> np.ndarray:
-    """One noisy step of the discrete walk."""
-    _, rho1 = density_steps(rho, op, noise, 1)
-    return rho1
 
 
 def _dephasing_weight(mask: np.ndarray, p: float) -> np.ndarray | None:
@@ -272,8 +265,6 @@ def target_probability_vs_rate(
     basis: str = "coin",
 ) -> RateSweep:
     """Target probability at a fixed step as the noise rate varies."""
-    from qwalk.dtqw import build_step_operator
-
     op = build_step_operator(g, policy)
     rho0 = density_from_state(init)
     sl = op.space.vertex_slice(pair[1])

@@ -9,25 +9,27 @@ the full state returns (fidelity with the start state reaches one),
 positional means all probability returns to the start vertex whatever
 the coin configuration.
 
-Every state-vector walk is stepped by one kernel, ``trajectory``, which
-applies the dense U to a block of columns and never forms a power of U.
-A density matrix is stepped by ``StepOperator.conjugate``, which forms
-U rho U^H from the coin blocks and the arc reversal and never multiplies
-by the dense U.  A step picked from a series is the earliest within
-``TIE_TOL`` of the series maximum.
+The per-vertex coin blocks and the arc reversal are the operator:
+``StepOperator`` stores nothing else.  A density matrix is stepped by
+``StepOperator.conjugate``, which forms U rho U^H from the blocks and
+never multiplies by a dense U.  Every state-vector walk is stepped by
+one kernel, ``trajectory``, which applies the dense U, built from the
+blocks on first use, to a block of columns and never forms a power of
+U.  A step picked from a series is the earliest within ``TIE_TOL`` of
+the series maximum.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from qwalk.arcs import ArcSpace
-from qwalk.coins import CoinPolicy, assemble_coin
+from qwalk.coins import CoinPolicy
 from qwalk.errors import ConfigError, ToleranceError
 from qwalk.graphs import Graph
 
@@ -37,7 +39,6 @@ __all__ = [
     "state_at_vertex",
     "equal_superposition",
     "vertex_probability",
-    "evolve",
     "trajectory",
     "peak_step",
     "haar_states",
@@ -59,35 +60,29 @@ _CHUNK_ROWS = 256  # Haar samples folded per matrix product
 class StepOperator:
     """A single-step walk operator U = S C over the arc space of a graph.
 
-    ``matrix`` is the dense U, which state vectors are stepped with.
-    ``conjugate`` steps a density matrix from the structure instead: C is
-    block diagonal with one contiguous block per vertex, and S is the
-    arc reversal ``space.reverse``, an involution.
+    C is block diagonal with one contiguous block per vertex, and S is
+    the arc reversal ``space.reverse``, an involution.  ``runs`` holds
+    the coin blocks, the one stored form of the operator: (first arc,
+    end arc, blocks, their adjoints) per run of consecutive vertices of
+    equal degree, the blocks stacked (k, d, d).  ``conjugate`` steps a
+    density matrix from the runs; ``matrix`` is the dense U, built on
+    first use for state-vector steps.
     """
 
     graph: Graph
     space: ArcSpace
-    matrix: np.ndarray
+    runs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
 
     @cached_property
-    def _coin_runs(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
-        """(first arc, end arc, coin blocks, their adjoints) per run of
-        consecutive vertices of equal degree, the blocks stacked (k, d, d).
-
-        Built on first use, since only density steps need it.  C = S U
-        because S is an involution, so the blocks are read from U.
-        """
-        degrees = np.diff(self.space.offsets)
-        runs = []
-        lo = 0
-        for d, group in itertools.groupby(int(x) for x in degrees if x > 0):
-            k = len(list(group))
-            arcs = np.arange(lo, lo + k * d).reshape(k, d)
-            blocks = self.matrix[self.space.reverse[arcs][:, :, None], arcs[:, None, :]]
-            adjoints = np.ascontiguousarray(blocks.conj().transpose(0, 2, 1))
-            runs.append((lo, lo + k * d, blocks, adjoints))
-            lo += k * d
-        return tuple(runs)
+    def matrix(self) -> np.ndarray:
+        """The dense U: each block scattered into U[reverse[arcs], arcs]."""
+        m = self.space.n_arcs
+        u = np.zeros((m, m), dtype=complex)
+        arcs = np.arange(m)
+        for lo, hi, blocks, _ in self.runs:
+            k, d, _ = blocks.shape
+            u[self.space.reverse[lo:hi].reshape(k, d, 1), arcs[lo:hi].reshape(k, 1, d)] = blocks
+        return u
 
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
         """U rho U^H for any m x m matrix rho, Hermitian or not.
@@ -100,11 +95,11 @@ class StepOperator:
         # both products write into one buffer, so that the step's working
         # set stays at four m x m arrays
         work = np.empty((m, m), dtype=complex)
-        for lo, hi, blocks, _ in self._coin_runs:
+        for lo, hi, blocks, _ in self.runs:
             k, d, _ = blocks.shape
             np.matmul(blocks, rho[lo:hi].reshape(k, d, m), out=work[lo:hi].reshape(k, d, m))
         left = work.take(self.space.reverse, axis=0)
-        for lo, hi, _, adjoints in self._coin_runs:
+        for lo, hi, _, adjoints in self.runs:
             k, d, _ = adjoints.shape
             np.matmul(
                 left[:, lo:hi].reshape(m, k, d).transpose(1, 0, 2),
@@ -117,17 +112,31 @@ class StepOperator:
 
 
 def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
-    """U = S C with S the arc reversal, a row permutation of the coin.
+    """U = S C from one coin block per vertex, in arc order.
 
     Since S is a permutation, U^H U = C^H C, so unitarity is checked on
-    the coin.
+    the blocks: max |B^H B - I| per run, and a NaN fails the check.
     """
     space = ArcSpace.from_graph(g)
-    coin = assemble_coin(g, policy, space)
-    defect = np.abs(coin.conj().T @ coin - np.eye(space.n_arcs)).max()
-    if defect > UNITARITY_TOL:
-        raise ToleranceError(f"step operator unitarity defect {defect:.3e}")
-    return StepOperator(g, space, coin[space.reverse])
+    blocks = []
+    for v, d in enumerate(np.diff(space.offsets).tolist()):
+        block = np.asarray(policy.coin_for(g, v, d), dtype=complex)
+        if block.shape != (d, d):
+            raise ConfigError(f"vertex {v}: coin block is {block.shape}, expected ({d}, {d})")
+        blocks.append(block)
+    runs = []
+    lo = 0
+    # a vertex of degree 0 owns no arcs, so its empty block joins no run
+    for d, group in itertools.groupby((b for b in blocks if b.size), key=len):
+        stack = np.array(list(group))
+        adjoints = np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
+        defect = np.abs(adjoints @ stack - np.eye(d)).max()
+        if not defect <= UNITARITY_TOL:
+            raise ToleranceError(f"step operator unitarity defect {defect:.3e}")
+        hi = lo + len(stack) * d
+        runs.append((lo, hi, stack, adjoints))
+        lo = hi
+    return StepOperator(g, space, tuple(runs))
 
 
 def state_at_vertex(space: ArcSpace, v: int, amplitudes: Sequence[complex]) -> np.ndarray:
@@ -137,7 +146,7 @@ def state_at_vertex(space: ArcSpace, v: int, amplitudes: Sequence[complex]) -> n
     if amps.shape != (d,):
         raise ConfigError(f"vertex {v} has {d} ports, got {amps.shape[0]} amplitudes")
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ConfigError(f"initial amplitudes must be unit norm, got {norm}")
     psi = np.zeros(space.n_arcs, dtype=complex)
     psi[space.vertex_slice(v)] = amps
@@ -162,11 +171,12 @@ def trajectory(op: StepOperator, cols: np.ndarray, t_max: int) -> np.ndarray:
     vertex's ports, or a single state of shape (m,).  Each step is one
     product with U, so no m x m power is ever formed.
     """
+    u = op.matrix
     cols = np.asarray(cols, dtype=complex)
     out = np.empty((t_max + 1,) + cols.shape, dtype=complex)
     out[0] = cols
     for t in range(t_max):
-        np.matmul(op.matrix, out[t], out=out[t + 1])
+        np.matmul(u, out[t], out=out[t + 1])
     return out
 
 
@@ -180,11 +190,6 @@ def _trajectory_pieces(
         piece = trajectory(op, cols, min(per_piece, t_max - lo))
         cols = piece[-1]
         yield lo, piece
-
-
-def evolve(op: StepOperator, psi: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """The state after each of the given number of steps."""
-    return iter(trajectory(op, psi, steps)[1:])
 
 
 def peak_step(values: np.ndarray) -> int:
@@ -268,7 +273,7 @@ def detect_transfer(
             probs[lo : lo + len(piece), v] = vertex_probability(op.space, piece, v)
         fidelity_series[lo : lo + len(piece)] = np.abs(piece @ psi0.conj()) ** 2
     drift = abs(np.linalg.norm(piece[-1]) - 1.0)
-    if drift > 1e-9:
+    if not drift <= 1e-9:
         raise ToleranceError(f"norm drift {drift:.3e} after {t_max} steps")
     steps = np.arange(1, t_max + 1)
     pst_steps = steps[probs[1:, target] >= 1.0 - pst_tol]

@@ -81,6 +81,25 @@ def test_exit_codes(capsys):
     assert "config error" in err and "tolerance breach" in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["dtqw", "--graph", "cycle n=4", "--init", "nan,1"], 1, "amplitudes must be finite"),
+    (["dtqw", "--graph", "cycle n=4", "--init", "inf,1"], 1, "amplitudes must be finite"),
+    (["decohere", "--graph", "cycle n=4", "--init", "nan,1"], 1, "amplitudes must be finite"),
+    (["dtqw", "--graph", "cycle n=4", "--policy", '{"0": [[NaN, 0], [0, 1]]}'], 2,
+     "unitarity defect nan"),
+    (["robust", "--kind", "defect", "--n", "3", "--magnitudes", "nan,inf"], 1,
+     "magnitudes must be finite, got inf"),
+    (["decohere", "--graph", "cycle n=4", "--rates", ""], 1, "need at least one rate in --rates"),
+    (["interp", "--n", "3", "--c-grid", ""], 1, "need at least one coupling in --c-grid"),
+], ids=["dtqw-nan-init", "dtqw-inf-init", "decohere-nan-init", "nan-coin", "robust-nan-inf",
+        "empty-rates", "empty-c-grid"])
+def test_non_finite_or_empty_inputs_are_rejected(argv, code, message, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_validation_reports_all_problems(capsys):
     code = main(["dtqw", "--graph", "cycle n=6", "--pair", "0,19",
                  "--steps", "-3", "--track", "1,99"])

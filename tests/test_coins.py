@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.arcs import ArcSpace
 from qwalk.coins import (
     ExplicitMap,
     GroverWithHadamardPairs,
     PresetRow,
     UniformDFT,
     UniformGrover,
-    assemble_coin,
     dft,
     grover,
     hadamard,
@@ -143,26 +141,6 @@ def test_explicit_map_with_fallback():
     pol = ExplicitMap({1: np.eye(2)}, fallback=UniformGrover())
     assert np.allclose(pol.coin_for(g, 1, 2), np.eye(2))
     assert np.allclose(pol.coin_for(g, 0, 2), grover(2))
-
-
-def test_assemble_coin_block_diagonal():
-    g = build(Join(Edgeless(2), Cycle(3)))
-    space = ArcSpace.from_graph(g)
-    c = assemble_coin(g, UniformGrover(), space)
-    assert unitarity_defect(c) < 1e-12
-    sl = space.vertex_slice(0)
-    assert np.allclose(c[sl, sl], grover(3))
-    off = c.copy()
-    for v in range(g.n):
-        s = space.vertex_slice(v)
-        off[s, s] = 0.0
-    assert np.max(np.abs(off)) == 0.0
-
-
-def test_assemble_coin_rejects_wrong_shape():
-    g = build(Cycle(4))
-    with pytest.raises(ConfigError, match="coin block"):
-        assemble_coin(g, ExplicitMap({0: np.eye(3)}, fallback=UniformGrover()))
 
 
 # ----- policy string parsing -----

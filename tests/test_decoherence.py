@@ -12,7 +12,6 @@ from qwalk.decoherence import (
     classical_transition_matrix,
     classical_walk,
     decohere_ct,
-    decohere_step,
     density_from_state,
     density_steps,
     dephasing_mask,
@@ -95,8 +94,7 @@ def test_noisy_evolution_keeps_density_well_formed(seed, rate):
     psi /= np.linalg.norm(psi)
     rho = density_from_state(psi)
     noise = NoiseModel(basis="coin", rate=rate)
-    for _ in range(5):
-        rho = decohere_step(rho, op, noise)
+    *_, rho = density_steps(rho, op, noise, 5)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
     assert np.linalg.eigvalsh(rho).min() > -1e-10

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.arcs import ArcSpace, shift_matrix
-from qwalk.coins import assemble_coin, parse_policy
+from qwalk.arcs import ArcSpace
+from qwalk.coins import ExplicitMap, UniformGrover, grover, parse_policy
 from qwalk.dtqw import (
     TIE_TOL,
     block_scan,
     build_step_operator,
     detect_transfer,
     equal_superposition,
-    evolve,
     haar_states,
     max_transfer_scan,
     peak_step,
@@ -41,6 +40,23 @@ FAMILIES = [
     Join(Edgeless(2), Edgeless(3)),
     DiamondChain(2, loop_ends=True),
 ]
+
+
+def shift_matrix(space: ArcSpace) -> np.ndarray:
+    """Flip-flop shift S as a dense permutation matrix over arcs."""
+    m = space.n_arcs
+    s = np.zeros((m, m), dtype=complex)
+    s[space.reverse, np.arange(m)] = 1.0
+    return s
+
+
+def coin_matrix(g: Graph, policy, space: ArcSpace) -> np.ndarray:
+    """Dense block-diagonal coin C, one ``coin_for`` block per vertex."""
+    c = np.zeros((space.n_arcs, space.n_arcs), dtype=complex)
+    for v in range(g.n):
+        sl = space.vertex_slice(v)
+        c[sl, sl] = policy.coin_for(g, v, space.degree(v))
+    return c
 
 
 # ----- arc space and shift -----
@@ -110,7 +126,27 @@ def _graphs_and_policies(draw):
 def test_step_matrix_is_shift_times_coin(case):
     g, policy = case
     op = build_step_operator(g, policy)
-    assert np.array_equal(op.matrix, shift_matrix(op.space) @ assemble_coin(g, policy, op.space))
+    assert np.array_equal(op.matrix, shift_matrix(op.space) @ coin_matrix(g, policy, op.space))
+
+
+def test_step_operator_runs_hold_the_coin_blocks():
+    g = build(Join(Edgeless(2), Cycle(3)))
+    op = build_step_operator(g, UniformGrover())
+    # two hubs of degree 3, then three cycle vertices of degree 4
+    assert [(lo, hi, blocks.shape) for lo, hi, blocks, _ in op.runs] == [
+        (0, 6, (2, 3, 3)),
+        (6, 18, (3, 4, 4)),
+    ]
+    for _, _, blocks, adjoints in op.runs:
+        d = blocks.shape[1]
+        assert all(np.array_equal(b, grover(d)) for b in blocks)
+        assert np.array_equal(adjoints, blocks.conj().transpose(0, 2, 1))
+
+
+def test_wrong_coin_shape_is_rejected():
+    g = build(Cycle(4))
+    with pytest.raises(ConfigError, match=r"vertex 0: coin block is \(3, 3\), expected \(2, 2\)"):
+        build_step_operator(g, ExplicitMap({0: np.eye(3)}, fallback=UniformGrover()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,7 +164,7 @@ def test_conjugate_matches_dense_product(case, seed):
 
 def test_non_unitary_coin_is_rejected():
     g = build(Cycle(4))
-    for scale in (0.5, 1.0 + 1e-11):
+    for scale in (0.5, 1.0 + 1e-11, float("nan")):
         policy = parse_policy(json.dumps({"0": [[scale, 0.0], [0.0, 1.0]]}))
         with pytest.raises(ToleranceError, match="unitarity defect"):
             build_step_operator(g, policy)
@@ -142,8 +178,7 @@ def test_norm_conserved_over_many_steps(seed):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(op.space.n_arcs) + 1j * rng.standard_normal(op.space.n_arcs)
     psi = psi / np.linalg.norm(psi)
-    for out in evolve(op, psi, 50):
-        pass
+    out = trajectory(op, psi, 50)[-1]
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -151,8 +186,7 @@ def test_probabilities_sum_to_one():
     g = build(Cycle(5))
     op = build_step_operator(g, parse_policy("O3"))
     psi = equal_superposition(op.space, 0)
-    for psi in evolve(op, psi, 7):
-        pass
+    psi = trajectory(op, psi, 7)[-1]
     total = sum(vertex_probability(op.space, psi, v) for v in range(g.n))
     assert abs(total - 1.0) < 1e-12
 
@@ -165,12 +199,17 @@ def test_state_at_vertex_placement():
     assert vertex_probability(space, psi, 2) == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         state_at_vertex(space, 2, [1.0, 0.0, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="unit norm"):
+            state_at_vertex(space, 2, [bad, 0.0])
 
 
 def test_detect_transfer_rejects_bad_init():
     g = build(Cycle(4))
     with pytest.raises(ConfigError, match="arc space"):
         detect_transfer(g, parse_policy("O2"), np.ones(3), (0, 2))
+    with pytest.raises(ToleranceError, match="norm drift nan"):
+        detect_transfer(g, parse_policy("O2"), np.full(8, np.nan), (0, 2), t_max=3)
 
 
 # ----- transfer physics -----
