@@ -41,6 +41,7 @@ from qwalk.dtqw import (
     haar_states,
     max_transfer_scan,
     state_at_vertex,
+    unit_vector,
 )
 from qwalk.errors import ConfigError, ToleranceError
 from qwalk.explorer import interpolation_sweep, pst_search, robustness_sweep
@@ -177,10 +178,9 @@ def parse_init_spec(text: str, space: ArcSpace, source: int, seed: int) -> np.nd
         raise ConfigError(
             f"source vertex {source} has {d} ports but {amps.size} amplitudes given"
         )
-    norm = np.linalg.norm(amps)
-    if norm < 1e-12:
+    if not np.any(amps):
         raise ConfigError("explicit amplitudes cannot all be zero")
-    return state_at_vertex(space, source, amps / norm)
+    return state_at_vertex(space, source, unit_vector(amps))
 
 
 def _parse_haar_spec(text: str, seed: int) -> tuple[int, int] | None:
@@ -213,6 +213,12 @@ def _parse_pair(text: str, n: int, issues: list[str]) -> tuple[int, int]:
     if a == b:
         issues.append("pair vertices must differ")
     return (a, b)
+
+
+def _check_source_ports(g: Graph, source: int, issues: list[str]) -> None:
+    """A coined walk starts on the source's ports, so the source needs some."""
+    if 0 <= source < g.n and g.degree(source) == 0:
+        issues.append(f"vertex {source} has no ports")
 
 
 def _parse_int_list(text: str, label: str, issues: list[str]) -> list[int]:
@@ -343,6 +349,7 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
     g = parse_graph_spec(args.graph)
     pair = _parse_pair(args.pair, g.n, issues)
     track = _parse_track(args.track, pair, g.n, issues)
+    _check_source_ports(g, pair[0], issues)
     _raise_issues(issues)
 
     policy = parse_policy(args.policy)
@@ -419,6 +426,8 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     cfg = _resolve(args, ["steps", "seed"] if model == "dt" else [], issues)
     g = parse_graph_spec(args.graph)
     pair = _parse_pair(args.pair, g.n, issues)
+    if model == "dt":
+        _check_source_ports(g, pair[0], issues)
     basis = "coin" if args.basis is None else args.basis
     if basis not in ("coin", "position", "both"):
         issues.append(f"basis must be coin, position, or both, got {basis!r}")

@@ -4,14 +4,15 @@ The Hamiltonian is gamma * A with gamma fixed at 1.  Evolution goes
 through the eigendecomposition, psi(t) = V exp(-i Lambda t) V* psi(0),
 so states at arbitrary times cost one small matrix product each.
 Transfer detection scans a time grid and sharpens every local maximum
-with golden-section search, and only the refined values are allowed to
-certify perfect transfer.  All maxima of a scan are refined in lockstep:
-each iteration evaluates the objective once, on an array holding the new
-point of every bracket still open, and each bracket makes the same
-comparisons and updates as a search of its own.  A bracket closes when it
-is narrower than the tolerance, or when it returns to a state it held
-before: from t = 8192 on the float spacing exceeds the 1e-12 tolerance,
-and a bracket that can no longer shrink would otherwise cycle for ever.
+of the probability P(t) = |a(t)|^2, and only the refined values are
+allowed to certify perfect transfer.  The slope has a closed form from
+the spectrum, P'(t) = 2 Re(conj(a) a'), and it crosses zero linearly at
+a peak, so each maximum is found by bisecting the sign of the slope
+between its grid neighbours.  All maxima of a scan are refined in
+lockstep, one matrix product per iteration for every bracket still open.
+A bracket closes when its midpoint equals one of its ends, that is when
+its ends are adjacent floats, at any t.  The reported time is the
+earliest refined maximum within ``TIE_TOL`` of the largest.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qwalk.dtqw import PST_TOL, TIE_TOL
 from qwalk.errors import ConfigError, ToleranceError
 from qwalk.graphs import Graph
 
@@ -31,10 +33,9 @@ __all__ = [
     "detect_transfer_ct",
     "analytic_pair_hub_state",
     "CtTransferReport",
-    "golden_section_max",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+RECONSTRUCTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,25 +46,17 @@ class Spectrum:
     eigenvectors: np.ndarray  # columns
 
     @classmethod
-    def from_graph(cls, g: Graph, reconstruction_tol: float = 1e-9) -> "Spectrum":
+    def from_graph(cls, g: Graph) -> "Spectrum":
         vals, vecs = np.linalg.eigh(g.adjacency)
         err = np.abs(vecs @ np.diag(vals) @ vecs.T - g.adjacency).max()
-        if err > reconstruction_tol:
+        if err > RECONSTRUCTION_TOL:
             raise ToleranceError(f"eigendecomposition residual {err:.3e}")
         return cls(vals, vecs)
 
-    def propagate(self, psi0: np.ndarray, t, vertex: int | None = None) -> np.ndarray:
-        """State at time t, or with a vertex its amplitude at each time in t.
-
-        A vertex's amplitudes are one dot product per time with that
-        vertex's row of eigenvectors, which reproduces the bits of the
-        same entry of a full state; a batched ``Y @ V.T`` would not.
-        """
-        if vertex is None:
-            phases = np.exp(-1j * self.eigenvalues * t)
-            return self.eigenvectors @ (phases * (self.eigenvectors.T @ psi0))
-        phases = np.exp(-1j * self.eigenvalues * np.asarray(t)[..., None])
-        return (phases * (self.eigenvectors.T @ psi0)) @ self.eigenvectors[vertex]
+    def propagate(self, psi0: np.ndarray, t: float) -> np.ndarray:
+        """State at time t."""
+        phases = np.exp(-1j * self.eigenvalues * t)
+        return self.eigenvectors @ (phases * (self.eigenvectors.T @ psi0))
 
 
 def evolve_ct(g: Graph, psi0: np.ndarray, t: float) -> np.ndarray:
@@ -81,49 +74,6 @@ def evolve_ct_many(spec: Spectrum, psi0: np.ndarray, times: np.ndarray) -> np.nd
     return (phases * coeff) @ spec.eigenvectors.T
 
 
-def golden_section_max(f, lo, hi, tol: float = 1e-12):
-    """Locate the maximum of a unimodal function on each bracket [lo, hi].
-
-    lo and hi are floats or equal-length 1-D arrays, and f maps a 1-D
-    array of points to their values.  The brackets run in lockstep (see
-    the module docstring), so each result is the one a search of that
-    bracket alone would give.  Returns (x, f(x)) at the midpoint of each
-    final bracket: floats for float ends, else arrays.
-    """
-    state = np.empty((4, np.size(lo)))
-    a, b, c, d = state  # views: a bracket's state is its column
-    a[:], b[:] = lo, hi
-    h = b - a
-    c[:] = b - _INVPHI * h
-    d[:] = a + _INVPHI * h
-    fc, fd = np.split(f(state[2:].ravel()), 2)
-    k = np.flatnonzero(h > tol)  # open brackets
-    saved, save_at, it = None, 1, 0
-    while k.size:
-        left = fc[k] > fd[k]
-        lk, rk = k[left], k[~left]
-        b[lk], d[lk], fd[lk] = d[lk], c[lk], fc[lk]
-        a[rk], c[rk], fc[rk] = c[rk], d[rk], fd[rk]
-        h[k] = b[k] - a[k]
-        c[lk] = b[lk] - _INVPHI * h[lk]
-        d[rk] = a[rk] + _INVPHI * h[rk]
-        fk = f(np.where(left, c[k], d[k]))
-        fc[lk], fd[rk] = fk[left], fk[~left]
-        open_ = h[k] > tol
-        if saved is not None:
-            # Brent's cycle detection: a state that comes back repeats for ever
-            open_ &= (state[:, k] != saved[:, k]).any(axis=0)
-        it += 1
-        if it == save_at:
-            saved, save_at = state.copy(), 2 * save_at
-        k = k[open_]
-    x = (a + b) / 2
-    fx = f(x)
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        return float(x[0]), float(fx[0])
-    return x, fx
-
-
 @dataclass(frozen=True)
 class CtTransferReport:
     source: int
@@ -137,7 +87,6 @@ class CtTransferReport:
     max_time: float
     high_amplitude: bool
     lam: float
-    pst_tol: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,16 +98,35 @@ class CtTransferReport:
             "max_time": self.max_time,
             "high_amplitude": self.high_amplitude,
             "lam": self.lam,
-            "pst_tol": self.pst_tol,
+            "pst_tol": PST_TOL,
         }
 
 
 def _refined_maxima(
-    series: np.ndarray, times: np.ndarray, value_at
+    series: np.ndarray, times: np.ndarray, spec: Spectrum, psi0: np.ndarray, v: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refined (times, values) of every interior local maximum of a grid scan, in grid order."""
+    """Refined (times, values) of every interior local maximum of a grid scan, in grid order.
+
+    The amplitude at v is a(t) = sum_k w_k exp(-i lambda_k t) with
+    w = (V^T psi0) * V[v], so one product with the columns (w, -i lambda w)
+    gives a and a' at every open bracket's midpoint.  The midpoint replaces
+    lo where the slope Re(conj(a) a') is positive and hi elsewhere.
+    """
     i = np.flatnonzero((series[1:-1] >= series[:-2]) & (series[1:-1] > series[2:])) + 1
-    return golden_section_max(value_at, times[i - 1], times[i + 1])
+    lo, hi = times[i - 1], times[i + 1]
+    w = (spec.eigenvectors.T @ psi0) * spec.eigenvectors[v]
+    weights = np.stack([w, -1j * spec.eigenvalues * w], axis=1)
+    peak_t, peak_p = np.empty(i.size), np.empty(i.size)
+    k = np.arange(i.size)  # open brackets
+    while k.size:
+        mid = (lo[k] + hi[k]) / 2
+        a, da = (np.exp(-1j * np.outer(mid, spec.eigenvalues)) @ weights).T
+        done = (mid == lo[k]) | (mid == hi[k])
+        peak_t[k[done]], peak_p[k[done]] = mid[done], np.abs(a[done]) ** 2
+        rising = (a.conj() * da).real > 0
+        lo[k[rising]], hi[k[~rising]] = mid[rising], mid[~rising]
+        k = k[~done]
+    return peak_t, peak_p
 
 
 def detect_transfer_ct(
@@ -167,7 +135,6 @@ def detect_transfer_ct(
     t_max: float = 100.0,
     dt: float = 0.01,
     lam: float = 0.9,
-    pst_tol: float = 1e-9,
 ) -> CtTransferReport:
     """Scan [0, t_max] for transfer and periodicity of the continuous walk."""
     source, target = pair
@@ -179,14 +146,11 @@ def detect_transfer_ct(
     vertex_series = np.abs(states) ** 2
     target_series = vertex_series[:, target]
 
-    def prob_at(v: int):
-        return lambda t: np.abs(spec.propagate(psi0, t, vertex=v)) ** 2
-
-    peak_t, peak_p = _refined_maxima(target_series, times, prob_at(target))
-    pst_times = tuple(peak_t[peak_p >= 1.0 - pst_tol].tolist())
+    peak_t, peak_p = _refined_maxima(target_series, times, spec, psi0, target)
+    pst_times = tuple(peak_t[peak_p >= 1.0 - PST_TOL].tolist())
     if peak_p.size:
-        best = int(np.argmax(peak_p))
-        max_time, max_probability = float(peak_t[best]), float(peak_p[best])
+        max_probability = float(peak_p.max())
+        max_time = float(peak_t[np.argmax(peak_p >= max_probability - TIE_TOL)])
     else:
         max_time, max_probability = 0.0, float(target_series[0])
     grid_best = int(np.argmax(target_series))
@@ -200,8 +164,8 @@ def detect_transfer_ct(
     period = None
     if dipped.size:
         start = dipped[0]
-        back_t, back_p = _refined_maxima(fid_series[start:], times[start:], prob_at(source))
-        certified = np.flatnonzero(back_p >= 1.0 - pst_tol)
+        back_t, back_p = _refined_maxima(fid_series[start:], times[start:], spec, psi0, source)
+        certified = np.flatnonzero(back_p >= 1.0 - PST_TOL)
         if certified.size:
             period = float(back_t[certified[0]])
     return CtTransferReport(
@@ -216,7 +180,6 @@ def detect_transfer_ct(
         max_time=max_time,
         high_amplitude=max_probability > lam,
         lam=lam,
-        pst_tol=pst_tol,
     )
 
 

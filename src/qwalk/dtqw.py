@@ -38,6 +38,7 @@ __all__ = [
     "build_step_operator",
     "state_at_vertex",
     "equal_superposition",
+    "unit_vector",
     "vertex_probability",
     "trajectory",
     "peak_step",
@@ -52,6 +53,8 @@ __all__ = [
 
 UNITARITY_TOL = 1e-12
 TIE_TOL = 1e-12
+PST_TOL = 1e-9
+_MIN_NORM = 2.0 ** -511  # smallest norm whose square, 2**-1022, is a normal float
 _CHUNK_BYTES = 1 << 21  # bound on a trajectory piece or a table of outer products
 _CHUNK_ROWS = 256  # Haar samples folded per matrix product
 
@@ -158,6 +161,20 @@ def equal_superposition(space: ArcSpace, v: int) -> np.ndarray:
     return state_at_vertex(space, v, np.ones(d) / np.sqrt(d))
 
 
+def unit_vector(amps: np.ndarray) -> np.ndarray:
+    """Nonzero amps over their norm, without overflow or underflow.
+
+    The norm sums squares, so when its square leaves the normal float range
+    the amplitudes are first divided by their largest modulus.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(amps)
+    if not _MIN_NORM <= norm < np.inf:
+        amps = amps / np.abs(amps).max()
+        norm = np.linalg.norm(amps)
+    return amps / norm
+
+
 def vertex_probability(space: ArcSpace, psi: np.ndarray, v: int) -> float | np.ndarray:
     """Probability at v of a state, or of each state along leading axes."""
     block = np.asarray(psi)[..., space.vertex_slice(v)]
@@ -219,14 +236,13 @@ class TransferReport:
     source_series: np.ndarray       # probability back at source
     fidelity_series: np.ndarray     # |<psi0|psi_t>|^2
     vertex_series: np.ndarray       # (steps + 1, n) probability at every vertex
-    pst_steps: tuple[int, ...]      # steps with target probability >= 1 - pst_tol
+    pst_steps: tuple[int, ...]      # steps with target probability >= 1 - PST_TOL
     strict_period: int | None       # first full-state return
     positional_period: int | None   # first all-probability return to source
     max_probability: float
     max_step: int
     high_amplitude: bool
     lam: float
-    pst_tol: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,7 +257,7 @@ class TransferReport:
             "max_step": self.max_step,
             "high_amplitude": self.high_amplitude,
             "lam": self.lam,
-            "pst_tol": self.pst_tol,
+            "pst_tol": PST_TOL,
         }
 
 
@@ -252,7 +268,6 @@ def detect_transfer(
     pair: tuple[int, int],
     t_max: int = 100,
     lam: float = 0.9,
-    pst_tol: float = 1e-9,
 ) -> TransferReport:
     """Evolve for t_max steps and summarize transfer between the pair.
 
@@ -276,9 +291,9 @@ def detect_transfer(
     if not drift <= 1e-9:
         raise ToleranceError(f"norm drift {drift:.3e} after {t_max} steps")
     steps = np.arange(1, t_max + 1)
-    pst_steps = steps[probs[1:, target] >= 1.0 - pst_tol]
-    strict = steps[fidelity_series[1:] >= 1.0 - pst_tol]
-    positional = steps[probs[1:, source] >= 1.0 - pst_tol]
+    pst_steps = steps[probs[1:, target] >= 1.0 - PST_TOL]
+    strict = steps[fidelity_series[1:] >= 1.0 - PST_TOL]
+    positional = steps[probs[1:, source] >= 1.0 - PST_TOL]
     max_probability = float(probs[1:, target].max())
     return TransferReport(
         source=source,
@@ -294,7 +309,6 @@ def detect_transfer(
         max_step=peak_step(probs[1:, target]),
         high_amplitude=max_probability > lam,
         lam=lam,
-        pst_tol=pst_tol,
     )
 
 

@@ -45,6 +45,7 @@ from qwalk.dtqw import (
     peak_step,
     target_block_powers,
     trajectory,
+    unit_vector,
     vertex_probability,
 )
 from qwalk.errors import ConfigError
@@ -495,7 +496,7 @@ def robustness_sweep(
                 amps[-1] = 1.0 - mag
             else:
                 amps[-1] = np.exp(1j * mag)
-            amps = amps / np.linalg.norm(amps)
+            amps = unit_vector(amps)
             out[i, j] = float(np.sum(np.abs(block @ amps) ** 2))
     return RobustnessResult(kind, n_values, mags, out, step)
 

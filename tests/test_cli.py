@@ -100,6 +100,26 @@ def test_non_finite_or_empty_inputs_are_rejected(argv, code, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["dtqw", "decohere"])
+@pytest.mark.parametrize("init", ["equal", "haar:1", "haar:5", "1", "1,1"])
+def test_source_without_ports_is_refused(command, init, capsys):
+    argv = [command, "--graph", "edgeless n=3", "--pair", "0,1", "--init", init]
+    assert main(argv) == 1
+    assert "vertex 0 has no ports" in capsys.readouterr().err
+
+
+def test_huge_amplitudes_name_the_same_direction(tmp_path, capsys):
+    out = {}
+    for init in ("1,1", "1e308,1e308"):
+        stem = tmp_path / init
+        argv = ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "6", "--init", init]
+        assert main(argv + ["--out", str(stem)]) == 0
+        out[init] = (stem.with_suffix(".csv").read_bytes(),
+                     stem.with_suffix(".json").read_text().replace(init, "<init>"))
+    assert out["1e308,1e308"] == out["1,1"]
+    assert capsys.readouterr().err == ""
+
+
 def test_validation_reports_all_problems(capsys):
     code = main(["dtqw", "--graph", "cycle n=6", "--pair", "0,19",
                  "--steps", "-3", "--track", "1,99"])

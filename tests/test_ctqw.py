@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk.ctqw import (
-    _INVPHI,
     Spectrum,
+    _refined_maxima,
     analytic_pair_hub_state,
     detect_transfer_ct,
     evolve_ct,
     evolve_ct_many,
-    golden_section_max,
 )
-from qwalk.graphs import Complete, Cycle, Edgeless, Join, Path, build
+from qwalk.graphs import Complete, Cycle, Edgeless, Graph, Join, Path, build
 
 
 def test_spectrum_reproduces_matrix_exponential():
@@ -146,147 +145,86 @@ def test_report_vertex_series_is_the_scanned_evolution():
     assert np.array_equal(rep.target_series, rep.vertex_series[:, 3])
 
 
-# ----- numerics -----
+# ----- refinement by slope bisection -----
 
-def test_golden_section_finds_peak():
-    t, v = golden_section_max(np.sin, 1.0, 2.0, tol=1e-12)
-    assert t == pytest.approx(np.pi / 2, abs=1e-6)
-    assert v == pytest.approx(1.0, abs=1e-12)
-
-
-def test_golden_section_closes_brackets_that_stop_shrinking():
-    # from t = 8192 on, adjacent floats lie further apart than tol = 1e-12
-    lo = 2 * np.pi * 8192 + 1.0
-    t, v = golden_section_max(np.sin, lo, lo + 1.0)
-    assert t == pytest.approx(2 * np.pi * 8192 + np.pi / 2, abs=1e-6)
-    assert v == pytest.approx(1.0, abs=1e-12)
+def _odd_multiples_table():
+    """(graph, pair, period, PST spacing h or None): PST at the odd multiples of h."""
+    rows = [(build(Cycle(4)), (0, 2), math.pi, math.pi / 2),
+            (build(Complete(4)), (0, 1), math.pi / 2, None),
+            (build(Cycle(6)), (0, 3), 2 * math.pi, None)]
+    for n in (3, 9):
+        w = math.sqrt(2 * n)
+        rows.append((build(Join(Edgeless(2), Edgeless(n))), (0, 1), 2 * math.pi / w, math.pi / w))
+    return rows
 
 
-# ----- lockstep refinement against one golden-section loop per bracket -----
-
-def _scalar_golden_section_max(f, lo, hi, tol=1e-12, max_iter=None):
-    """Reference: the one-bracket loop that the lockstep search replaced.
-
-    With max_iter, returns None once the loop has run that many times
-    without closing; a bracket that stops shrinking never closes.
-    """
-    a, b = lo, hi
-    h = b - a
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    it = 0
-    while h > tol:
-        it += 1
-        if max_iter is not None and it > max_iter:
-            return None
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+@pytest.mark.parametrize("t_max, dt", [(100.0, 0.01), (400.0, 0.05)], ids=["tmax100", "tmax400"])
+@pytest.mark.parametrize("g, pair, period, h", _odd_multiples_table(),
+                         ids=["C4", "K4", "C6", "K2+K3", "K2+K9"])
+def test_refined_times_match_closed_forms(g, pair, period, h, t_max, dt):
+    rep = detect_transfer_ct(g, pair, t_max=t_max, dt=dt)
+    assert abs(rep.period - period) <= 1e-15 * max(1.0, period)
+    if h is None:
+        assert rep.pst_times == ()
+        return
+    odd = [round((t / h - 1) / 2) for t in rep.pst_times]
+    assert odd == list(range(len(odd)))  # every odd multiple in turn, none skipped
+    assert (2 * len(odd) + 1) * h > t_max - dt  # up to the end of the scan
+    for j, t in zip(odd, rep.pst_times):
+        exact = (2 * j + 1) * h
+        assert abs(t - exact) <= 1e-15 * max(1.0, exact)
 
 
-def _scalar_prob_at(spec, psi0, v):
-    return lambda t: float(np.abs(spec.propagate(psi0, t)[v]) ** 2)
+@pytest.mark.parametrize("g, pair, first", [
+    (build(Cycle(6)), (0, 3), 2 * math.pi / 3),
+    (build(Cycle(4)), (0, 1), math.pi / 4),
+    (build(Complete(4)), (0, 1), math.pi / 4),
+], ids=["C6", "C4", "K4"])
+def test_max_time_is_the_earliest_tied_maximum(g, pair, first):
+    # the walks are periodic, so every later peak ties the first one
+    for t_max in (100.0, 400.0):
+        rep = detect_transfer_ct(g, pair, t_max=t_max, dt=0.01)
+        assert abs(rep.max_time - first) <= 1e-15
+        assert rep.max_time == detect_transfer_ct(g, pair, t_max=10.0, dt=0.01).max_time
 
 
-def _grid_brackets(series, times):
-    """(lo, hi) around every interior local maximum of a grid scan, one at a time."""
-    return [(times[i - 1], times[i + 1]) for i in range(1, len(series) - 1)
-            if series[i] >= series[i - 1] and series[i] > series[i + 1]]
+@pytest.mark.parametrize("start, dt, peak", [
+    (0.0, 1.7, math.pi / 2),
+    (2 * math.pi * 8192 + 1.0, 0.5, (2 * 16384 + 1) * math.pi / 2),
+], ids=["first-interval", "past-8192"])
+def test_brackets_close_at_any_time(start, dt, peak):
+    # K2 from vertex 0: the probability at vertex 1 is sin^2 t
+    g = build(Complete(2))
+    times = start + dt * np.arange(3.0)
+    (t,), (p,) = _refined_maxima(np.sin(times) ** 2, times, Spectrum.from_graph(g),
+                                 np.array([1.0, 0.0], dtype=complex), 1)
+    assert abs(t - peak) <= 1e-15 * max(1.0, peak)
+    assert p == pytest.approx(1.0, abs=1e-15)
 
 
-def _scan(g, source, t_max, dt):
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(2, 8))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n))
+    adj[np.triu_indices(n, 1)] = bits
+    return Graph(adj + adj.T)
+
+
+@given(_small_graphs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_refined_maxima_are_local_maxima(g, data):
+    source, v = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
     spec = Spectrum.from_graph(g)
     psi0 = np.zeros(g.n, dtype=complex)
     psi0[source] = 1.0
-    times = np.arange(0.0, t_max + dt / 2, dt)
-    return spec, psi0, times, np.abs(evolve_ct_many(spec, psi0, times)) ** 2
-
-
-@pytest.mark.parametrize("g, pair, t_max", [
-    (build(Cycle(8)), (0, 4), 400.0),
-    (build(Join(Edgeless(2), Edgeless(9))), (0, 1), 100.0),
-], ids=["C8", "K2+K9"])
-def test_lockstep_refinement_matches_scalar_loop_bit_for_bit(g, pair, t_max):
-    spec, psi0, times, series = _scan(g, pair[0], t_max, 0.01)
-    for v in pair:
-        brackets = _grid_brackets(series[:, v], times)
-        assert len(brackets) > 10
-        lo, hi = np.array(brackets).T
-        x, fx = golden_section_max(lambda t: np.abs(spec.propagate(psi0, t, vertex=v)) ** 2, lo, hi)
-        want = [_scalar_golden_section_max(_scalar_prob_at(spec, psi0, v), a, b) for a, b in brackets]
-        assert list(zip(x.tolist(), fx.tolist())) == want
-
-
-@given(
-    st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 5.0), st.floats(0.0, 6.3)),
-             min_size=1, max_size=4),
-    st.floats(0.0, 1e5),
-    st.floats(-18.0, -10.0),
-)
-# a bracket here holds still for one iteration and then closes in the scalar loop
-@example([(1.0677480765932599, 3.6921710738171214, 2.106088554711003)], 5268.274061647428,
-         math.log10(9.61889064024553e-13))
-@settings(max_examples=30, deadline=None)
-def test_lockstep_refinement_matches_scalar_loop_on_sinusoids(terms, start, log_tol):
-    def value(t):
-        return sum(amp * math.sin(w * t + phase) for amp, w, phase in terms)
-
-    times = start + np.arange(0.0, 10.0, 0.05)
-    brackets = _grid_brackets([value(t) for t in times], times)
-    lo, hi = np.array(brackets).reshape(-1, 2).T
-    tol = 10.0 ** log_tol
-    x, fx = golden_section_max(lambda ts: np.array([value(t) for t in ts]), lo, hi, tol)
-    for j, (a, b) in enumerate(brackets):
-        want = _scalar_golden_section_max(value, a, b, tol, max_iter=500)
-        if want is None:  # the loop never closes this bracket: only its range is fixed
-            assert a <= x[j] <= b and fx[j] == value(x[j])
-        else:
-            assert (x[j], fx[j]) == want
-
-
-def _scalar_transfer_reference(g, pair, t_max, dt, pst_tol=1e-9):
-    """pst_times, period, max_time, max_probability refined one maximum at a time."""
-    source, target = pair
-    spec, psi0, times, series = _scan(g, source, t_max, dt)
-    maxima = [_scalar_golden_section_max(_scalar_prob_at(spec, psi0, target), a, b)
-              for a, b in _grid_brackets(series[:, target], times)]
-    pst_times = tuple(t for t, p in maxima if p >= 1.0 - pst_tol)
-    max_time, max_p = max(maxima, key=lambda tp: tp[1]) if maxima else (0.0, series[0, target])
-    best = int(np.argmax(series[:, target]))
-    if series[best, target] > max_p:
-        max_time, max_p = times[best], series[best, target]
-    period = None
-    dipped = np.nonzero(series[:, source] < 0.5)[0]
-    if dipped.size:
-        start = dipped[0]
-        for a, b in _grid_brackets(series[start:, source], times[start:]):
-            t, p = _scalar_golden_section_max(_scalar_prob_at(spec, psi0, source), a, b)
-            if p >= 1.0 - pst_tol:
-                period = t
-                break
-    return pst_times, period, max_time, max_p
-
-
-@pytest.mark.parametrize("g, pair", [
-    (build(Cycle(4)), (0, 2)),
-    (build(Cycle(6)), (0, 3)),
-    (build(Cycle(8)), (0, 4)),
-    (build(Join(Edgeless(2), Edgeless(9))), (0, 1)),
-    (build(Join(Edgeless(2), Cycle(7))), (0, 1)),
-    (build(Path(5)), (0, 4)),
-    (build(Complete(4)), (0, 1)),
-], ids=["C4", "C6", "C8", "K2+K9", "K2+C7", "P5", "K4"])
-def test_detect_transfer_ct_equals_scalar_refinement(g, pair):
-    rep = detect_transfer_ct(g, pair, t_max=100.0, dt=0.01)
-    got = (rep.pst_times, rep.period, rep.max_time, rep.max_probability)
-    assert got == _scalar_transfer_reference(g, pair, 100.0, 0.01)
+    times = np.arange(0.0, 20.0 + 0.005, 0.01)
+    series = np.abs(evolve_ct_many(spec, psi0, times)[:, v]) ** 2
+    peak_t, peak_p = _refined_maxima(series, times, spec, psi0, v)
+    i = np.flatnonzero((series[1:-1] >= series[:-2]) & (series[1:-1] > series[2:])) + 1
+    assert peak_t.shape == peak_p.shape == i.shape
+    assert np.all((times[i - 1] <= peak_t) & (peak_t <= times[i + 1]))
+    assert np.all(peak_p >= series[i] - 1e-15)
+    for step in (-1e-7, 1e-7):
+        near = np.abs(evolve_ct_many(spec, psi0, peak_t + step)[:, v]) ** 2
+        assert np.all(peak_p >= near - 1e-15)

@@ -331,6 +331,15 @@ def test_defect_sweep_zero_magnitude_is_perfect():
     assert np.all(res.probabilities[:, 1] < 1.0)
 
 
+def test_defect_sweep_normalises_huge_magnitudes():
+    # 1 - 1e300 leaves the state on the last port; its squared norm overflows
+    res = robustness_sweep("defect", [3], magnitudes=[1e300])
+    last = np.zeros(3)
+    last[-1] = 1.0
+    want = np.sum(np.abs(explorer._hub_cycle_block(3, 6) @ last) ** 2)
+    assert abs(res.probabilities[0, 0] - want) <= 1e-12
+
+
 def test_phase_sweep_worst_case_at_pi():
     res = robustness_sweep("phase", [3], magnitudes=[np.pi / 2, np.pi])
     assert res.probabilities[0, 1] < res.probabilities[0, 0]
