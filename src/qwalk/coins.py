@@ -158,7 +158,6 @@ class PresetRow:
     """
 
     row: int
-    seed: int = 0
 
     @property
     def name(self) -> str:
@@ -170,7 +169,7 @@ class PresetRow:
         hubs = {0, 1}
         if self.row == 2:
             if v in hubs:
-                return _haar_unitary(d, self.seed + v)
+                return _haar_unitary(d, v)
             if d != 2:
                 raise ConfigError(f"vertex {v}: preset row 2 expects degree 2, got {d}")
             return grover(2)

@@ -122,7 +122,8 @@ def _refined_maxima(
         mid = (lo[k] + hi[k]) / 2
         a, da = (np.exp(-1j * np.outer(mid, spec.eigenvalues)) @ weights).T
         done = (mid == lo[k]) | (mid == hi[k])
-        peak_t[k[done]], peak_p[k[done]] = mid[done], np.abs(a[done]) ** 2
+        # |a|^2 of a spectral sum can land a few ulps above 1; no probability does
+        peak_t[k[done]], peak_p[k[done]] = mid[done], np.minimum(np.abs(a[done]) ** 2, 1.0)
         rising = (a.conj() * da).real > 0
         lo[k[rising]], hi[k[~rising]] = mid[rising], mid[~rising]
         k = k[~done]
@@ -152,10 +153,11 @@ def detect_transfer_ct(
         max_probability = float(peak_p.max())
         max_time = float(peak_t[np.argmax(peak_p >= max_probability - TIE_TOL)])
     else:
-        max_time, max_probability = 0.0, float(target_series[0])
+        max_time, max_probability = 0.0, min(float(target_series[0]), 1.0)
     grid_best = int(np.argmax(target_series))
-    if target_series[grid_best] > max_probability:
-        max_time, max_probability = float(times[grid_best]), float(target_series[grid_best])
+    grid_p = min(float(target_series[grid_best]), 1.0)
+    if grid_p > max_probability:
+        max_time, max_probability = float(times[grid_best]), grid_p
 
     # psi0 is the source basis vector, so its fidelity is the source probability
     fid_series = vertex_series[:, source]

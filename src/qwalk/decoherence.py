@@ -69,6 +69,7 @@ __all__ = [
     "RateSweep",
 ]
 
+DENSITY_TOL = 1e-8  # trace, Hermiticity and positivity slack of a density matrix
 _BASES = ("position", "coin", "both")
 
 
@@ -105,15 +106,15 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def validate_density(rho: np.ndarray, tol: float = 1e-8) -> None:
+def validate_density(rho: np.ndarray) -> None:
     if not np.all(np.isfinite(rho)):
         raise ToleranceError("density matrix has non-finite entries")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    if abs(np.trace(rho).real - 1.0) > DENSITY_TOL or abs(np.trace(rho).imag) > DENSITY_TOL:
         raise ToleranceError(f"density trace {np.trace(rho)!r} drifted from 1")
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if np.abs(rho - rho.conj().T).max() > DENSITY_TOL:
         raise ToleranceError("density matrix lost Hermiticity")
     lo = np.linalg.eigvalsh(rho).min()
-    if lo < -tol:
+    if lo < -DENSITY_TOL:
         raise ToleranceError(f"density matrix lost positivity (min eigenvalue {lo:.3e})")
 
 

@@ -26,12 +26,13 @@ G_t (eigvalsh over all steps at once) reaching (1 - PST_SINGULAR_TOL)^2.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,7 +50,7 @@ from qwalk.dtqw import (
     vertex_probability,
 )
 from qwalk.errors import ConfigError
-from qwalk.graphs import Cycle, Edgeless, Graph, Join, build, canonical_key
+from qwalk.graphs import Cycle, Edgeless, Graph, Join, Path, build, canonical_key
 
 __all__ = [
     "VariantDescriptor",
@@ -260,32 +261,13 @@ class SearchRecord:
     frac_over_lambda: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "key": self.key,
-                "descriptor": self.descriptor,
-                "policy": self.policy,
-                "best_p": self.best_p,
-                "best_step": self.best_step,
-                "pst": self.pst,
-                "pst_steps": list(self.pst_steps),
-                "frac_over_lambda": self.frac_over_lambda,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, line: str) -> "SearchRecord":
         data = json.loads(line)
-        return cls(
-            key=data["key"],
-            descriptor=data["descriptor"],
-            policy=data["policy"],
-            best_p=data["best_p"],
-            best_step=data["best_step"],
-            pst=data["pst"],
-            pst_steps=tuple(data["pst_steps"]),
-            frac_over_lambda=data["frac_over_lambda"],
-        )
+        data["pst_steps"] = tuple(data["pst_steps"])
+        return cls(**data)
 
 
 def _search_cell(
@@ -338,42 +320,50 @@ def pst_search(
 ) -> list[SearchRecord]:
     """Survey every variant under every policy and sort by best transfer.
 
-    With a sink path, each record is appended to a JSON-lines file and
-    flushed as soon as its cell finishes, in cell order, and cells
-    already present in the file are skipped, so an interrupted
-    enumeration resumes where it stopped.  A torn last line, left by a
-    kill in the middle of a write, is cut from the file and its cell
-    runs again.  Per-cell seeds derive from the master seed, the cell's
-    position and its policy, which keeps results identical however many
-    workers run.
+    Policy names are parsed first, so a bad or repeated name raises
+    ``ConfigError`` before the sink is touched.  One task is one variant:
+    the graph built while keying it is walked under every policy still
+    missing from the sink.  With a sink path, each variant's records are
+    appended to a JSON-lines file and flushed as soon as its cells
+    finish, in variant order, so a kill loses at most the finished cells
+    of one variant and a rerun skips every cell already present.  A torn
+    last line, left by a kill in the middle of a write, is cut from the
+    file and its cell runs again.  Per-cell seeds derive from the master
+    seed, the variant's position and the policy, which keeps results
+    identical however many workers run.
     """
-    pair = (0, base // 2)
+    parsed: dict[str, CoinPolicy] = {}
+    for name in policies:
+        if name in parsed:
+            raise ConfigError(f"policy {name!r} listed twice")
+        parsed[name] = parse_policy(name)
     records = _read_sink(sink_path) if sink_path and os.path.exists(sink_path) else []
     done = {(rec.key, rec.policy) for rec in records}
 
-    cells = []
-    for idx, (raw_key, desc, _) in enumerate(_keyed_variants(base, max_new)):
+    tasks = []
+    for idx, (raw_key, desc, g) in enumerate(_keyed_variants(base, max_new)):
         key = raw_key.hex()
-        for policy_name in policies:
-            if (key, policy_name) in done:
-                continue
-            cell_seed = np.random.SeedSequence([seed, idx, _policy_index(policy_name)])
-            cells.append((key, desc, policy_name, cell_seed, pair, samples, t_max, lam))
+        missing = [(name, pol) for name, pol in parsed.items() if (key, name) not in done]
+        if missing:
+            tasks.append((idx, key, desc, g, missing))
+    run = functools.partial(
+        _run_variant, pair=(0, base // 2), samples=samples, t_max=t_max, lam=lam, seed=seed
+    )
 
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(open(sink_path, "a")) if sink_path else None
-        if workers > 1 and len(cells) > 1:
+        if workers > 1 and len(tasks) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            fresh = pool.map(_run_cell, cells, chunksize=8)
+            fresh = pool.map(run, tasks, chunksize=max(1, round(8 / len(parsed))))
         else:
-            fresh = map(_run_cell, cells)
-        for rec in fresh:
+            fresh = map(run, tasks)
+        for variant_records in fresh:
             if sink:
-                sink.write(rec.to_json() + "\n")
+                sink.writelines(rec.to_json() + "\n" for rec in variant_records)
                 sink.flush()
-            records.append(rec)
+            records.extend(variant_records)
     records.sort(key=lambda r: -r.best_p)
     return records
 
@@ -394,23 +384,17 @@ def _policy_index(name: str) -> int:
     return {"O1": 1, "O2": 2, "O3": 3}.get(name) or zlib.crc32(name.encode())
 
 
-def _run_cell(cell) -> SearchRecord:
-    key, desc, policy_name, cell_seed, pair, samples, t_max, lam = cell
-    policy = parse_policy(policy_name)
-    seeds = tuple(int(child.generate_state(1)[0]) for child in cell_seed.spawn(2))
-    best_p, best_step, pst, pst_steps, frac = _search_cell(
-        build_variant(desc), policy, pair, samples, t_max, seeds, lam
-    )
-    return SearchRecord(
-        key=key,
-        descriptor=desc.to_json_dict(),
-        policy=policy_name,
-        best_p=best_p,
-        best_step=best_step,
-        pst=pst,
-        pst_steps=pst_steps,
-        frac_over_lambda=frac,
-    )
+def _run_variant(task, pair, samples, t_max, lam, seed) -> list[SearchRecord]:
+    """Records of one (index, key, descriptor, graph, policies) task, in policy order."""
+    idx, key, desc, g, policies = task
+    out = []
+    for name, policy in policies:
+        cell_seed = np.random.SeedSequence([seed, idx, _policy_index(name)])
+        seeds = tuple(int(child.generate_state(1)[0]) for child in cell_seed.spawn(2))
+        # _search_cell returns the record's fields after the policy, in order
+        cell = _search_cell(g, policy, pair, samples, t_max, seeds, lam)
+        out.append(SearchRecord(key, desc.to_json_dict(), name, *cell))
+    return out
 
 
 # ===== Initial-state family for tailed cycles =====
@@ -542,12 +526,8 @@ def _chain_graphs(chain: str, n: int) -> tuple[Graph, Graph]:
     if chain == "k2kn-k2cn":
         return build(Join(Edgeless(2), Edgeless(n))), build(Join(Edgeless(2), Cycle(n)))
     if chain == "k2kn-k2pn":
-        from qwalk.graphs import Path
-
         return build(Join(Edgeless(2), Edgeless(n))), build(Join(Edgeless(2), Path(n)))
     if chain == "k2pn-k2cn":
-        from qwalk.graphs import Path
-
         return build(Join(Edgeless(2), Path(n))), build(Join(Edgeless(2), Cycle(n)))
     raise ConfigError(f"interpolation chain must be one of {_CHAINS}, got {chain!r}")
 

@@ -37,8 +37,6 @@ __all__ = [
     "graph_from_json",
 ]
 
-_SYMMETRY_TOL = 0.0  # adjacency must be exactly symmetric
-
 
 # ===== Core container =====
 

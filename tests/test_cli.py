@@ -558,6 +558,22 @@ def test_search_cli_schema(tmp_path, capsys):
     assert len(sink.read_text().splitlines()) == 24
 
 
+@pytest.mark.parametrize("policies, message", [
+    ("O2,table1:9", "preset row must be 1..4, got 9"),
+    ("O2,O2", "policy 'O2' listed twice"),
+], ids=["invalid", "repeated"])
+def test_search_checks_policies_before_writing(tmp_path, capsys, policies, message):
+    fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
+    kept.write_text('{"torn')
+    for sink in (fresh, kept):
+        argv = ["search", "--base", "4", "--max-new", "1", "--samples", "5", "--steps", "4",
+                "--workers", "1", "--policies", policies, "--out", str(sink)]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+    assert not fresh.exists()
+    assert kept.read_text() == '{"torn'
+
+
 def test_search_stdout_filters(tmp_path, capsys):
     argv = ["search", "--base", "4", "--max-new", "1", "--samples", "50",
             "--steps", "10", "--workers", "1", "--pst-only"]

@@ -97,6 +97,17 @@ def test_cycle4_transfers_at_quarter_turn():
     assert rep.pst_times[0] == pytest.approx(np.pi / 2, abs=1e-6)
 
 
+def test_transfer_maximum_is_capped_at_one():
+    # |a|^2 of the spectral sum reads 1.0000000000000004 at C4's quarter turn
+    rep = detect_transfer_ct(build(Cycle(4)), (0, 2))
+    assert rep.max_probability == 1.0
+    assert rep.max_time == pytest.approx(np.pi / 2, abs=1e-12)
+    # on C8 the t = 0 grid value (1 + 2 ulps) beats every refined return
+    rep = detect_transfer_ct(build(Cycle(8)), (0, 0), t_max=10.0)
+    assert rep.target_series[0] > 1.0
+    assert (rep.max_probability, rep.max_time) == (1.0, 0.0)
+
+
 def test_cycle6_peaks_at_three_quarters():
     g = build(Cycle(6))
     rep = detect_transfer_ct(g, (0, 3), t_max=60.0, dt=0.01)

@@ -177,16 +177,17 @@ def test_search_worker_count_does_not_change_results():
     assert serial == parallel
 
 
-def test_search_sink_resumes(tmp_path):
+@pytest.mark.parametrize("kept", [12, 13], ids=["between-variants", "inside-variant"])
+def test_search_sink_resumes(tmp_path, kept):
     sink = tmp_path / "records.jsonl"
     full = pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
     lines = sink.read_text().strip().splitlines()
     assert len(lines) == 24
-    # drop the second half and resume; the rerun must only add the missing cells
-    sink.write_text("\n".join(lines[:12]) + "\n")
+    # keep a prefix and resume; the rerun must only add the missing cells
+    sink.write_text("\n".join(lines[:kept]) + "\n")
     resumed = pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
     assert sorted(r.to_json() for r in resumed) == sorted(r.to_json() for r in full)
-    assert len(sink.read_text().strip().splitlines()) == 24
+    assert sorted(sink.read_text().splitlines()) == sorted(lines)
 
 
 def test_search_sink_cuts_torn_last_line(tmp_path):
@@ -202,19 +203,40 @@ def test_search_sink_cuts_torn_last_line(tmp_path):
 
 def test_search_sink_streams_finished_cells(tmp_path, monkeypatch):
     sink = tmp_path / "records.jsonl"
-    run_cell = explorer._run_cell
+    run_variant = explorer._run_variant
     done = []
 
-    def failing_after_five(cell):
-        if len(done) == 5:
+    def failing_on_third(task, **kwargs):
+        if len(done) == 2:
             raise RuntimeError("killed")
-        done.append(cell)
-        return run_cell(cell)
+        done.append(task)
+        return run_variant(task, **kwargs)
 
-    monkeypatch.setattr(explorer, "_run_cell", failing_after_five)
+    monkeypatch.setattr(explorer, "_run_variant", failing_on_third)
     with pytest.raises(RuntimeError):
         pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
-    assert len(sink.read_text().splitlines()) == 5
+    records = [explorer.SearchRecord.from_json(l) for l in sink.read_text().splitlines()]
+    assert [r.policy for r in records] == ["O1", "O2", "O3"] * 2
+    assert len({r.key for r in records}) == 2
+
+
+def test_search_builds_each_keyed_graph_once(monkeypatch):
+    calls = {"build_variant": 0, "canonical_key": 0}
+
+    def counted(name):
+        fn = getattr(explorer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(explorer, name, counted(name))
+    records = pst_search(4, 2, samples=5, t_max=4, seed=0)
+    assert len(records) == 3 * 96
+    assert calls["build_variant"] == calls["canonical_key"] == 106
 
 
 def test_policy_seeds_differ_beyond_uniform_policies():
