@@ -31,6 +31,15 @@ class ArcSpace:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "ArcSpace":
+        """The arc space of g, built on the first call and kept on g,
+        which is immutable; later calls return the same object."""
+        space = vars(g).get("_arc_space")
+        if space is None:
+            space = vars(g)["_arc_space"] = cls._build(g)
+        return space
+
+    @classmethod
+    def _build(cls, g: Graph) -> "ArcSpace":
         heads: list[int] = []
         targets: list[int] = []
         offsets = np.zeros(g.n + 1, dtype=int)

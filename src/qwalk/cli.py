@@ -58,6 +58,8 @@ from qwalk.graphs import (
     graph_to_json,
 )
 
+_CSV_BLOCK = 1024  # CSV rows formatted per %-format call
+
 # Each numeric option: its default (whose type converts every value), the
 # condition a value must meet, and that condition in words.
 OPTIONS = {
@@ -313,17 +315,19 @@ def _emit(args: argparse.Namespace, payload: dict, header=None, x=(), table=()) 
     """Write a command's report: <out>.json, or JSON on stdout without --out.
 
     With a header and --out, also stream <out>.csv: the header, then one
-    row per x value holding x and that row of the 2-D table, each float
-    written with 17 significant digits.  Rows are converted one at a time,
-    so a long table is never held twice as Python floats.
+    row per x value holding x (an integer, or a float) and that row of the
+    2-D table, each float written with 17 significant digits.  Rows are
+    formatted in blocks of ``_CSV_BLOCK``, one %-format call per block, so
+    a long table is never held twice as Python floats.
     """
     if args.out and header is not None:
-        row_fmt = ",%.17g" * (len(header) - 1) + "\n"
+        x = np.asarray(x)
+        row_fmt = ("%.17g" if x.dtype.kind == "f" else "%d") + ",%.17g" * (len(header) - 1) + "\n"
         with open(args.out + ".csv", "w") as fh:
             fh.write(",".join(header) + "\n")
-            for xv, row in zip(x, table):
-                head = f"{xv:.17g}" if isinstance(xv, float) else str(xv)
-                fh.write(head + row_fmt % tuple(row.tolist()))
+            for lo in range(0, len(x), _CSV_BLOCK):
+                block = np.column_stack((x[lo : lo + _CSV_BLOCK], table[lo : lo + _CSV_BLOCK]))
+                fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write(args.out + ".json" if args.out else None, text)
 

@@ -22,6 +22,7 @@ identity to match the stated endpoint.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -118,7 +119,7 @@ class UniformDFT:
     name: str = field(default="O1", init=False)
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        return dft(d)
+        return _shared(dft, d)
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class UniformGrover:
     name: str = field(default="O2", init=False)
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        return grover(d)
+        return _shared(grover, d)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,20 @@ class GroverWithHadamardPairs:
     name: str = field(default="O3", init=False)
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        return hadamard() if d == 2 else grover(d)
+        return _shared(_hadamard_or_grover, d)
+
+
+def _hadamard_or_grover(d: int) -> np.ndarray:
+    return hadamard() if d == 2 else grover(d)
+
+
+@functools.lru_cache(maxsize=64)
+def _shared(coin, d: int) -> np.ndarray:
+    """coin(d) built once per (coin, d) and read-only, so that every
+    vertex of degree d under a uniform policy shares one block."""
+    block = coin(d)
+    block.flags.writeable = False
+    return block
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,6 @@ def _refined_maxima(
         mid = (lo[k] + hi[k]) / 2
         a, da = (np.exp(-1j * np.outer(mid, spec.eigenvalues)) @ weights).T
         done = (mid == lo[k]) | (mid == hi[k])
-        # |a|^2 of a spectral sum can land a few ulps above 1; no probability does
         peak_t[k[done]], peak_p[k[done]] = mid[done], np.minimum(np.abs(a[done]) ** 2, 1.0)
         rising = (a.conj() * da).real > 0
         lo[k[rising]], hi[k[~rising]] = mid[rising], mid[~rising]
@@ -145,6 +144,8 @@ def detect_transfer_ct(
     times = np.arange(0.0, t_max + dt / 2, dt)
     states = evolve_ct_many(spec, psi0, times)
     vertex_series = np.abs(states) ** 2
+    # |psi|^2 of a spectral sum can land a few ulps above 1; no probability does
+    np.minimum(vertex_series, 1.0, out=vertex_series)
     target_series = vertex_series[:, target]
 
     peak_t, peak_p = _refined_maxima(target_series, times, spec, psi0, target)
@@ -153,9 +154,9 @@ def detect_transfer_ct(
         max_probability = float(peak_p.max())
         max_time = float(peak_t[np.argmax(peak_p >= max_probability - TIE_TOL)])
     else:
-        max_time, max_probability = 0.0, min(float(target_series[0]), 1.0)
+        max_time, max_probability = 0.0, float(target_series[0])
     grid_best = int(np.argmax(target_series))
-    grid_p = min(float(target_series[grid_best]), 1.0)
+    grid_p = float(target_series[grid_best])
     if grid_p > max_probability:
         max_time, max_probability = float(times[grid_best]), grid_p
 

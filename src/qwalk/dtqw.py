@@ -17,6 +17,12 @@ one kernel, ``trajectory``, which applies the dense U, built from the
 blocks on first use, to a block of columns and never forms a power of
 U.  A step picked from a series is the earliest within ``TIE_TOL`` of
 the series maximum.
+
+A Haar scan (``block_scan``) bounds every sample's arrival probability
+at step t by the top eigenvalue of that step's Gram matrix, which it
+computes anyway for the PST certificate, and evaluates the samples only
+at the steps where that bound can still beat ``lam`` or the best sample
+so far.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +51,7 @@ __all__ = [
     "haar_states",
     "detect_transfer",
     "block_scan",
+    "PairScan",
     "max_transfer_scan",
     "target_block_powers",
     "TransferReport",
@@ -55,8 +62,8 @@ UNITARITY_TOL = 1e-12
 TIE_TOL = 1e-12
 PST_TOL = 1e-9
 _MIN_NORM = 2.0 ** -511  # smallest norm whose square, 2**-1022, is a normal float
-_CHUNK_BYTES = 1 << 21  # bound on a trajectory piece or a table of outer products
-_CHUNK_ROWS = 256  # Haar samples folded per matrix product
+_CHUNK_BYTES = 1 << 21  # bound on a trajectory piece
+_PRUNE_SLACK = 1e-9  # rounding margin of the sample pruning in block_scan
 
 
 @dataclass(frozen=True)
@@ -332,55 +339,89 @@ def target_block_powers(
     return trajectory(op, cols, t_max)[1:, op.space.vertex_slice(target)]
 
 
+class PairScan(NamedTuple):
+    """``block_scan``'s result for one (source, target) pair."""
+
+    best_p: float           # best sampled probability over steps 1..t_max
+    best_step: int          # earliest step within TIE_TOL of best_p
+    frac_over_lam: float    # share of samples whose best step beats lam
+    top_gram: np.ndarray    # top eigenvalue of G_t for t = 1..t_max
+
+
 def block_scan(
     op: StepOperator,
     pairs: Sequence[tuple[int, int]],
     states: Sequence[np.ndarray],
     t_max: int,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    lam: float,
+) -> list[PairScan]:
     """Haar-sampled and exact transfer across each (source, target) pair.
 
     With B_t the source-to-target block of U^t and G_t = B_t^H B_t, a
-    source coin state s arrives at step t with probability s^H G_t s.
-    Returns per pair, from one trajectory of all source ports taken in
-    pieces: the best probability at each step t = 1..t_max over the rows
-    of ``states[i]``, the best of each row over the steps, and the top
-    eigenvalue of each G_t (the square of B_t's top singular value).
+    source coin state s arrives at step t with probability s^H G_t s,
+    and no unit s does better than top_t, the top eigenvalue of G_t (the
+    square of B_t's top singular value).  One trajectory of all source
+    ports, taken in pieces, gives every G_t and top_t.  The rows of
+    ``states[i]`` are then folded only into the steps whose top_t leaves
+    the result open, with B the best sampled probability so far:
+
+        top_t > lam - _PRUNE_SLACK  or  top_t >= B - TIE_TOL - _PRUNE_SLACK
+
+    A piece's steps are taken in decreasing order of top_t, so its top
+    step sets B first, and the first step that fails both tests ends the
+    piece.  No other step can hold a sample over lam or a probability
+    within TIE_TOL of the best, so the result equals folding every step.
+
+    _PRUNE_SLACK bounds the rounding gap between a computed s^H G s and
+    the computed top_t.  For unit s the error of s^H G s is below
+    (2d + 4) u sum_ij |s_i G_ij s_j| <= (2d + 4) u tr G <= (2d + 4) d u
+    (u = 2**-53, tr G <= d since B_t is a block of a unitary), which is
+    1.5e-11 at d = 255 and stays under 1e-9 up to d of about 2000;
+    eigvalsh adds an error of order d u.
     """
     space = op.space
     offsets = np.cumsum([0] + [space.degree(src) for src, _ in pairs])
-    step_best = [np.zeros(t_max) for _ in pairs]
-    sample_best = [np.zeros(len(s)) for s in states]
+    # a step never folded keeps -inf: it cannot be the best or tie with it
+    step_best = [np.full(t_max, -np.inf) for _ in pairs]
+    over = [np.zeros(len(s), dtype=bool) for s in states]
     top_gram = [np.empty(t_max) for _ in pairs]
+    states = [np.ascontiguousarray(s, dtype=complex) for s in states]
     cols = _port_columns(space, [src for src, _ in pairs])
     for lo, piece in _trajectory_pieces(op, cols, t_max):
-        steps = slice(lo, lo + len(piece) - 1)
         for i, (_, tgt) in enumerate(pairs):
             blocks = piece[1:, space.vertex_slice(tgt), offsets[i] : offsets[i + 1]]
             grams = blocks.conj().transpose(0, 2, 1) @ blocks
-            _fold_samples(grams, states[i], step_best[i][steps], sample_best[i])
-            top_gram[i][steps] = np.linalg.eigvalsh(grams)[:, -1]
-    return list(zip(step_best, sample_best, top_gram))
+            top = np.linalg.eigvalsh(grams)[:, -1]
+            top_gram[i][lo : lo + len(top)] = top
+            best = step_best[i].max()
+            for j in np.argsort(-top, kind="stable").tolist():
+                if top[j] <= lam - _PRUNE_SLACK and top[j] < best - TIE_TOL - _PRUNE_SLACK:
+                    break
+                probs = _sample_probabilities(grams[j], states[i])
+                step_best[i][lo + j] = probs.max()
+                over[i] |= probs > lam
+                best = max(best, step_best[i][lo + j])
+    return [
+        PairScan(float(sb.max()), peak_step(sb), float(np.mean(ov)), tg)
+        for sb, ov, tg in zip(step_best, over, top_gram)
+    ]
 
 
-def _fold_samples(grams, states, step_best, sample_best) -> None:
-    """Fold s^H G_t s into the per-step and per-sample maxima, in place.
+def _sample_probabilities(gram: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """s^H G s for every row s of ``states``.
 
-    s^H G s = Re(sum_ij G_ij conj(s_i) s_j): one real matrix product of
-    the (Re, Im) pairs of G with those of outer(s, conj s) per chunk of
-    at most ``_CHUNK_ROWS`` samples whose outer products fit in
-    ``_CHUNK_BYTES``.
+    Per chunk of rows, S G^T holds G s in each row, and s^H G s is the
+    real dot product of the (Re, Im) pairs of s with those of G s.  A
+    chunk's G s takes at most 1/16 of ``_CHUNK_BYTES``.
     """
-    steps, d, _ = grams.shape
-    flat = grams.reshape(steps, d * d).view(np.float64)
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // (16 * d * d)))
+    d = len(gram)
+    rows = max(1, _CHUNK_BYTES // (256 * d))
+    pairs = states.view(np.float64)
+    out = np.empty(len(states))
     for lo in range(0, len(states), rows):
-        s = states[lo : lo + rows]
-        outer = (s[:, :, None] * s.conj()[:, None, :]).reshape(len(s), d * d)
-        probs = flat @ outer.view(np.float64).T
-        np.maximum(step_best, probs.max(axis=1), out=step_best)
-        chunk_best = sample_best[lo : lo + rows]
-        np.maximum(chunk_best, probs.max(axis=0), out=chunk_best)
+        gs = states[lo : lo + rows] @ gram.T
+        out[lo : lo + rows] = np.einsum("ij,ij->i", pairs[lo : lo + rows], gs.view(np.float64))
+    return out
 
 
 @dataclass(frozen=True)
@@ -412,12 +453,11 @@ def max_transfer_scan(
     """
     op = build_step_operator(g, policy)
     states = haar_states(op.space.degree(pair[0]), samples, seed)
-    [(step_best, sample_best, _)] = block_scan(op, [pair], [states], t_max)
-    best_probability = float(step_best.max())
+    [scan] = block_scan(op, [pair], [states], t_max, lam)
     return ScanResult(
-        max_probability=best_probability,
-        best_step=peak_step(step_best),
-        fraction_over_lam=float(np.mean(sample_best > lam)),
+        max_probability=scan.best_p,
+        best_step=scan.best_step,
+        fraction_over_lam=scan.frac_over_lam,
         lam=lam,
         samples=samples,
         t_max=t_max,

@@ -21,6 +21,9 @@ the measure-zero initial-state families that sampling always misses.
 Both come from the Gram matrices G_t = B_t^H B_t: a sample s arrives
 with probability s^H G_t s, and the certificate is the top eigenvalue of
 G_t (eigvalsh over all steps at once) reaching (1 - PST_SINGULAR_TOL)^2.
+That eigenvalue also bounds every sample at step t, so the samples are
+evaluated only at the steps where it can beat lam or tie the best
+sample so far; the record is the same as evaluating every step.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,7 +46,6 @@ from qwalk.dtqw import (
     build_step_operator,
     equal_superposition,
     haar_states,
-    peak_step,
     target_block_powers,
     trajectory,
     unit_vector,
@@ -261,7 +263,9 @@ class SearchRecord:
     frac_over_lambda: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        # the instance dict holds exactly the fields, in order; asdict
+        # would deep-copy the descriptor for the same text
+        return json.dumps(vars(self))
 
     @classmethod
     def from_json(cls, line: str) -> "SearchRecord":
@@ -295,14 +299,11 @@ def _search_cell(
         haar_states(op.space.degree(src), samples, sd)
         for (src, _), sd in zip(directions, seeds)
     ]
-    scans = block_scan(op, directions, states, t_max)
-    steps = np.arange(1, t_max + 1)
+    scans = block_scan(op, directions, states, t_max, lam)
     outcomes = []
-    for i, (step_best, sample_best, top_gram) in enumerate(scans):
-        hits = tuple(int(t) for t in steps[top_gram >= (1.0 - PST_SINGULAR_TOL) ** 2])
-        best_p = float(step_best.max())
-        frac = float(np.mean(sample_best > lam))
-        outcomes.append((bool(hits), best_p, frac, -i, peak_step(step_best), hits))
+    for i, scan in enumerate(scans):
+        hits = tuple((np.flatnonzero(scan.top_gram >= (1.0 - PST_SINGULAR_TOL) ** 2) + 1).tolist())
+        outcomes.append((bool(hits), scan.best_p, scan.frac_over_lam, -i, scan.best_step, hits))
     pst, best_p, frac, _, best_step, hits = max(outcomes, key=lambda o: o[:4])
     return best_p, best_step, pst, hits, frac
 
@@ -499,24 +500,29 @@ class InterpolationResult:
 
 class _InterpPolicy:
     """Grover everywhere except vertices with turned-on edges, which get
-    the interpolating coin with their tunnel ports masked in arc order."""
+    the interpolating coin with their tunnel ports masked in arc order.
+    One read-only block is built per (degree, tunnel ports)."""
 
     def __init__(self, turned_on: dict[int, set[int]], c: float):
         self.turned_on = turned_on
         self.c = c
         self.name = f"interp:{c}"
+        self._blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        extra = self.turned_on.get(v)
-        if not extra:
-            return grover(d)
-        nbrs = g.neighbors(v)
-        tunnel = [i for i, w in enumerate(nbrs) if w in extra]
-        t = len(tunnel)
-        base = interp_grover(d, t, self.c)
-        order = [i for i in range(d) if i not in tunnel] + tunnel
-        inv = np.argsort(order)
-        return base[np.ix_(inv, inv)]
+        extra = self.turned_on.get(v, ())
+        tunnel = tuple(i for i, w in enumerate(g.neighbors(v)) if w in extra)
+        block = self._blocks.get((d, tunnel))
+        if block is None:
+            if tunnel:
+                order = [i for i in range(d) if i not in tunnel] + list(tunnel)
+                inv = np.argsort(order)
+                block = interp_grover(d, len(tunnel), self.c)[np.ix_(inv, inv)]
+            else:
+                block = grover(d)
+            block.flags.writeable = False
+            self._blocks[d, tunnel] = block
+        return block
 
 
 _CHAINS = ("k2kn-k2cn", "k2kn-k2pn", "k2pn-k2cn")

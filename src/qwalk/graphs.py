@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -67,10 +68,18 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
+    @cached_property
+    def _neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
+        rows, cols = np.nonzero(self.adjacency)
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for v, w in zip(rows.tolist(), cols.tolist()):
+            if v != w:
+                out[v].append(w)
+        return tuple(map(tuple, out))
+
     def neighbors(self, v: int) -> list[int]:
         """Neighbors of v in ascending index order, excluding v itself."""
-        row = self.adjacency[v]
-        return [int(w) for w in np.nonzero(row)[0] if w != v]
+        return list(self._neighbor_lists[v])
 
     def has_loop(self, v: int) -> bool:
         return self.adjacency[v, v] != 0

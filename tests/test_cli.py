@@ -479,6 +479,28 @@ def test_emit_csv_writes_each_value_as_formatted_alone(x, tmp_path):
     assert (tmp_path / "r.csv").read_text() == ",".join(header) + "\n" + want
 
 
+def test_emit_csv_blocks_join_seamlessly(monkeypatch, tmp_path):
+    x = np.linspace(0.0, 1.0, 11)
+    table = np.sqrt(np.arange(22.0)).reshape(11, 2)
+    args = argparse.Namespace(out=str(tmp_path / "whole"))
+    qwalk.cli._emit(args, {}, ["x", "a", "b"], x, table)
+    monkeypatch.setattr(qwalk.cli, "_CSV_BLOCK", 3)
+    qwalk.cli._emit(argparse.Namespace(out=str(tmp_path / "blocks")), {}, ["x", "a", "b"], x, table)
+    text = (tmp_path / "blocks.csv").read_text()
+    assert text == (tmp_path / "whole.csv").read_text()
+    assert len(text.splitlines()) == 12
+
+
+def test_ctqw_csv_caps_grid_probabilities(tmp_path):
+    # C8's t = 0 amplitude squares to 1.0000000000000004 before the cap
+    stem = tmp_path / "c8"
+    argv = ["ctqw", "--graph", "cycle n=8", "--pair", "0,4", "--tmax", "1", "--dt", "0.5"]
+    assert main(argv + ["--out", str(stem)]) == 0
+    rows = stem.with_suffix(".csv").read_text().splitlines()
+    assert rows[0] == "t,v0,v4" and rows[1].startswith("0,1,")
+    assert max(float(v) for row in rows[1:] for v in row.split(",")[1:]) <= 1.0
+
+
 def test_decohere_classical_limit(tmp_path):
     base = tmp_path / "dec"
     argv = ["decohere", "--graph", "cycle n=4", "--policy", "O1",

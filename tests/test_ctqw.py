@@ -102,10 +102,24 @@ def test_transfer_maximum_is_capped_at_one():
     rep = detect_transfer_ct(build(Cycle(4)), (0, 2))
     assert rep.max_probability == 1.0
     assert rep.max_time == pytest.approx(np.pi / 2, abs=1e-12)
-    # on C8 the t = 0 grid value (1 + 2 ulps) beats every refined return
-    rep = detect_transfer_ct(build(Cycle(8)), (0, 0), t_max=10.0)
-    assert rep.target_series[0] > 1.0
+    # on C8 the t = 0 grid value (1 + 2 ulps before the cap) beats every
+    # refined return
+    g = build(Cycle(8))
+    rep = detect_transfer_ct(g, (0, 0), t_max=10.0)
+    psi0 = np.eye(8, dtype=complex)[0]
+    assert abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)[0, 0]) ** 2 > 1.0
+    assert rep.target_series[0] == 1.0
     assert (rep.max_probability, rep.max_time) == (1.0, 0.0)
+
+
+def test_grid_probabilities_are_capped_at_one():
+    # |psi|^2 reads 1.0000000000000004 at C8's t = 0 before the cap
+    g = build(Cycle(8))
+    rep = detect_transfer_ct(g, (0, 4), t_max=1.0, dt=0.5)
+    psi0 = np.eye(8, dtype=complex)[0]
+    raw = np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)) ** 2
+    assert raw.max() > 1.0
+    assert np.array_equal(rep.vertex_series, np.minimum(raw, 1.0))
 
 
 def test_cycle6_peaks_at_three_quarters():
@@ -150,7 +164,7 @@ def test_report_vertex_series_is_the_scanned_evolution():
     rep = detect_transfer_ct(g, (0, 3), t_max=5.0, dt=0.05)
     psi0 = np.zeros(6, dtype=complex)
     psi0[0] = 1.0
-    want = np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)) ** 2
+    want = np.minimum(np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)) ** 2, 1.0)
     assert rep.vertex_series.shape == (len(rep.times), 6)
     assert np.array_equal(rep.vertex_series, want)
     assert np.array_equal(rep.target_series, rep.vertex_series[:, 3])

@@ -350,9 +350,9 @@ def test_gram_certificate_matches_singular_values():
             op = build_step_operator(g, parse_policy(policy))
             pairs = [(0, 2), (2, 0)]
             states = [haar_states(op.space.degree(s), 20, seed=1) for s, _ in pairs]
-            scans = block_scan(op, pairs, states, 40)
-            for pair, (_, _, top_gram) in zip(pairs, scans):
-                gram_hits = top_gram >= (1.0 - PST_SINGULAR_TOL) ** 2
+            scans = block_scan(op, pairs, states, 40, 0.9)
+            for pair, scan in zip(pairs, scans):
+                gram_hits = scan.top_gram >= (1.0 - PST_SINGULAR_TOL) ** 2
                 svd_hits = np.array([
                     np.linalg.svd(block, compute_uv=False)[0] >= 1.0 - PST_SINGULAR_TOL
                     for block in target_block_powers(op, pair, 40)
@@ -366,13 +366,16 @@ def test_block_scan_matches_direct_probabilities():
     g = build(Join(Edgeless(2), Cycle(6)))
     op = build_step_operator(g, parse_policy("O1"))
     states = haar_states(op.space.degree(0), 70, seed=4)
-    [(step_best, sample_best, _)] = block_scan(op, [(0, 1)], [states], 25)
-    probs = np.stack([
-        np.sum(np.abs(states @ block.T) ** 2, axis=1)
-        for block in target_block_powers(op, (0, 1), 25)
-    ])
-    assert np.max(np.abs(step_best - probs.max(axis=1))) <= 1e-12
-    assert np.max(np.abs(sample_best - probs.max(axis=0))) <= 1e-12
+    blocks = target_block_powers(op, (0, 1), 25)
+    probs = np.stack([np.sum(np.abs(states @ block.T) ** 2, axis=1) for block in blocks])
+    for lam in (0.3, 0.9):
+        [scan] = block_scan(op, [(0, 1)], [states], 25, lam)
+        assert abs(scan.best_p - probs.max()) <= 1e-12
+        assert scan.best_step == peak_step(probs.max(axis=1))
+        assert scan.frac_over_lam == np.mean(probs.max(axis=0) > lam)
+        tops = [np.linalg.svd(block, compute_uv=False)[0] ** 2 for block in blocks]
+        assert np.max(np.abs(scan.top_gram - tops)) <= 1e-12
+    assert 0 < np.mean(probs.max(axis=0) > 0.3) < 1
 
 
 def test_tie_rule_takes_earliest_near_maximum():
@@ -389,13 +392,106 @@ def test_block_scan_chunks_agree_with_one_pass(monkeypatch):
     op = build_step_operator(g, parse_policy("O3"))
     pairs = [(0, 1), (2, 5)]
     states = [haar_states(op.space.degree(s), 90, seed=s) for s, _ in pairs]
-    whole = block_scan(op, pairs, states, 33)
+    whole = block_scan(op, pairs, states, 33, 0.5)
+    # pieces of a few steps, and one sample row per product
     monkeypatch.setattr(dtqw, "_CHUNK_BYTES", 3000)
-    chunked = block_scan(op, pairs, states, 33)
+    chunked = block_scan(op, pairs, states, 33, 0.5)
     for a, b in zip(whole, chunked):
-        for x, y in zip(a, b):
-            assert x.shape == y.shape
-            assert np.max(np.abs(x - y)) <= 1e-12
+        assert abs(a.best_p - b.best_p) <= 1e-12
+        assert (a.best_step, a.frac_over_lam) == (b.best_step, b.frac_over_lam)
+        assert a.top_gram.shape == b.top_gram.shape == (33,)
+        assert np.max(np.abs(a.top_gram - b.top_gram)) <= 1e-12
+
+
+def _scan_with_and_without_pruning(monkeypatch, op, pairs, states, t_max, lam):
+    """block_scan as is, and with every step folded (an infinite slack
+    opens every step); also the number of steps each folded."""
+    import qwalk.dtqw as dtqw
+
+    folds = []
+    fold = dtqw._sample_probabilities
+
+    def counted(gram, rows):
+        folds[-1] += 1
+        return fold(gram, rows)
+
+    scans = []
+    for slack in (dtqw._PRUNE_SLACK, np.inf):
+        with monkeypatch.context() as patch:
+            patch.setattr(dtqw, "_sample_probabilities", counted)
+            patch.setattr(dtqw, "_PRUNE_SLACK", slack)
+            folds.append(0)
+            scans.append(block_scan(op, pairs, states, t_max, lam))
+    return scans, folds
+
+
+def _assert_same_scans(pruned, full):
+    for a, b in zip(pruned, full):
+        assert (a.best_p, a.best_step, a.frac_over_lam) == (b.best_p, b.best_step, b.frac_over_lam)
+        assert np.array_equal(a.top_gram, b.top_gram)
+
+
+def test_pruned_scan_equals_folding_every_step(monkeypatch):
+    # every variant of C4 with up to two added nodes and of C6 with one,
+    # both directions, under each uniform policy
+    pruned_folds = full_folds = 0
+    for base, max_new in ((4, 2), (6, 1)):
+        for idx, (_, g) in enumerate(enumerate_variants(base, max_new)):
+            for policy in POLICIES:
+                op = build_step_operator(g, parse_policy(policy))
+                pairs = [(0, base // 2), (base // 2, 0)]
+                states = [haar_states(op.space.degree(s), 100, seed=idx) for s, _ in pairs]
+                (pruned, full), folds = _scan_with_and_without_pruning(
+                    monkeypatch, op, pairs, states, 30, 0.9
+                )
+                _assert_same_scans(pruned, full)
+                pruned_folds += folds[0]
+                full_folds += folds[1]
+    assert pruned_folds < full_folds / 4
+
+
+def test_pruned_scan_keeps_steps_only_the_best_holds_open(monkeypatch):
+    # lam = 0.999 is above every top eigenvalue, so only the best-so-far
+    # rule opens steps.  ((0, 1),): the best sample arrives at step 2, not
+    # at the top-eigenvalue step 21.  ((0, 2),): steps 2, 6, ... tie within
+    # ulps, and the best sample beats the computed top eigenvalue by ulps.
+    for desc, seed, want_step, top_step in ((((0, 1),), 2, 2, 21), (((0, 2),), 3, 2, 26)):
+        op = build_step_operator(build_variant(VariantDescriptor(4, desc)), parse_policy("O1"))
+        states = haar_states(op.space.degree(0), 30, seed=seed)
+        ([pruned], [full]), folds = _scan_with_and_without_pruning(
+            monkeypatch, op, [(0, 2)], [states], 30, 0.999
+        )
+        _assert_same_scans([pruned], [full])
+        assert (pruned.best_step, int(np.argmax(pruned.top_gram)) + 1) == (want_step, top_step)
+        assert pruned.top_gram.max() < 0.999
+        assert 1 < folds[0] < folds[1]
+
+
+def test_pruned_scan_counts_a_sample_just_over_lam(monkeypatch):
+    # C4 with a pendant at 0 under O1: at step 22 the computed s^H G s of
+    # G's top eigenvector s exceeds the computed top eigenvalue by an ulp.
+    # With lam at that eigenvalue, only the rounding slack opens step 22,
+    # the one step where s beats lam.
+    import qwalk.dtqw as dtqw
+
+    op = build_step_operator(build_variant(VariantDescriptor(4, ((0,),))), parse_policy("O1"))
+    blocks = target_block_powers(op, (0, 2), 30)
+    grams = blocks.conj().transpose(0, 2, 1) @ blocks
+    top = np.linalg.eigvalsh(grams)[:, -1]
+    vecs = np.linalg.eigh(grams)[1][:, :, -1]
+    best = int(np.argmax(top))
+    states = np.ascontiguousarray(vecs[[21, best]])
+    probs = np.stack([np.sum(np.abs(states @ block.T) ** 2, axis=1) for block in blocks])
+    lam = top[21]
+    assert dtqw._sample_probabilities(grams[21], states[:1])[0] > lam
+    assert np.all(np.delete(probs[:, 0], 21) < lam) and top[21] < top[best] - 1e-3
+    ([pruned], [full]), folds = _scan_with_and_without_pruning(
+        monkeypatch, op, [(0, 2)], [states], 30, lam
+    )
+    _assert_same_scans([pruned], [full])
+    assert pruned.frac_over_lam == 1.0
+    monkeypatch.setattr(dtqw, "_PRUNE_SLACK", 0.0)
+    assert block_scan(op, [(0, 2)], [states], 30, lam)[0].frac_over_lam == 0.5
 
 
 def test_detect_transfer_pieces_agree_with_one_pass(monkeypatch):

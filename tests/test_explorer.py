@@ -1,4 +1,6 @@
 import itertools
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qwalk.dtqw import build_step_operator, detect_transfer, state_at_vertex
 from qwalk.errors import ConfigError
 from qwalk.explorer import (
     PST_SINGULAR_TOL,
+    SearchRecord,
     VariantDescriptor,
     build_variant,
     enumerate_variants,
@@ -169,6 +172,12 @@ def test_search_records_schema_and_determinism(tmp_path):
     rec = a[0]
     assert set(rec.to_json().count(k) for k in ("key", "descriptor")) == {1}
     assert rec.best_p >= a[-1].best_p
+
+
+def test_search_record_json_is_the_dataclass_dict():
+    for rec in pst_search(4, 1, samples=40, t_max=12, seed=3):
+        assert rec.to_json() == json.dumps(asdict(rec))
+        assert SearchRecord.from_json(rec.to_json()) == rec
 
 
 def test_search_worker_count_does_not_change_results():
