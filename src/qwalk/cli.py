@@ -373,9 +373,9 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
             "max_probability": scan.max_probability,
             "best_step": scan.best_step,
             "fraction_over_lam": scan.fraction_over_lam,
-            "lam": scan.lam,
-            "samples": scan.samples,
-            "t_max": scan.t_max,
+            "lam": lam,
+            "samples": samples,
+            "t_max": steps,
         }
         _emit(args, payload)
         return 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -116,8 +116,6 @@ def interp_grover(d: int, t: int, c: float) -> np.ndarray:
 class UniformDFT:
     """Fourier coin of matching dimension at every vertex (policy O1)."""
 
-    name: str = field(default="O1", init=False)
-
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
         return _shared(dft, d)
 
@@ -126,8 +124,6 @@ class UniformDFT:
 class UniformGrover:
     """Grover coin of matching dimension at every vertex (policy O2)."""
 
-    name: str = field(default="O2", init=False)
-
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
         return _shared(grover, d)
 
@@ -135,8 +131,6 @@ class UniformGrover:
 @dataclass(frozen=True)
 class GroverWithHadamardPairs:
     """Hadamard at degree-2 vertices, Grover elsewhere (policy O3)."""
-
-    name: str = field(default="O3", init=False)
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
         return _shared(_hadamard_or_grover, d)
@@ -172,10 +166,6 @@ class PresetRow:
     """
 
     row: int
-
-    @property
-    def name(self) -> str:
-        return f"table1:{self.row}"
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
         if self.row == 1:
@@ -215,7 +205,6 @@ class ExplicitMap:
 
     coins: dict[int, np.ndarray]
     fallback: "CoinPolicy | None" = None
-    name: str = field(default="explicit", init=False)
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
         if v in self.coins:

@@ -12,7 +12,7 @@ between its grid neighbours.  All maxima of a scan are refined in
 lockstep, one matrix product per iteration for every bracket still open.
 A bracket closes when its midpoint equals one of its ends, that is when
 its ends are adjacent floats, at any t.  The reported time is the
-earliest refined maximum within ``TIE_TOL`` of the largest.
+earliest refined maximum within ``TIE_TOL`` of the largest (``peak_step``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.dtqw import PST_TOL, TIE_TOL
+from qwalk.dtqw import PST_TOL, peak_step
 from qwalk.errors import ConfigError, ToleranceError
 from qwalk.graphs import Graph
 
@@ -152,7 +152,7 @@ def detect_transfer_ct(
     pst_times = tuple(peak_t[peak_p >= 1.0 - PST_TOL].tolist())
     if peak_p.size:
         max_probability = float(peak_p.max())
-        max_time = float(peak_t[np.argmax(peak_p >= max_probability - TIE_TOL)])
+        max_time = float(peak_t[peak_step(peak_p) - 1])
     else:
         max_time, max_probability = 0.0, float(target_series[0])
     grid_best = int(np.argmax(target_series))

@@ -28,9 +28,9 @@ so far.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "haar_states",
     "detect_transfer",
     "block_scan",
-    "PairScan",
     "max_transfer_scan",
     "target_block_powers",
     "TransferReport",
@@ -61,6 +60,7 @@ __all__ = [
 UNITARITY_TOL = 1e-12
 TIE_TOL = 1e-12
 PST_TOL = 1e-9
+PST_SINGULAR_TOL = 1e-9
 _MIN_NORM = 2.0 ** -511  # smallest norm whose square, 2**-1022, is a normal float
 _CHUNK_BYTES = 1 << 21  # bound on a trajectory piece
 _PRUNE_SLACK = 1e-9  # rounding margin of the sample pruning in block_scan
@@ -339,13 +339,15 @@ def target_block_powers(
     return trajectory(op, cols, t_max)[1:, op.space.vertex_slice(target)]
 
 
-class PairScan(NamedTuple):
-    """``block_scan``'s result for one (source, target) pair."""
+@dataclass(frozen=True)
+class ScanResult:
+    """``block_scan``'s best sampled transfer and exact certificate for one pair."""
 
-    best_p: float           # best sampled probability over steps 1..t_max
-    best_step: int          # earliest step within TIE_TOL of best_p
-    frac_over_lam: float    # share of samples whose best step beats lam
-    top_gram: np.ndarray    # top eigenvalue of G_t for t = 1..t_max
+    max_probability: float          # best sampled probability over steps 1..t_max
+    best_step: int                  # earliest step within TIE_TOL of max_probability
+    fraction_over_lam: float        # share of samples whose best step beats lam
+    pst_steps: tuple[int, ...]      # steps with top_gram >= (1 - PST_SINGULAR_TOL)^2
+    top_gram: np.ndarray = field(compare=False, repr=False)  # top eigenvalue of G_t
 
 
 def block_scan(
@@ -354,16 +356,23 @@ def block_scan(
     states: Sequence[np.ndarray],
     t_max: int,
     lam: float,
-) -> list[PairScan]:
+) -> list[ScanResult]:
     """Haar-sampled and exact transfer across each (source, target) pair.
 
     With B_t the source-to-target block of U^t and G_t = B_t^H B_t, a
     source coin state s arrives at step t with probability s^H G_t s,
     and no unit s does better than top_t, the top eigenvalue of G_t (the
     square of B_t's top singular value).  One trajectory of all source
-    ports, taken in pieces, gives every G_t and top_t.  The rows of
-    ``states[i]`` are then folded only into the steps whose top_t leaves
-    the result open, with B the best sampled probability so far:
+    ports, taken in pieces, gives every G_t and top_t.
+
+    The certificate: step t admits perfect transfer from some source
+    coin state if and only if B_t has a unit singular value, so
+    ``pst_steps`` lists the steps whose top_t reaches
+    (1 - PST_SINGULAR_TOL)^2.  It catches the measure-zero families of
+    initial states that sampling always misses.
+
+    The rows of ``states[i]`` are folded only into the steps whose top_t
+    leaves the result open, with B the best sampled probability so far:
 
         top_t > lam - _PRUNE_SLACK  or  top_t >= B - TIE_TOL - _PRUNE_SLACK
 
@@ -402,7 +411,13 @@ def block_scan(
                 over[i] |= probs > lam
                 best = max(best, step_best[i][lo + j])
     return [
-        PairScan(float(sb.max()), peak_step(sb), float(np.mean(ov)), tg)
+        ScanResult(
+            float(sb.max()),
+            peak_step(sb),
+            float(np.mean(ov)),
+            tuple((np.flatnonzero(tg >= (1.0 - PST_SINGULAR_TOL) ** 2) + 1).tolist()),
+            tg,
+        )
         for sb, ov, tg in zip(step_best, over, top_gram)
     ]
 
@@ -424,18 +439,6 @@ def _sample_probabilities(gram: np.ndarray, states: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Best transfer over Haar-sampled initial coin states."""
-
-    max_probability: float
-    best_step: int
-    fraction_over_lam: float
-    lam: float
-    samples: int
-    t_max: int
-
-
 def max_transfer_scan(
     g: Graph,
     policy: CoinPolicy,
@@ -453,12 +456,4 @@ def max_transfer_scan(
     """
     op = build_step_operator(g, policy)
     states = haar_states(op.space.degree(pair[0]), samples, seed)
-    [scan] = block_scan(op, [pair], [states], t_max, lam)
-    return ScanResult(
-        max_probability=scan.best_p,
-        best_step=scan.best_step,
-        fraction_over_lam=scan.frac_over_lam,
-        lam=lam,
-        samples=samples,
-        t_max=t_max,
-    )
+    return block_scan(op, [pair], [states], t_max, lam)[0]

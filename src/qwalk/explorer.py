@@ -14,16 +14,9 @@ image, so the emitted representatives are exactly those of keying every
 candidate, at about one key per variant instead of four.
 
 For each variant and coin policy the harness records the best Haar
-sampled transfer and, separately, an exact certificate: step t admits
-perfect transfer from the source if and only if the source-to-target
-block B_t of U^t has a singular value of one.  The exact test catches
-the measure-zero initial-state families that sampling always misses.
-Both come from the Gram matrices G_t = B_t^H B_t: a sample s arrives
-with probability s^H G_t s, and the certificate is the top eigenvalue of
-G_t (eigvalsh over all steps at once) reaching (1 - PST_SINGULAR_TOL)^2.
-That eigenvalue also bounds every sample at step t, so the samples are
-evaluated only at the steps where it can beat lam or tie the best
-sample so far; the record is the same as evaluating every step.
+sampled transfer and the exact PST certificate of ``dtqw.block_scan``,
+which decides both from the Gram matrices of the source-to-target
+blocks of U^t.
 """
 
 from __future__ import annotations
@@ -41,7 +34,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from qwalk.coins import CoinPolicy, UniformGrover, grover, interp_grover, parse_policy
+from qwalk.dtqw import PST_SINGULAR_TOL  # noqa: F401  (re-exported)
 from qwalk.dtqw import (
+    ScanResult,
     block_scan,
     build_step_operator,
     equal_superposition,
@@ -67,8 +62,6 @@ __all__ = [
     "interpolation_sweep",
     "InterpolationResult",
 ]
-
-PST_SINGULAR_TOL = 1e-9
 
 
 # ===== Variant descriptors =====
@@ -245,12 +238,12 @@ class SearchRecord:
 
     Transfer metrics cover the better of the two directions across the
     marked pair, since one representative stands for a variant and its
-    mirror image.  ``pst`` means some step's source-to-target block had
-    a unit singular value, so an exact-transfer initial state exists
-    even when no Haar sample comes close; ``pst_steps`` lists the steps
-    whose Gram matrix B^H B has a top eigenvalue of at least
-    (1 - PST_SINGULAR_TOL)^2.  ``best_step`` is the earliest step whose
-    best sampled probability is within 1e-12 of ``best_p``.
+    mirror image.  The fields after ``policy`` come from that
+    direction's ``dtqw.ScanResult``: ``best_p`` is its
+    ``max_probability``, ``best_step`` its ``best_step``, ``pst_steps``
+    the steps ``block_scan`` certified, ``pst`` whether there are any
+    (an exact-transfer initial state exists even when no Haar sample
+    comes close), and ``frac_over_lambda`` its ``fraction_over_lam``.
     """
 
     key: str
@@ -282,7 +275,7 @@ def _search_cell(
     t_max: int,
     seeds: tuple[int, int],
     lam: float,
-) -> tuple[float, int, bool, tuple[int, ...], float]:
+) -> ScanResult:
     """Scan one variant under one policy and keep the stronger direction.
 
     Deduplication treats the marked pair as unordered, so one emitted
@@ -300,12 +293,8 @@ def _search_cell(
         for (src, _), sd in zip(directions, seeds)
     ]
     scans = block_scan(op, directions, states, t_max, lam)
-    outcomes = []
-    for i, scan in enumerate(scans):
-        hits = tuple((np.flatnonzero(scan.top_gram >= (1.0 - PST_SINGULAR_TOL) ** 2) + 1).tolist())
-        outcomes.append((bool(hits), scan.best_p, scan.frac_over_lam, -i, scan.best_step, hits))
-    pst, best_p, frac, _, best_step, hits = max(outcomes, key=lambda o: o[:4])
-    return best_p, best_step, pst, hits, frac
+    # max keeps the first of equal keys, so a tie goes to the given direction
+    return max(scans, key=lambda s: (bool(s.pst_steps), s.max_probability, s.fraction_over_lam))
 
 
 def pst_search(
@@ -331,7 +320,8 @@ def pst_search(
     last line, left by a kill in the middle of a write, is cut from the
     file and its cell runs again.  Per-cell seeds derive from the master
     seed, the variant's position and the policy, which keeps results
-    identical however many workers run.
+    identical however many workers run.  Records of equal ``best_p``
+    sort by key, then policy, so a resumed run returns the same order.
     """
     parsed: dict[str, CoinPolicy] = {}
     for name in policies:
@@ -365,7 +355,7 @@ def pst_search(
                 sink.writelines(rec.to_json() + "\n" for rec in variant_records)
                 sink.flush()
             records.extend(variant_records)
-    records.sort(key=lambda r: -r.best_p)
+    records.sort(key=lambda r: (-r.best_p, r.key, r.policy))
     return records
 
 
@@ -392,9 +382,17 @@ def _run_variant(task, pair, samples, t_max, lam, seed) -> list[SearchRecord]:
     for name, policy in policies:
         cell_seed = np.random.SeedSequence([seed, idx, _policy_index(name)])
         seeds = tuple(int(child.generate_state(1)[0]) for child in cell_seed.spawn(2))
-        # _search_cell returns the record's fields after the policy, in order
-        cell = _search_cell(g, policy, pair, samples, t_max, seeds, lam)
-        out.append(SearchRecord(key, desc.to_json_dict(), name, *cell))
+        scan = _search_cell(g, policy, pair, samples, t_max, seeds, lam)
+        out.append(SearchRecord(
+            key=key,
+            descriptor=desc.to_json_dict(),
+            policy=name,
+            best_p=scan.max_probability,
+            best_step=scan.best_step,
+            pst=bool(scan.pst_steps),
+            pst_steps=scan.pst_steps,
+            frac_over_lambda=scan.fraction_over_lam,
+        ))
     return out
 
 
@@ -506,7 +504,6 @@ class _InterpPolicy:
     def __init__(self, turned_on: dict[int, set[int]], c: float):
         self.turned_on = turned_on
         self.c = c
-        self.name = f"interp:{c}"
         self._blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:

@@ -580,6 +580,24 @@ def test_search_cli_schema(tmp_path, capsys):
     assert len(sink.read_text().splitlines()) == 24
 
 
+def test_resumed_search_prints_tied_records_in_the_same_order(tmp_path, capsys):
+    # at these settings two records share best_p exactly; the earlier one
+    # in the sink is dropped, so the resume appends it after the other
+    sink = tmp_path / "s.jsonl"
+    argv = ["search", "--base", "4", "--max-new", "1", "--samples", "50",
+            "--steps", "20", "--workers", "1", "--out", str(sink)]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    lines = sink.read_text().splitlines()
+    best = [json.loads(line)["best_p"] for line in lines]
+    tied = [i for i, p in enumerate(best) if best.count(p) > 1]
+    assert len(tied) == 2
+    sink.write_text("".join(line + "\n" for i, line in enumerate(lines) if i != tied[0]))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == full
+    assert sorted(sink.read_text().splitlines()) == sorted(lines)
+
+
 @pytest.mark.parametrize("policies, message", [
     ("O2,table1:9", "preset row must be 1..4, got 9"),
     ("O2,O2", "policy 'O2' listed twice"),

@@ -357,7 +357,9 @@ def test_gram_certificate_matches_singular_values():
                     np.linalg.svd(block, compute_uv=False)[0] >= 1.0 - PST_SINGULAR_TOL
                     for block in target_block_powers(op, pair, 40)
                 ])
-                assert np.array_equal(gram_hits, svd_hits), (g.edge_set(), policy, pair)
+                case = (g.edge_set(), policy, pair)
+                assert np.array_equal(gram_hits, svd_hits), case
+                assert scan.pst_steps == tuple(np.flatnonzero(svd_hits) + 1), case
                 seen_hits += int(gram_hits.sum())
     assert seen_hits > 0
 
@@ -370,9 +372,9 @@ def test_block_scan_matches_direct_probabilities():
     probs = np.stack([np.sum(np.abs(states @ block.T) ** 2, axis=1) for block in blocks])
     for lam in (0.3, 0.9):
         [scan] = block_scan(op, [(0, 1)], [states], 25, lam)
-        assert abs(scan.best_p - probs.max()) <= 1e-12
+        assert abs(scan.max_probability - probs.max()) <= 1e-12
         assert scan.best_step == peak_step(probs.max(axis=1))
-        assert scan.frac_over_lam == np.mean(probs.max(axis=0) > lam)
+        assert scan.fraction_over_lam == np.mean(probs.max(axis=0) > lam)
         tops = [np.linalg.svd(block, compute_uv=False)[0] ** 2 for block in blocks]
         assert np.max(np.abs(scan.top_gram - tops)) <= 1e-12
     assert 0 < np.mean(probs.max(axis=0) > 0.3) < 1
@@ -397,8 +399,8 @@ def test_block_scan_chunks_agree_with_one_pass(monkeypatch):
     monkeypatch.setattr(dtqw, "_CHUNK_BYTES", 3000)
     chunked = block_scan(op, pairs, states, 33, 0.5)
     for a, b in zip(whole, chunked):
-        assert abs(a.best_p - b.best_p) <= 1e-12
-        assert (a.best_step, a.frac_over_lam) == (b.best_step, b.frac_over_lam)
+        assert abs(a.max_probability - b.max_probability) <= 1e-12
+        assert (a.best_step, a.fraction_over_lam) == (b.best_step, b.fraction_over_lam)
         assert a.top_gram.shape == b.top_gram.shape == (33,)
         assert np.max(np.abs(a.top_gram - b.top_gram)) <= 1e-12
 
@@ -427,7 +429,9 @@ def _scan_with_and_without_pruning(monkeypatch, op, pairs, states, t_max, lam):
 
 def _assert_same_scans(pruned, full):
     for a, b in zip(pruned, full):
-        assert (a.best_p, a.best_step, a.frac_over_lam) == (b.best_p, b.best_step, b.frac_over_lam)
+        assert (a.max_probability, a.best_step, a.fraction_over_lam) == (
+            b.max_probability, b.best_step, b.fraction_over_lam
+        )
         assert np.array_equal(a.top_gram, b.top_gram)
 
 
@@ -489,9 +493,9 @@ def test_pruned_scan_counts_a_sample_just_over_lam(monkeypatch):
         monkeypatch, op, [(0, 2)], [states], 30, lam
     )
     _assert_same_scans([pruned], [full])
-    assert pruned.frac_over_lam == 1.0
+    assert pruned.fraction_over_lam == 1.0
     monkeypatch.setattr(dtqw, "_PRUNE_SLACK", 0.0)
-    assert block_scan(op, [(0, 2)], [states], 30, lam)[0].frac_over_lam == 0.5
+    assert block_scan(op, [(0, 2)], [states], 30, lam)[0].fraction_over_lam == 0.5
 
 
 def test_detect_transfer_pieces_agree_with_one_pass(monkeypatch):

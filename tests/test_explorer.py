@@ -302,8 +302,10 @@ def test_search_cell_matches_per_step_reference():
             seeds = (1000 + idx, 2000 + idx)
             new = explorer._search_cell(g, policy, (0, 2), 300, 40, seeds, 0.9)
             old = _old_search_cell(g, policy, (0, 2), 300, 40, seeds, 0.9)
-            assert abs(new[0] - old[0]) <= 1e-12, (desc, policy_name)
-            assert new[1:] == old[1:], (desc, policy_name)
+            assert abs(new.max_probability - old[0]) <= 1e-12, (desc, policy_name)
+            assert (
+                new.best_step, bool(new.pst_steps), new.pst_steps, new.fraction_over_lam
+            ) == old[1:], (desc, policy_name)
             checked += 1
     assert checked == 24
 
