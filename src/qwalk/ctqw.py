@@ -3,7 +3,9 @@
 The Hamiltonian is gamma * A with gamma fixed at 1.  Evolution goes
 through the eigendecomposition, psi(t) = V exp(-i Lambda t) V* psi(0),
 so states at arbitrary times cost one small matrix product each.
-Transfer detection scans a time grid and sharpens every local maximum
+Transfer detection scans a time grid, evaluated in blocks of at most
+``_GRID_BLOCK_BYTES`` of complex states, so that a scan holds only its
+float table of vertex probabilities, and sharpens every local maximum
 of the probability P(t) = |a(t)|^2, and only the refined values are
 allowed to certify perfect transfer.  The slope has a closed form from
 the spectrum, P'(t) = 2 Re(conj(a) a'), and it crosses zero linearly at
@@ -13,6 +15,8 @@ lockstep, one matrix product per iteration for every bracket still open.
 A bracket closes when its midpoint equals one of its ends, that is when
 its ends are adjacent floats, at any t.  The reported time is the
 earliest refined maximum within ``TIE_TOL`` of the largest (``peak_step``).
+The period is the first refined maximum of the source probability
+within ``PST_TOL`` of 1 after the first grid minimum of that probability.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
 ]
 
 RECONSTRUCTION_TOL = 1e-9
+_GRID_BLOCK_BYTES = 1 << 17  # bound on the complex states of one block of a grid scan
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,12 @@ def detect_transfer_ct(
     psi0 = np.zeros(g.n, dtype=complex)
     psi0[source] = 1.0
     times = np.arange(0.0, t_max + dt / 2, dt)
-    states = evolve_ct_many(spec, psi0, times)
-    vertex_series = np.abs(states) ** 2
+    vertex_series = np.empty((times.size, g.n))
+    # blocks of equal length, so that no block of a grid of two or more rows
+    # has a single row (matmul takes another BLAS path for one row)
+    blocks = -(-times.size // max(1, _GRID_BLOCK_BYTES // (16 * g.n)))
+    for out, part in zip(np.array_split(vertex_series, blocks), np.array_split(times, blocks)):
+        out[:] = np.abs(evolve_ct_many(spec, psi0, part)) ** 2
     # |psi|^2 of a spectral sum can land a few ulps above 1; no probability does
     np.minimum(vertex_series, 1.0, out=vertex_series)
     target_series = vertex_series[:, target]
@@ -162,11 +171,12 @@ def detect_transfer_ct(
 
     # psi0 is the source basis vector, so its fidelity is the source probability
     fid_series = vertex_series[:, source]
-    # skip the trivial peak at t = 0: look only after fidelity first dips
-    dipped = np.nonzero(fid_series < 0.5)[0]
+    # skip the descent from the peak at t = 0: look only from the first grid
+    # minimum, where the fidelity first rises
+    rises = np.flatnonzero(fid_series[1:] > fid_series[:-1])
     period = None
-    if dipped.size:
-        start = dipped[0]
+    if rises.size:
+        start = rises[0]
         back_t, back_p = _refined_maxima(fid_series[start:], times[start:], spec, psi0, source)
         certified = np.flatnonzero(back_p >= 1.0 - PST_TOL)
         if certified.size:

@@ -321,8 +321,10 @@ def detect_transfer(
 
 def _port_columns(space: ArcSpace, vertices: Sequence[int]) -> np.ndarray:
     """Identity columns of the ports of the given vertices, in that order."""
-    eye = np.eye(space.n_arcs, dtype=complex)
-    return np.hstack([eye[:, space.vertex_slice(v)] for v in vertices])
+    arcs = [a for v in vertices for a in space.ports(v)]
+    cols = np.zeros((space.n_arcs, len(arcs)), dtype=complex)
+    cols[arcs, range(len(arcs))] = 1.0
+    return cols
 
 
 def target_block_powers(

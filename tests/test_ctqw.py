@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,40 @@ def test_report_vertex_series_is_the_scanned_evolution():
     assert rep.vertex_series.shape == (len(rep.times), 6)
     assert np.array_equal(rep.vertex_series, want)
     assert np.array_equal(rep.target_series, rep.vertex_series[:, 3])
+
+
+@pytest.mark.parametrize("graph, pair, t_max, dt", [
+    (Cycle(8), (0, 4), 400.0, 0.01),
+    (Cycle(8), (0, 4), 0.01, 0.01),
+    (Complete(33), (0, 1), 3.0, 0.0007),
+    (Join(Edgeless(2), Edgeless(200)), (0, 1), 5.0, 0.001),
+    (Complete(16), (0, 1), 5.12, 0.01),  # 513 rows: one more than a block
+], ids=["C8-40001-rows", "two-rows", "K33-ragged", "K2+K200", "K16-block-plus-one"])
+def test_vertex_series_is_seamless_across_grid_blocks(graph, pair, t_max, dt):
+    g = build(graph)
+    rep = detect_transfer_ct(g, pair, t_max=t_max, dt=dt)
+    psi0 = np.eye(g.n, dtype=complex)[pair[0]]
+    want = np.minimum(np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)) ** 2, 1.0)
+    assert rep.vertex_series.shape == want.shape
+    assert np.array_equal(rep.vertex_series, want)
+
+
+def test_grid_scan_holds_only_its_probability_table():
+    g = build(Cycle(8))
+    tracemalloc.start()
+    try:
+        rep = detect_transfer_ct(g, (0, 4), t_max=400.0, dt=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * rep.vertex_series.nbytes + 2**20
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_complete_graph_period(n):
+    # the source probability of K_n never drops below (1 - 2/n)^2
+    rep = detect_transfer_ct(build(Complete(n)), (0, 1))
+    assert abs(rep.period - 2 * math.pi / n) <= 1e-12
 
 
 # ----- refinement by slope bisection -----
