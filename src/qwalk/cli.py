@@ -44,8 +44,9 @@ from qwalk.dtqw import (
     unit_vector,
 )
 from qwalk.errors import ConfigError, ToleranceError
-from qwalk.explorer import interpolation_sweep, pst_search, robustness_sweep
+from qwalk.explorer import INTERP_CHAINS, interpolation_sweep, pst_search, robustness_sweep
 from qwalk.graphs import (
+    JOIN_FAMILIES,
     Complete,
     Cycle,
     DiamondChain,
@@ -130,13 +131,11 @@ def parse_graph_spec(text: str) -> Graph:
         return build(plain[head](need_n()))
     if head == "join":
         kind = extras[0] if extras else None
-        if kind not in ("k2c", "k2k", "k2p"):
+        if kind not in JOIN_FAMILIES:
             raise ConfigError(
                 f"join spec {text!r} must name k2c, k2k, or k2p before n=<int>"
             )
-        n = need_n()
-        other = {"k2c": Cycle, "k2k": Edgeless, "k2p": Path}[kind]
-        return build(Join(Edgeless(2), other(n)))
+        return build(Join(Edgeless(2), JOIN_FAMILIES[kind](need_n())))
     if head == "diamond":
         loops = kv.get("loops", "none")
         if loops not in ("none", "ends"):
@@ -223,25 +222,19 @@ def _check_source_ports(g: Graph, source: int, issues: list[str]) -> None:
         issues.append(f"vertex {source} has no ports")
 
 
-def _parse_int_list(text: str, label: str, issues: list[str]) -> list[int]:
+def _parse_list(text: str, kind: type, label: str, issues: list[str]) -> list:
+    """Comma-separated values of kind (int or float); blank items are skipped."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        issues.append(f"{label} must be comma-separated integers, got {text!r}")
-        return []
-
-
-def _parse_float_list(text: str, label: str, issues: list[str]) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        issues.append(f"{label} must be comma-separated numbers, got {text!r}")
+        what = "integers" if kind is int else "numbers"
+        issues.append(f"{label} must be comma-separated {what}, got {text!r}")
         return []
 
 
 def _parse_track(text: str | None, pair: tuple[int, int], n: int, issues: list[str]) -> list[int]:
     """Vertices of the CSV columns: the --track list, or the pair."""
-    track = _parse_int_list(text, "track", issues) if text else list(pair)
+    track = _parse_list(text, int, "track", issues) if text else list(pair)
     for v in track:
         if not 0 <= v < n:
             issues.append(f"tracked vertex {v} outside 0..{n - 1}")
@@ -437,7 +430,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
         issues.append(f"basis must be coin, position, or both, got {basis!r}")
     rates = None
     if args.rates is not None:
-        rates = _parse_float_list(args.rates, "rates", issues)
+        rates = _parse_list(args.rates, float, "rates", issues)
         if not rates:
             issues.append("need at least one rate in --rates")
         if args.rate is not None:
@@ -557,12 +550,12 @@ def cmd_robust(args: argparse.Namespace) -> int:
     unread = ("magnitudes",) if kind == "random" else ("runs", "seed")
     issues.extend(f"--{k} is not read by --kind {kind}" for k in unread
                   if getattr(args, k) is not None)
-    n_values = _parse_int_list(args.n, "n", issues)
+    n_values = _parse_list(args.n, int, "n", issues)
     if not n_values:
         issues.append("need at least one cycle size in --n")
     mags = None
     if args.magnitudes is not None:
-        mags = _parse_float_list(args.magnitudes, "magnitudes", issues)
+        mags = _parse_list(args.magnitudes, float, "magnitudes", issues)
         issues.extend(f"magnitudes must be finite, got {m}" for m in mags if not np.isfinite(m))
     if kind in ("defect", "phase") and not mags:
         issues.append(f"kind {kind!r} needs --magnitudes")
@@ -594,13 +587,13 @@ def cmd_robust(args: argparse.Namespace) -> int:
 def cmd_interp(args: argparse.Namespace) -> int:
     issues: list[str] = []
     cfg = _resolve(args, ["step", "c_points"], issues)
-    n_values = _parse_int_list(args.n, "n", issues)
+    n_values = _parse_list(args.n, int, "n", issues)
     if not n_values:
         issues.append("need at least one size in --n")
     if args.c_grid is not None:
         if args.c_points is not None:
             issues.append("--c-points is not read by interp with --c-grid")
-        c_grid = _parse_float_list(args.c_grid, "c-grid", issues)
+        c_grid = _parse_list(args.c_grid, float, "c-grid", issues)
         if not c_grid:
             issues.append("need at least one coupling in --c-grid")
     else:
@@ -715,8 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_robust)
 
     p = sub.add_parser("interp", help="transfer vs coupling along a graph chain")
-    p.add_argument("--chain", default="k2kn-k2cn",
-                   choices=("k2kn-k2cn", "k2kn-k2pn", "k2pn-k2cn"))
+    p.add_argument("--chain", default="k2kn-k2cn", choices=INTERP_CHAINS)
     p.add_argument("--n", required=True, help="comma list of sizes")
     p.add_argument("--c-grid", dest="c_grid", help="explicit comma list of couplings")
     _option(p, "c_points", "uniform grid size on [0, 1] when --c-grid is absent")

@@ -239,7 +239,14 @@ def parse_policy(text: str) -> CoinPolicy:
             raw = json.loads(label)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON coin map: {exc}") from exc
-        coins = {int(v): np.asarray(mat, dtype=complex) for v, mat in raw.items()}
+        coins = {}
+        for key, mat in raw.items():
+            try:
+                coins[int(key)] = np.asarray(mat, dtype=complex)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"coin map key {key!r} must be a vertex index holding a matrix of numbers"
+                ) from exc
         return ExplicitMap(coins, fallback=UniformGrover())
     raise ConfigError(f"unknown coin policy {text!r}")
 

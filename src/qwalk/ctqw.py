@@ -60,8 +60,7 @@ class Spectrum:
 
     def propagate(self, psi0: np.ndarray, t: float) -> np.ndarray:
         """State at time t."""
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return self.eigenvectors @ (phases * (self.eigenvectors.T @ psi0))
+        return evolve_ct_many(self, psi0, np.array([t]))[0]
 
 
 def evolve_ct(g: Graph, psi0: np.ndarray, t: float) -> np.ndarray:
@@ -159,15 +158,12 @@ def detect_transfer_ct(
 
     peak_t, peak_p = _refined_maxima(target_series, times, spec, psi0, target)
     pst_times = tuple(peak_t[peak_p >= 1.0 - PST_TOL].tolist())
-    if peak_p.size:
+    # the grid's best point, unless a refined maximum reaches it
+    grid_best = int(np.argmax(target_series))
+    max_time, max_probability = float(times[grid_best]), float(target_series[grid_best])
+    if peak_p.size and peak_p.max() >= max_probability:
         max_probability = float(peak_p.max())
         max_time = float(peak_t[peak_step(peak_p) - 1])
-    else:
-        max_time, max_probability = 0.0, float(target_series[0])
-    grid_best = int(np.argmax(target_series))
-    grid_p = float(target_series[grid_best])
-    if grid_p > max_probability:
-        max_time, max_probability = float(times[grid_best]), grid_p
 
     # psi0 is the source basis vector, so its fidelity is the source probability
     fid_series = vertex_series[:, source]

@@ -118,34 +118,26 @@ def validate_density(rho: np.ndarray) -> None:
         raise ToleranceError(f"density matrix lost positivity (min eigenvalue {lo:.3e})")
 
 
-def _dephasing_weight(mask: np.ndarray, p: float) -> np.ndarray | None:
-    """(1 - p) + p mask, or None when p = 0 leaves every entry alone."""
-    return None if p == 0.0 else (1.0 - p) + p * mask
-
-
 def density_steps(
     rho0: np.ndarray, op: StepOperator, noise: NoiseModel, steps: int
 ) -> Iterator[np.ndarray]:
     """Yield the density matrices rho_0 ... rho_steps of a noisy walk.
 
     Each step is ``op.conjugate`` followed by an in-place product with
-    the dephasing weight, which is built once per walk.  Each matrix is
-    yielded as soon as it is computed and not kept.
+    the dephasing weight (1 - p) + p mask, skipped at p = 0.  Each matrix
+    is yielded as soon as it is computed and not kept; the last one is
+    first checked with ``validate_density``.
     """
-    weight = _dephasing_weight(dephasing_mask(op.space, noise.basis), noise.rate)
-    yield from _weighted_steps(rho0, op, weight, steps)
-
-
-def _weighted_steps(
-    rho0: np.ndarray, op: StepOperator, weight: np.ndarray | None, steps: int
-) -> Iterator[np.ndarray]:
+    p = noise.rate
+    weight = None if p == 0.0 else (1.0 - p) + p * dephasing_mask(op.space, noise.basis)
     rho = np.asarray(rho0, dtype=complex)
-    yield rho
     for _ in range(steps):
+        yield rho
         rho = op.conjugate(rho)
         if weight is not None:
             rho *= weight
-        yield rho
+    validate_density(rho)
+    yield rho
 
 
 def evolve_density(
@@ -269,12 +261,8 @@ def target_probability_vs_rate(
     op = build_step_operator(g, policy)
     rho0 = density_from_state(init)
     sl = op.space.vertex_slice(pair[1])
-    mask = dephasing_mask(op.space, basis)
     probs = np.empty(len(rates))
     for i, p in enumerate(np.asarray(rates, dtype=float)):
-        weight = _dephasing_weight(mask, NoiseModel(basis, float(p)).rate)
-        for rho in _weighted_steps(rho0, op, weight, step):
-            pass  # only the last matrix is read
-        validate_density(rho)
+        *_, rho = density_steps(rho0, op, NoiseModel(basis, float(p)), step)
         probs[i] = np.real(np.trace(rho[sl, sl]))
     return RateSweep(np.asarray(rates, dtype=float), probs, step, basis)

@@ -47,7 +47,7 @@ from qwalk.dtqw import (
     vertex_probability,
 )
 from qwalk.errors import ConfigError
-from qwalk.graphs import Cycle, Edgeless, Graph, Join, Path, build, canonical_key
+from qwalk.graphs import JOIN_FAMILIES, Cycle, Edgeless, Graph, Join, build, canonical_key
 
 __all__ = [
     "VariantDescriptor",
@@ -61,6 +61,7 @@ __all__ = [
     "RobustnessResult",
     "interpolation_sweep",
     "InterpolationResult",
+    "INTERP_CHAINS",
 ]
 
 
@@ -360,14 +361,25 @@ def pst_search(
 
 
 def _read_sink(path: str) -> list[SearchRecord]:
-    """Records of a sink file, first cutting a torn last line from it."""
+    """Records of a sink file, whose torn last line is then cut off.
+
+    A complete line that is no record raises ConfigError before the
+    file is touched.
+    """
     with open(path, "rb+") as fh:
         data = fh.read()
         end = data.rfind(b"\n") + 1
+        records = []
+        for num, line in enumerate(data[:end].split(b"\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(SearchRecord.from_json(line.decode()))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"search sink {path}: line {num} is no search record") from exc
         if end < len(data):
             fh.truncate(end)
-    lines = data[:end].decode().splitlines()
-    return [SearchRecord.from_json(line) for line in lines if line.strip()]
+    return records
 
 
 def _policy_index(name: str) -> int:
@@ -522,17 +534,12 @@ class _InterpPolicy:
         return block
 
 
-_CHAINS = ("k2kn-k2cn", "k2kn-k2pn", "k2pn-k2cn")
-
-
-def _chain_graphs(chain: str, n: int) -> tuple[Graph, Graph]:
-    if chain == "k2kn-k2cn":
-        return build(Join(Edgeless(2), Edgeless(n))), build(Join(Edgeless(2), Cycle(n)))
-    if chain == "k2kn-k2pn":
-        return build(Join(Edgeless(2), Edgeless(n))), build(Join(Edgeless(2), Path(n)))
-    if chain == "k2pn-k2cn":
-        return build(Join(Edgeless(2), Path(n))), build(Join(Edgeless(2), Cycle(n)))
-    raise ConfigError(f"interpolation chain must be one of {_CHAINS}, got {chain!r}")
+# Each interpolation chain's (sparse, dense) endpoints, as JOIN_FAMILIES names
+INTERP_CHAINS = {
+    "k2kn-k2cn": ("k2k", "k2c"),
+    "k2kn-k2pn": ("k2k", "k2p"),
+    "k2pn-k2cn": ("k2p", "k2c"),
+}
 
 
 def interpolation_sweep(
@@ -549,11 +556,17 @@ def interpolation_sweep(
     state is the equal superposition at hub 0 and the probability is
     read at hub 1 after the given step count.
     """
+    if chain not in INTERP_CHAINS:
+        raise ConfigError(
+            f"interpolation chain must be one of {tuple(INTERP_CHAINS)}, got {chain!r}"
+        )
     n_values = tuple(int(n) for n in n_values)
     cs = np.asarray(list(c_grid), dtype=float)
     out = np.empty((len(n_values), cs.size))
     for i, n in enumerate(n_values):
-        sparse, dense = _chain_graphs(chain, n)
+        sparse, dense = (
+            build(Join(Edgeless(2), JOIN_FAMILIES[f](n))) for f in INTERP_CHAINS[chain]
+        )
         diff = dense.edge_set() - sparse.edge_set()
         turned_on: dict[int, set[int]] = {}
         for u, v in diff:

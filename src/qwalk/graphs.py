@@ -31,6 +31,7 @@ __all__ = [
     "Join",
     "DiamondChain",
     "Custom",
+    "JOIN_FAMILIES",
     "build",
     "complement",
     "canonical_key",
@@ -167,6 +168,9 @@ class Custom:
 
 
 FamilySpec = Union[Complete, Cycle, Path, Edgeless, Join, DiamondChain, Custom]
+
+# The right operand X of each hub-pair join K2 + X, by its spec-string name
+JOIN_FAMILIES = {"k2c": Cycle, "k2k": Edgeless, "k2p": Path}
 
 
 def build(spec: FamilySpec) -> Graph:
@@ -445,11 +449,7 @@ def _members(mask: int) -> list[int]:
 
 def graph_to_json(g: Graph) -> str:
     """Serialize to the {"n", "edges", "loops"} JSON schema."""
-    edges = []
-    rows, cols = np.nonzero(g.adjacency)
-    for i, j in zip(rows, cols):
-        if i < j:
-            edges.append([int(i), int(j), float(g.adjacency[i, j])])
+    edges = [[i, j, float(g.adjacency[i, j])] for i, j in sorted(g.edge_set())]
     loops = [int(v) for v in range(g.n) if g.has_loop(v)]
     return json.dumps({"n": g.n, "edges": edges, "loops": loops})
 
@@ -464,19 +464,32 @@ def graph_from_json(text: str) -> Graph:
     for key in ("n", "edges", "loops"):
         if key not in data:
             raise ConfigError(f"graph JSON missing field {key!r}")
-    n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    n, edges, loops = data["n"], data["edges"], data["loops"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("graph JSON field 'n' must be a positive integer")
+
+    def vertex(v: object) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+    if not isinstance(edges, list):
+        raise ConfigError(f"graph JSON field 'edges' must be a list, got {edges!r}")
+    if not isinstance(loops, list):
+        raise ConfigError(f"graph JSON field 'loops' must be a list, got {loops!r}")
     adj = np.zeros((n, n))
-    for entry in data["edges"]:
-        if len(entry) != 3:
-            raise ConfigError(f"edge entry must be [i, j, weight]: {entry!r}")
+    for entry in edges:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ConfigError(f"graph JSON field 'edges': entry must be [i, j, weight]: {entry!r}")
         i, j, w = entry
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ConfigError(f"edge endpoints out of range: {entry!r}")
+        if not (vertex(i) and vertex(j)) or i == j:
+            raise ConfigError(
+                f"graph JSON field 'edges': endpoints out of range 0..{n - 1}, "
+                f"equal or not integers: {entry!r}"
+            )
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            raise ConfigError(f"graph JSON field 'edges': weight must be a number: {entry!r}")
         adj[i, j] = adj[j, i] = float(w)
-    for v in data["loops"]:
-        if not 0 <= v < n:
-            raise ConfigError(f"loop vertex out of range: {v!r}")
+    for v in loops:
+        if not vertex(v):
+            raise ConfigError(f"graph JSON field 'loops': {v!r} is no vertex in 0..{n - 1}")
         adj[v, v] = 1.0
     return Graph(adj)

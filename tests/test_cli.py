@@ -14,6 +14,7 @@ import qwalk.dtqw
 from qwalk.cli import main, parse_graph_spec, parse_init_spec
 from qwalk.arcs import ArcSpace
 from qwalk.errors import ConfigError
+from qwalk.explorer import INTERP_CHAINS, interpolation_sweep
 from qwalk.graphs import Cycle, Edgeless, Join, build, graph_from_json
 
 
@@ -46,6 +47,25 @@ def test_parse_graph_spec_file_round_trip(tmp_path, capsys):
     g = parse_graph_spec(str(out))
     want = build(Join(Edgeless(2), Edgeless(4)))
     assert np.array_equal(g.adjacency, want.adjacency)
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"n": 3, "edges": [[0.5, 1, 1]], "loops": []}', "'edges'"),
+    ('{"n": 3, "edges": [["0", 1, 1]], "loops": []}', "'edges'"),
+    ('{"n": 3, "edges": [[0, 1, "1"]], "loops": []}', "'edges'"),
+    ('{"n": 3, "edges": [5], "loops": []}', "'edges'"),
+    ('{"n": 3, "edges": [], "loops": [1.0]}', "'loops'"),
+    ('{"n": true, "edges": [], "loops": []}', "'n'"),
+    ('{"n": 3, "edges": 5, "loops": []}', "'edges'"),
+    ('{"n": 3, "edges": [], "loops": 0}', "'loops'"),
+], ids=["float-end", "string-end", "string-weight", "bare-entry", "float-loop", "bool-n",
+        "edges-not-list", "loops-not-list"])
+def test_malformed_graph_json_is_refused_by_field(text, field, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert main(["graph", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
 
 
 def test_parse_init_specs():
@@ -524,6 +544,15 @@ def test_decohere_rate_sweep(tmp_path):
     assert float(lines[2].split(",")[1]) == pytest.approx(0.171875, abs=1e-9)
 
 
+def test_every_discrete_decohere_path_checks_its_density(monkeypatch, capsys):
+    conjugate = qwalk.dtqw.StepOperator.conjugate
+    monkeypatch.setattr(qwalk.dtqw.StepOperator, "conjugate",
+                        lambda self, rho: 1.01 * conjugate(self, rho))
+    for flags in (["--rate", "0.1"], ["--rates", "0,0.1"]):
+        assert main(["decohere", "--graph", "join k2c n=3", "--steps", "20"] + flags) == 2
+        assert "density trace" in capsys.readouterr().err
+
+
 def test_decohere_flag_conflicts(capsys):
     code = main(["decohere", "--graph", "cycle n=4", "--rate", "0.2",
                  "--rates", "0.1,0.2", "--basis", "spin"])
@@ -641,3 +670,12 @@ def test_interp_cli(tmp_path):
     assert lines[0] == "c,p_n3"
     assert float(lines[1].split(",")[1]) == pytest.approx(1.0, abs=1e-9)
     assert float(lines[3].split(",")[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_interp_chain_choices_are_the_sweep_chains():
+    parser = qwalk.cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    chain = next(a for a in commands.choices["interp"]._actions if a.dest == "chain")
+    assert list(chain.choices) == list(INTERP_CHAINS)
+    for name in chain.choices:
+        assert interpolation_sweep(name, [3], [0.5]).chain == name

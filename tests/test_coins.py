@@ -165,3 +165,13 @@ def test_parse_policy_rejects_unknown():
         parse_policy("table1:7")
     with pytest.raises(ConfigError):
         parse_policy("table1:x")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"x": [[1, 0], [0, 1]]}', "'x'"),
+    ('{"0": "abc"}', "'0'"),
+    ('{"1": [[1, 0], [0]]}', "'1'"),
+], ids=["key", "string", "ragged"])
+def test_parse_policy_names_the_bad_coin_map_key(text, key):
+    with pytest.raises(ConfigError, match=f"coin map key {key}"):
+        parse_policy(text)

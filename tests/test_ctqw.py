@@ -248,6 +248,16 @@ def test_max_time_is_the_earliest_tied_maximum(g, pair, first):
         assert rep.max_time == detect_transfer_ct(g, pair, t_max=10.0, dt=0.01).max_time
 
 
+def test_transfer_maximum_without_an_interior_peak():
+    # no refined maximum at all: the target is never reached
+    rep = detect_transfer_ct(build(Edgeless(2)), (0, 1), t_max=5.0, dt=0.01)
+    assert (rep.max_time, rep.max_probability) == (0.0, 0.0)
+    # sin^4 t still rises at tmax = 1, so the grid's last point is the maximum
+    rep = detect_transfer_ct(build(Cycle(4)), (0, 2), t_max=1.0, dt=0.01)
+    assert (rep.max_time, rep.max_probability) == (rep.times[-1], rep.target_series[-1])
+    assert rep.max_time == 1.0
+
+
 @pytest.mark.parametrize("start, dt, peak", [
     (0.0, 1.7, math.pi / 2),
     (2 * math.pi * 8192 + 1.0, 0.5, (2 * 16384 + 1) * math.pi / 2),

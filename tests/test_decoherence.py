@@ -301,3 +301,17 @@ def test_rate_sweep_monotone_near_zero():
         g, parse_policy("O2"), init, (0, 1), rates=np.array([0.0, 0.05, 0.1]), step=6
     )
     assert sweep.probabilities[0] > sweep.probabilities[1] > sweep.probabilities[2]
+
+
+def test_rate_sweep_reads_the_last_density_step():
+    g = build(Join(Edgeless(2), Cycle(4)))
+    policy = parse_policy("O1")
+    op = build_step_operator(g, policy)
+    init = equal_superposition(op.space, 0)
+    rho0 = density_from_state(init)
+    sl = op.space.vertex_slice(1)
+    rates = np.linspace(0.0, 1.0, 6)
+    sweep = target_probability_vs_rate(g, policy, init, (0, 1), rates, step=9, basis="position")
+    for rate, got in zip(rates, sweep.probabilities):
+        *_, rho = density_steps(rho0, op, NoiseModel("position", float(rate)), 9)
+        assert got == np.real(np.trace(rho[sl, sl]))

@@ -210,6 +210,19 @@ def test_search_sink_cuts_torn_last_line(tmp_path):
     assert sorted(sink.read_text().splitlines()) == sorted(lines)
 
 
+@pytest.mark.parametrize("foreign", ['{"a":1}', "notjson", "[1, 2]"])
+def test_search_sink_refuses_a_foreign_line_and_keeps_its_bytes(tmp_path, foreign):
+    sink = tmp_path / "records.jsonl"
+    pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    lines = sink.read_text().splitlines()
+    # the torn last line must survive the refusal too
+    data = ("\n".join(lines[:3] + [foreign] + lines[3:12]) + "\n" + lines[12][:40]).encode()
+    sink.write_bytes(data)
+    with pytest.raises(ConfigError, match=f"search sink {sink}: line 4 is no search record"):
+        pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    assert sink.read_bytes() == data
+
+
 def test_search_sink_streams_finished_cells(tmp_path, monkeypatch):
     sink = tmp_path / "records.jsonl"
     run_variant = explorer._run_variant
