@@ -321,7 +321,7 @@ def _emit(args: argparse.Namespace, payload: dict, header=None, x=(), table=()) 
             for lo in range(0, len(x), _CSV_BLOCK):
                 block = np.column_stack((x[lo : lo + _CSV_BLOCK], table[lo : lo + _CSV_BLOCK]))
                 fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
     _write(args.out + ".json" if args.out else None, text)
 
 
@@ -446,16 +446,14 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     _raise_issues(issues)
 
     if model == "ct":
-        rho0 = np.zeros((g.n, g.n), dtype=complex)
-        rho0[pair[0], pair[0]] = 1.0
-        rho = decohere_ct(g, rho0, rate, args.time)
+        rho = decohere_ct(g, density_from_state(np.eye(g.n)[pair[0]]), rate, args.time)
         payload = {
             "command": "decohere-ct",
             "graph": args.graph,
             "rate": rate,
             "time": args.time,
-            "vertex_probabilities": [float(x) for x in np.real(np.diag(rho))],
-            "target_probability": float(np.real(rho[pair[1], pair[1]])),
+            "vertex_probabilities": np.real(np.diag(rho)),
+            "target_probability": np.real(rho[pair[1], pair[1]]),
         }
         _emit(args, payload)
         return 0
@@ -477,8 +475,8 @@ def cmd_decohere(args: argparse.Namespace) -> int:
             "policy": policy_text,
             "basis": basis,
             "step": steps,
-            "rates": [float(r) for r in sweep.rates],
-            "target_probabilities": [float(p) for p in sweep.probabilities],
+            "rates": sweep.rates,
+            "target_probabilities": sweep.probabilities,
         }
         _emit(args, payload, ["rate", "p_target"], sweep.rates, sweep.probabilities[:, None])
         return 0
@@ -496,8 +494,8 @@ def cmd_decohere(args: argparse.Namespace) -> int:
         "basis": basis,
         "rate": rate,
         "steps": steps,
-        "final_distribution": [float(x) for x in marginals[-1]],
-        "target_probability": float(marginals[-1][pair[1]]),
+        "final_distribution": marginals[-1],
+        "target_probability": marginals[-1][pair[1]],
     }
     _emit(args, payload, ["step"] + [f"v{v}" for v in range(g.n)], range(steps + 1), marginals)
     return 0
@@ -571,14 +569,11 @@ def cmd_robust(args: argparse.Namespace) -> int:
     }
     if kind == "random":
         payload["runs"] = runs
-        payload["mean_probabilities"] = [float(p) for p in res.probabilities]
+        payload["mean_probabilities"] = res.probabilities
         _emit(args, payload, ["n", "mean_p"], res.n_values, res.probabilities[:, None])
     else:
-        payload["magnitudes"] = [float(m) for m in res.magnitudes]
-        payload["probabilities"] = {
-            f"n{n}": [float(p) for p in res.probabilities[i]]
-            for i, n in enumerate(res.n_values)
-        }
+        payload["magnitudes"] = res.magnitudes
+        payload["probabilities"] = dict(zip((f"n{n}" for n in res.n_values), res.probabilities))
         _emit(args, payload, ["magnitude"] + [f"p_n{n}" for n in res.n_values],
               res.magnitudes, res.probabilities.T)
     return 0
@@ -609,11 +604,8 @@ def cmd_interp(args: argparse.Namespace) -> int:
         "chain": res.chain,
         "n_values": list(res.n_values),
         "step": res.step,
-        "c_grid": [float(c) for c in res.c_grid],
-        "probabilities": {
-            f"n{n}": [float(p) for p in res.probabilities[i]]
-            for i, n in enumerate(res.n_values)
-        },
+        "c_grid": res.c_grid,
+        "probabilities": dict(zip((f"n{n}" for n in res.n_values), res.probabilities)),
     }
     _emit(args, payload, ["c"] + [f"p_n{n}" for n in res.n_values], res.c_grid, res.probabilities.T)
     return 0

@@ -204,14 +204,12 @@ class ExplicitMap:
     """Explicit vertex -> unitary assignment; missing vertices fall back."""
 
     coins: dict[int, np.ndarray]
-    fallback: "CoinPolicy | None" = None
+    fallback: "CoinPolicy"
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
         if v in self.coins:
             return np.asarray(self.coins[v], dtype=complex)
-        if self.fallback is not None:
-            return self.fallback.coin_for(g, v, d)
-        raise ConfigError(f"vertex {v}: no coin assigned and no fallback policy")
+        return self.fallback.coin_for(g, v, d)
 
 
 CoinPolicy = Union[UniformDFT, UniformGrover, GroverWithHadamardPairs, PresetRow, ExplicitMap]

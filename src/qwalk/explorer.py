@@ -33,8 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from qwalk.coins import CoinPolicy, UniformGrover, grover, interp_grover, parse_policy
-from qwalk.dtqw import PST_SINGULAR_TOL  # noqa: F401  (re-exported)
+from qwalk.coins import CoinPolicy, ExplicitMap, UniformGrover, interp_grover, parse_policy
 from qwalk.dtqw import (
     ScanResult,
     block_scan,
@@ -263,9 +262,36 @@ class SearchRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "SearchRecord":
+        """Parse one sink line; ValueError names a field of the wrong type."""
         data = json.loads(line)
+        if not isinstance(data, dict) or data.keys() != _RECORD_FIELDS.keys():
+            raise ValueError(f"a search record has exactly the fields {', '.join(_RECORD_FIELDS)}")
+        bad = [name for name, ok in _RECORD_FIELDS.items() if not ok(data[name])]
+        if bad:
+            raise ValueError(f"search record fields of the wrong type: {', '.join(bad)}")
         data["pst_steps"] = tuple(data["pst_steps"])
         return cls(**data)
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite(x: object) -> bool:
+    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
+
+
+# The JSON type each SearchRecord field must have; a bool is no number
+_RECORD_FIELDS = {
+    "key": lambda x: isinstance(x, str),
+    "descriptor": lambda x: isinstance(x, dict),
+    "policy": lambda x: isinstance(x, str),
+    "best_p": _is_finite,
+    "best_step": _is_int,
+    "pst": lambda x: isinstance(x, bool),
+    "pst_steps": lambda x: isinstance(x, list) and all(map(_is_int, x)),
+    "frac_over_lambda": _is_finite,
+}
 
 
 def _search_cell(
@@ -375,8 +401,10 @@ def _read_sink(path: str) -> list[SearchRecord]:
                 continue
             try:
                 records.append(SearchRecord.from_json(line.decode()))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"search sink {path}: line {num} is no search record") from exc
+            except ValueError as exc:
+                raise ConfigError(
+                    f"search sink {path}: line {num} is no search record: {exc}"
+                ) from exc
         if end < len(data):
             fh.truncate(end)
     return records
@@ -508,30 +536,11 @@ class InterpolationResult:
     step: int
 
 
-class _InterpPolicy:
-    """Grover everywhere except vertices with turned-on edges, which get
-    the interpolating coin with their tunnel ports masked in arc order.
-    One read-only block is built per (degree, tunnel ports)."""
-
-    def __init__(self, turned_on: dict[int, set[int]], c: float):
-        self.turned_on = turned_on
-        self.c = c
-        self._blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-
-    def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        extra = self.turned_on.get(v, ())
-        tunnel = tuple(i for i, w in enumerate(g.neighbors(v)) if w in extra)
-        block = self._blocks.get((d, tunnel))
-        if block is None:
-            if tunnel:
-                order = [i for i in range(d) if i not in tunnel] + list(tunnel)
-                inv = np.argsort(order)
-                block = interp_grover(d, len(tunnel), self.c)[np.ix_(inv, inv)]
-            else:
-                block = grover(d)
-            block.flags.writeable = False
-            self._blocks[d, tunnel] = block
-        return block
+def _interp_block(d: int, tunnel: tuple[int, ...], c: float) -> np.ndarray:
+    """interp_grover(d, len(tunnel), c) with its extra (last) ports moved to ``tunnel``."""
+    order = [i for i in range(d) if i not in tunnel] + list(tunnel)
+    inv = np.argsort(order)
+    return interp_grover(d, len(tunnel), c)[np.ix_(inv, inv)]
 
 
 # Each interpolation chain's (sparse, dense) endpoints, as JOIN_FAMILIES names
@@ -567,16 +576,20 @@ def interpolation_sweep(
         sparse, dense = (
             build(Join(Edgeless(2), JOIN_FAMILIES[f](n))) for f in INTERP_CHAINS[chain]
         )
-        diff = dense.edge_set() - sparse.edge_set()
-        turned_on: dict[int, set[int]] = {}
-        for u, v in diff:
-            turned_on.setdefault(u, set()).add(v)
-            turned_on.setdefault(v, set()).add(u)
+        # (degree, tunnel ports) of each vertex with edges the sparse graph lacks
+        keys = {}
+        for v in range(dense.n):
+            nbrs = dense.neighbors(v)
+            tunnel = tuple(p for p, w in enumerate(nbrs) if not sparse.adjacency[v, w])
+            if tunnel:
+                keys[v] = (len(nbrs), tunnel)
         for j, c in enumerate(cs):
             if c == 0.0:
                 op = build_step_operator(sparse, UniformGrover())
             else:
-                op = build_step_operator(dense, _InterpPolicy(turned_on, float(c)))
+                blocks = {key: _interp_block(*key, float(c)) for key in set(keys.values())}
+                coins = {v: blocks[key] for v, key in keys.items()}
+                op = build_step_operator(dense, ExplicitMap(coins, fallback=UniformGrover()))
             psi = trajectory(op, equal_superposition(op.space, 0), step)[-1]
             out[i, j] = vertex_probability(op.space, psi, 1)
     return InterpolationResult(chain, n_values, cs, out, step)

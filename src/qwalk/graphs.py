@@ -173,17 +173,30 @@ FamilySpec = Union[Complete, Cycle, Path, Edgeless, Join, DiamondChain, Custom]
 JOIN_FAMILIES = {"k2c": Cycle, "k2k": Edgeless, "k2p": Path}
 
 
+_MAX_VERTICES = 4096  # a 128 MiB dense float adjacency
+
+
+def _zeros(n: int) -> np.ndarray:
+    """Zero n x n adjacency, refused before allocation above _MAX_VERTICES."""
+    if n > _MAX_VERTICES:
+        raise ConfigError(
+            f"graph of {n} vertices exceeds the limit of {_MAX_VERTICES} (128 MiB adjacency)"
+        )
+    return np.zeros((n, n))
+
+
 def build(spec: FamilySpec) -> Graph:
     """Construct the graph a family dataclass describes."""
     if isinstance(spec, Complete):
         if spec.n < 1:
             raise ConfigError("complete graph requires n ≥ 1")
-        adj = np.ones((spec.n, spec.n)) - np.eye(spec.n)
+        adj = _zeros(spec.n) + 1.0
+        np.fill_diagonal(adj, 0.0)
         return Graph(adj)
     if isinstance(spec, Cycle):
         if spec.n < 3:
             raise ConfigError("cycle requires n ≥ 3")
-        adj = np.zeros((spec.n, spec.n))
+        adj = _zeros(spec.n)
         for v in range(spec.n):
             adj[v, (v + 1) % spec.n] = 1
             adj[(v + 1) % spec.n, v] = 1
@@ -191,7 +204,7 @@ def build(spec: FamilySpec) -> Graph:
     if isinstance(spec, Path):
         if spec.n < 2:
             raise ConfigError("path requires n ≥ 2")
-        adj = np.zeros((spec.n, spec.n))
+        adj = _zeros(spec.n)
         for v in range(spec.n - 1):
             adj[v, v + 1] = 1
             adj[v + 1, v] = 1
@@ -199,7 +212,7 @@ def build(spec: FamilySpec) -> Graph:
     if isinstance(spec, Edgeless):
         if spec.n < 1:
             raise ConfigError("edgeless graph requires n ≥ 1")
-        return Graph(np.zeros((spec.n, spec.n)))
+        return Graph(_zeros(spec.n))
     if isinstance(spec, Join):
         return _join(build(spec.left), build(spec.right))
     if isinstance(spec, DiamondChain):
@@ -211,7 +224,7 @@ def build(spec: FamilySpec) -> Graph:
 
 def _join(g: Graph, h: Graph) -> Graph:
     ng, nh = g.n, h.n
-    adj = np.zeros((ng + nh, ng + nh))
+    adj = _zeros(ng + nh)
     adj[:ng, :ng] = g.adjacency
     adj[ng:, ng:] = h.adjacency
     adj[:ng, ng:] = 1.0
@@ -223,7 +236,7 @@ def _diamond_chain(n: int, loop_ends: bool) -> Graph:
     if n < 1:
         raise ConfigError("diamond chain requires n ≥ 1")
     size = 3 * n + 1
-    adj = np.zeros((size, size))
+    adj = _zeros(size)
     for i in range(n):
         left = 3 * i
         top, bottom = 3 * i + 1, 3 * i + 2
@@ -475,7 +488,7 @@ def graph_from_json(text: str) -> Graph:
         raise ConfigError(f"graph JSON field 'edges' must be a list, got {edges!r}")
     if not isinstance(loops, list):
         raise ConfigError(f"graph JSON field 'loops' must be a list, got {loops!r}")
-    adj = np.zeros((n, n))
+    adj = _zeros(n)
     for entry in edges:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ConfigError(f"graph JSON field 'edges': entry must be [i, j, weight]: {entry!r}")

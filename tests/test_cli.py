@@ -68,6 +68,21 @@ def test_malformed_graph_json_is_refused_by_field(text, field, tmp_path, capsys)
     assert err.startswith("config error:") and field in err
 
 
+@pytest.mark.parametrize("spec", ["json", "cycle n=100000000", "join k2k n=5000"])
+def test_oversized_graph_is_refused_before_allocation(spec, tmp_path, capsys):
+    if spec == "json":
+        spec = str(tmp_path / "big.json")
+        Path(spec).write_text('{"n": 100000000, "edges": [], "loops": []}')
+    assert main(["graph", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "limit of 4096" in err
+
+
+def test_hub_join_of_300_still_builds(capsys):
+    assert main(["graph", "join k2k n=300"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 302
+
+
 def test_parse_init_specs():
     g = build(Cycle(4))
     space = ArcSpace.from_graph(g)
@@ -509,6 +524,29 @@ def test_emit_csv_blocks_join_seamlessly(monkeypatch, tmp_path):
     text = (tmp_path / "blocks.csv").read_text()
     assert text == (tmp_path / "whole.csv").read_text()
     assert len(text.splitlines()) == 12
+
+
+def test_emit_json_writes_numpy_values_as_their_python_forms(tmp_path):
+    rows = np.array([SPECIAL, SPECIAL[::-1]])
+    numpy_payload = {
+        "array": np.array(SPECIAL),
+        "empty": np.empty(0),
+        "float": np.float64(0.1),
+        "int": np.int64(7),
+        "real_part": np.real(np.complex128(complex(-0.0, 2.0))),
+        "rows": dict(zip(("n3", "n4"), rows)),
+    }
+    plain_payload = {
+        "array": list(SPECIAL),
+        "empty": [],
+        "float": 0.1,
+        "int": 7,
+        "real_part": -0.0,
+        "rows": {"n3": [float(v) for v in rows[0]], "n4": [float(v) for v in rows[1]]},
+    }
+    qwalk.cli._emit(argparse.Namespace(out=str(tmp_path / "numpy")), numpy_payload)
+    qwalk.cli._emit(argparse.Namespace(out=str(tmp_path / "plain")), plain_payload)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_ctqw_csv_caps_grid_probabilities(tmp_path):

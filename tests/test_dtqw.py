@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qwalk.arcs import ArcSpace
 from qwalk.coins import ExplicitMap, UniformGrover, grover, parse_policy
 from qwalk.dtqw import (
+    PST_SINGULAR_TOL,
     TIE_TOL,
     block_scan,
     build_step_operator,
@@ -22,12 +23,7 @@ from qwalk.dtqw import (
     vertex_probability,
 )
 from qwalk.errors import ConfigError, ToleranceError
-from qwalk.explorer import (
-    PST_SINGULAR_TOL,
-    VariantDescriptor,
-    build_variant,
-    enumerate_variants,
-)
+from qwalk.explorer import VariantDescriptor, build_variant, enumerate_variants
 from qwalk.graphs import Complete, Cycle, DiamondChain, Edgeless, Graph, Join, Path, build
 
 POLICIES = ["O1", "O2", "O3"]

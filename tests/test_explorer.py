@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.coins import parse_policy
-from qwalk.dtqw import build_step_operator, detect_transfer, state_at_vertex
-from qwalk.errors import ConfigError
-from qwalk.explorer import (
+from qwalk.coins import UniformGrover, grover, interp_grover, parse_policy
+from qwalk.dtqw import (
     PST_SINGULAR_TOL,
+    build_step_operator,
+    detect_transfer,
+    equal_superposition,
+    state_at_vertex,
+    trajectory,
+    vertex_probability,
+)
+from qwalk.errors import ConfigError
+from qwalk.graphs import JOIN_FAMILIES, Edgeless, Join, build
+from qwalk.explorer import (
     SearchRecord,
     VariantDescriptor,
     build_variant,
@@ -219,6 +227,23 @@ def test_search_sink_refuses_a_foreign_line_and_keeps_its_bytes(tmp_path, foreig
     data = ("\n".join(lines[:3] + [foreign] + lines[3:12]) + "\n" + lines[12][:40]).encode()
     sink.write_bytes(data)
     with pytest.raises(ConfigError, match=f"search sink {sink}: line 4 is no search record"):
+        pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    assert sink.read_bytes() == data
+
+
+@pytest.mark.parametrize("field, value", [
+    ("best_p", "high"), ("best_step", True), ("pst_steps", [2.0]),
+    ("frac_over_lambda", float("nan")), ("descriptor", []),
+])
+def test_search_sink_refuses_a_field_of_the_wrong_type_and_keeps_its_bytes(tmp_path, field, value):
+    sink = tmp_path / "records.jsonl"
+    pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    lines = sink.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[field] = value
+    data = ("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n").encode()
+    sink.write_bytes(data)
+    with pytest.raises(ConfigError, match=f"line 2 is no search record: .*{field}"):
         pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
     assert sink.read_bytes() == data
 
@@ -437,6 +462,59 @@ def test_interpolation_chain_endpoints_agree():
     a = interpolation_sweep("k2kn-k2pn", [4], [1.0], step=6)
     b = interpolation_sweep("k2pn-k2cn", [4], [0.0], step=6)
     assert a.probabilities[0, 0] == pytest.approx(b.probabilities[0, 0], abs=1e-9)
+
+
+class _PerVertexInterpPolicy:
+    """The coin policy interpolation_sweep walked before it built an
+    ExplicitMap: Grover everywhere except vertices with turned-on edges,
+    which get interp_grover with its tunnel ports masked in arc order."""
+
+    def __init__(self, turned_on, c):
+        self.turned_on = turned_on
+        self.c = c
+        self._blocks = {}
+
+    def coin_for(self, g, v, d):
+        extra = self.turned_on.get(v, ())
+        tunnel = tuple(i for i, w in enumerate(g.neighbors(v)) if w in extra)
+        block = self._blocks.get((d, tunnel))
+        if block is None:
+            if tunnel:
+                order = [i for i in range(d) if i not in tunnel] + list(tunnel)
+                inv = np.argsort(order)
+                block = interp_grover(d, len(tunnel), self.c)[np.ix_(inv, inv)]
+            else:
+                block = grover(d)
+            self._blocks[d, tunnel] = block
+        return block
+
+
+def _per_vertex_interpolation_sweep(chain, n_values, cs, step=6):
+    out = np.empty((len(n_values), len(cs)))
+    for i, n in enumerate(n_values):
+        sparse, dense = (
+            build(Join(Edgeless(2), JOIN_FAMILIES[f](n))) for f in explorer.INTERP_CHAINS[chain]
+        )
+        turned_on = {}
+        for u, v in dense.edge_set() - sparse.edge_set():
+            turned_on.setdefault(u, set()).add(v)
+            turned_on.setdefault(v, set()).add(u)
+        for j, c in enumerate(cs):
+            if c == 0.0:
+                op = build_step_operator(sparse, UniformGrover())
+            else:
+                op = build_step_operator(dense, _PerVertexInterpPolicy(turned_on, float(c)))
+            psi = trajectory(op, equal_superposition(op.space, 0), step)[-1]
+            out[i, j] = vertex_probability(op.space, psi, 1)
+    return out
+
+
+@pytest.mark.parametrize("chain", sorted(explorer.INTERP_CHAINS))
+def test_interpolation_sweep_equals_the_per_vertex_policy_bit_for_bit(chain):
+    cs = np.linspace(0.0, 1.0, 11)
+    res = interpolation_sweep(chain, range(3, 9), cs)
+    want = _per_vertex_interpolation_sweep(chain, range(3, 9), cs)
+    assert res.probabilities.tobytes() == want.tobytes()
 
 
 def test_interpolation_rejects_unknown_chain():

@@ -1,5 +1,10 @@
 import importlib
+import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +19,45 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"qwalk.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, missing
+
+
+def test_importing_the_package_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(Path(qwalk.__file__).parents[1]))
+    code = "import sys, qwalk; print(sorted(m for m in sys.modules if m.startswith('qwalk.')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def _qwalk_bindings(class_attrs) -> dict:
+    """Every function bound in a loaded qwalk module, and the traced class attributes."""
+    out = {}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "qwalk" or modname.startswith("qwalk."):
+            out.update(((modname, attr), value) for attr, value in vars(mod).items()
+                       if inspect.isfunction(value))
+    for short, cls_name, attr in class_attrs:
+        cls = getattr(importlib.import_module(f"qwalk.{short}"), cls_name)
+        out[short, cls_name, attr] = cls.__dict__[attr]
+    return out
+
+
+def test_tracer_wraps_qwalk_and_restores_every_function(monkeypatch):
+    # perfbench/tracer.py wraps qwalk's functions and class attributes by name
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    for short in tracer.MODULES:
+        importlib.import_module(f"qwalk.{short}")
+    before = _qwalk_bindings(tracer.CLASS_ATTRS)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        during = _qwalk_bindings(tracer.CLASS_ATTRS)
+    finally:
+        traced.uninstall()
+    after = _qwalk_bindings(tracer.CLASS_ATTRS)
+    wrapped = {key for key in before if during[key] is not before[key]}
+    assert {("qwalk.graphs", "build"), ("qwalk.cli", "main")} <= wrapped
+    assert {("ctqw", "Spectrum", "propagate"), ("arcs", "ArcSpace", "from_graph")} <= wrapped
+    assert [key for key in before if after[key] is not before[key]] == []
