@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from qwalk.arcs import ArcSpace
-from qwalk.coins import CoinPolicy
+from qwalk.coins import CoinPolicy, ExplicitMap
 from qwalk.errors import ConfigError, ToleranceError
 from qwalk.graphs import Graph
 
@@ -125,8 +125,16 @@ def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
     """U = S C from one coin block per vertex, in arc order.
 
     Since S is a permutation, U^H U = C^H C, so unitarity is checked on
-    the blocks: max |B^H B - I| per run, and a NaN fails the check.
+    the blocks: max |B^H B - I| per run, and a NaN fails the check.  An
+    explicit coin map is first checked against the graph: a key that
+    names no vertex raises, since no walk would ever read its coin.
     """
+    if isinstance(policy, ExplicitMap):
+        stray = sorted(v for v in policy.coins if not 0 <= v < g.n)
+        if stray:
+            raise ConfigError(
+                f"coin map keys {', '.join(map(str, stray))} name no vertex in 0..{g.n - 1}"
+            )
     space = ArcSpace.from_graph(g)
     blocks = []
     for v, d in enumerate(np.diff(space.offsets).tolist()):

@@ -162,10 +162,7 @@ def _keyed_variants(
     image, so it is always keyed and the ``seen`` check yields the same
     sequence as keying every candidate would.
     """
-    if base < 4 or base % 2:
-        raise ConfigError("variant enumeration expects an even base cycle >= 4")
-    if max_new < 1:
-        raise ConfigError("max_new must be at least 1")
+    _check_variant_args(base, max_new)
     half = base // 2
     subsets = [
         tuple(sorted(s))
@@ -196,6 +193,20 @@ def _keyed_variants(
                         continue
                     seen.add(key)
                     yield key, desc, g
+
+
+# The attachment subsets of a base cycle are listed up front: 2**16 - 1 = 65,535
+_MAX_BASE = 16
+
+
+def _check_variant_args(base: int, max_new: int) -> None:
+    if base < 4 or base % 2 or base > _MAX_BASE:
+        raise ConfigError(
+            f"variant enumeration expects an even base cycle of 4 to {_MAX_BASE} vertices "
+            f"(at most {2**_MAX_BASE - 1:,} attachment subsets), got {base}"
+        )
+    if max_new < 1:
+        raise ConfigError(f"max_new must be at least 1, got {max_new}")
 
 
 def _fixing_relabels(
@@ -337,8 +348,10 @@ def pst_search(
 ) -> list[SearchRecord]:
     """Survey every variant under every policy and sort by best transfer.
 
-    Policy names are parsed first, so a bad or repeated name raises
-    ``ConfigError`` before the sink is touched.  One task is one variant:
+    Policy names and the enumeration arguments are checked first, so a
+    bad or repeated name, an odd base, a base outside 4..16 or a
+    ``max_new`` below 1 raises ``ConfigError`` before the sink is
+    touched.  One task is one variant:
     the graph built while keying it is walked under every policy still
     missing from the sink.  With a sink path, each variant's records are
     appended to a JSON-lines file and flushed as soon as its cells
@@ -355,6 +368,7 @@ def pst_search(
         if name in parsed:
             raise ConfigError(f"policy {name!r} listed twice")
         parsed[name] = parse_policy(name)
+    _check_variant_args(base, max_new)
     records = _read_sink(sink_path) if sink_path and os.path.exists(sink_path) else []
     done = {(rec.key, rec.policy) for rec in records}
 

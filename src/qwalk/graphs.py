@@ -271,17 +271,18 @@ def _refine_colors(
     Classic 1-dimensional refinement: a vertex's new color is its old
     color and loop bit together with the sorted multiset of neighbor
     colors, renamed to dense integers in a vertex-order-independent way.
+    A coloring with n colors is stable, so it is returned at once.
     """
     n = len(nbrs)
     while True:
         signatures = [
-            (colors[v], loops[v], tuple(sorted(colors[w] for w in nbrs[v])))
-            for v in range(n)
+            (c, loop, tuple(sorted(map(colors.__getitem__, ws))))
+            for c, loop, ws in zip(colors, loops, nbrs)
         ]
         ranked = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [ranked[sig] for sig in signatures]
-        if new_colors == colors:
-            return colors
+        new_colors = list(map(ranked.__getitem__, signatures))
+        if new_colors == colors or len(ranked) == n:
+            return new_colors
         colors = new_colors
 
 
@@ -317,10 +318,15 @@ def canonical_key(g: Graph, marks: Sequence[int] = ()) -> bytes:
     the current prefix pointwise, because its subtree is an image of
     one already searched (McKay & Piperno, "Practical graph isomorphism,
     II", J. Symb. Comput. 60, 2014).
+
+    The search keeps the best order's rows as integers, row k holding
+    n - k bits with the first bit leftmost, so the key's triangle is
+    those rows written out in binary, one byte per bit.  The adjacency
+    is read once, as nested lists; no array is built after that.
     """
-    if not g.is_unweighted():
+    rows = g.adjacency.tolist()
+    if not set().union(*rows) <= {0.0, 1.0}:
         raise ConfigError("canonical_key supports unweighted graphs only")
-    adj = g.adjacency
     n = g.n
     if n > 255:
         raise ConfigError(
@@ -329,13 +335,16 @@ def canonical_key(g: Graph, marks: Sequence[int] = ()) -> bytes:
     mark_set = set(marks)
     if any(not 0 <= v < n for v in mark_set):
         raise ConfigError("mark vertex out of range")
-    rows = (adj != 0).tolist()
     nbrs = [[w for w, edge in enumerate(row) if edge and w != v] for v, row in enumerate(rows)]
     loops = [int(row[v]) for v, row in enumerate(rows)]
     colors = _refine_colors(nbrs, loops, [1 if v in mark_set else 0 for v in range(n)])
-    order = _OrderSearch(nbrs, loops).minimum(_color_classes(colors))
-    rel = adj[np.ix_(order, order)]
-    return bytes([n]) + bytes(rel[np.triu_indices(n)].astype(np.uint8))
+    search = _OrderSearch(nbrs, loops)
+    search.minimum(_color_classes(colors))
+    bits = "".join([format(row, f"0{n - k}b") for k, row in enumerate(search.best_rows)])
+    return bytes([n]) + bits.encode().translate(_BIT_BYTES)
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit to its bit value
 
 
 class _OrderSearch:
@@ -366,11 +375,40 @@ class _OrderSearch:
         ``fixed`` is the mask of the prefix vertices and ``equal`` says
         the prefix's rows equal the best key's.  A returned depth d means
         the rest of the subtree below the first d + 1 positions is an
-        image of one already searched.
+        image of one already searched.  A singleton first cell offers
+        one candidate, so such cells are placed in a loop, and only a
+        leaf or a cell with a choice ends it.
         """
+        top = len(prefix)
+        back = None
+        while cells and not cells[0] & (cells[0] - 1):
+            first = cells[0]
+            v = first.bit_length() - 1
+            nbr = self.nbrs[v]
+            row = self.loops[v]
+            for cell in cells[1:]:
+                row = (row << cell.bit_count()) | ((1 << (nbr & cell).bit_count()) - 1)
+            if equal:
+                if row > self.best_rows[len(rows)]:
+                    break
+                equal = row == self.best_rows[len(rows)]
+            rows.append(row)
+            prefix.append(v)
+            fixed |= first
+            cells = [part for cell in cells[1:] for part in (cell & ~nbr, cell & nbr) if part]
+        else:
+            if cells:
+                back = self._branch(cells, prefix, rows, fixed, equal)
+            else:
+                back = self._leaf(prefix, rows, equal)
+        del prefix[top:], rows[top:]
+        return back if back is not None and back < top else None
+
+    def _branch(
+        self, cells: list[int], prefix: list[int], rows: list[int], fixed: int, equal: bool
+    ) -> int | None:
+        """``_node`` at a first cell of two or more candidates."""
         depth = len(prefix)
-        if not cells:
-            return self._leaf(prefix, rows, equal)
         sizes = [cell.bit_count() for cell in cells]
         sizes[0] -= 1  # the candidate leaves the first cell
         scored = []

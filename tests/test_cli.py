@@ -717,3 +717,60 @@ def test_interp_chain_choices_are_the_sweep_chains():
     assert list(chain.choices) == list(INTERP_CHAINS)
     for name in chain.choices:
         assert interpolation_sweep(name, [3], [0.5]).chain == name
+
+
+STRAY_COIN_MAP = '{"9": [[1,0],[0,1]], "-3": [[0,1],[1,0]], "1": [[0,1],[1,0]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["dtqw", "--steps", "4"],
+    ["dtqw", "--steps", "4", "--init", "haar:20:1"],
+    ["decohere", "--steps", "4", "--rate", "0.1"],
+    ["decohere", "--steps", "4", "--rates", "0,0.5"],
+], ids=["dtqw", "dtqw-scan", "decohere", "decohere-rates"])
+def test_coin_map_keys_that_name_no_vertex_exit_1(argv, tmp_path, capsys):
+    argv = argv + ["--graph", "cycle n=4", "--pair", "0,2", "--policy", STRAY_COIN_MAP]
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: coin map keys -3, 9 name no vertex in 0..3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+_SEARCH_SMALL = ["search", "--samples", "5", "--steps", "4", "--workers", "1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--base", "5", "--max-new", "1"], "even base cycle of 4 to 16 vertices"),
+    (["--base", "2", "--max-new", "1"], "even base cycle of 4 to 16 vertices"),
+    # max_new 0 keeps a regression from surveying all 262,143 subsets
+    (["--base", "18", "--max-new", "0"], "at most 65,535 attachment subsets), got 18"),
+    (["--base", "4", "--max-new", "0"], "max_new must be at least 1, got 0"),
+], ids=["odd", "small", "large", "no-new-node"])
+def test_search_checks_its_enumeration_before_the_sink(args, message, tmp_path, capsys):
+    sink = tmp_path / "s.jsonl"
+    assert main(_SEARCH_SMALL + ["--base", "4", "--max-new", "1", "--out", str(sink)]) == 0
+    capsys.readouterr()
+    data = sink.read_bytes() + b'{"torn'
+    sink.write_bytes(data)
+    assert main(_SEARCH_SMALL + args + ["--out", str(sink)]) == 1
+    assert message in capsys.readouterr().err
+    assert sink.read_bytes() == data
+
+
+def test_search_refuses_a_base_of_40_without_listing_its_subsets(tmp_path):
+    # 2**40 attachment subsets would exhaust memory; a 1.5 GB address
+    # space makes a regression fail fast instead
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qwalk.cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    argv = ["search", "--base", "40", "--max-new", "1", "--workers", "1",
+            "--out", str(tmp_path / "s.jsonl")]
+    done = subprocess.run([sys.executable, "-m", "qwalk.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+    assert done.returncode == 1, done.stderr
+    assert "at most 65,535 attachment subsets), got 40" in done.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalk import explorer, graphs
 from qwalk.errors import ConfigError
 from qwalk.graphs import (
     Complete,
@@ -176,6 +178,14 @@ def test_key_needs_fewer_than_256_vertices():
         canonical_key(build(Path(256)))
 
 
+@pytest.mark.parametrize("weight", [2.0, 0.5, 1e-300])
+def test_key_refuses_a_weighted_edge(weight):
+    adj = build(Cycle(4)).adjacency.copy()
+    adj[0, 1] = adj[1, 0] = weight
+    with pytest.raises(ConfigError, match="unweighted graphs only"):
+        canonical_key(Graph(adj))
+
+
 # The key by its definition: refine the colouring by neighbourhood
 # signatures (a copy kept apart from the library's, so that a change to
 # the colour ranks shows), then try every order inside each colour class
@@ -303,6 +313,50 @@ def test_symmetric_graph_keys_survive_relabeling(g, marks):
     for seed in range(3):
         moved, moved_marks = _relabeled(g, marks, seed)
         assert canonical_key(moved, moved_marks) == key
+
+
+def _key_from_relabelled_adjacency(g: Graph, marks=()) -> bytes:
+    """The key as first defined: the upper triangle of the adjacency
+    relabelled by the order search's order, one byte per entry."""
+    rows = (g.adjacency != 0).tolist()
+    nbrs = [[w for w, edge in enumerate(row) if edge and w != v] for v, row in enumerate(rows)]
+    loops = [int(row[v]) for v, row in enumerate(rows)]
+    colors = graphs._refine_colors(nbrs, loops, [1 if v in marks else 0 for v in range(g.n)])
+    order = graphs._OrderSearch(nbrs, loops).minimum(graphs._color_classes(colors))
+    rel = g.adjacency[np.ix_(order, order)]
+    return bytes([g.n]) + bytes(rel[np.triu_indices(g.n)].astype(np.uint8))
+
+
+def test_key_bytes_equal_the_relabelled_upper_triangle():
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(600):
+        n = int(rng.integers(1, 19))
+        adj = np.triu((rng.random((n, n)) < rng.random()).astype(float), k=1)
+        adj = adj + adj.T
+        adj[np.diag_indices(n)] = rng.random(n) < 0.2
+        marks = tuple(rng.choice(n, size=int(rng.integers(0, min(3, n) + 1)), replace=False))
+        cases.append((Graph(adj), marks))
+    symmetric = [
+        (build(Cycle(16)), (0, 8)),
+        (build(Join(Edgeless(2), Edgeless(9))), (0, 1)),
+        (Graph(nx.to_numpy_array(nx.hypercube_graph(4))), ()),
+        (Graph(nx.to_numpy_array(nx.petersen_graph())), (0,)),
+    ]
+    for g, marks in symmetric:
+        cases.extend(_relabeled(g, marks, seed) for seed in range(5))
+    for g, marks in cases:
+        assert canonical_key(g, marks) == _key_from_relabelled_adjacency(g, marks)
+
+
+@pytest.mark.parametrize("base, max_new, count, digest", [
+    (4, 2, 96, "c8628bbcd350602344a17b3f34d1f0d37729ddde8ffcabf3bc073e87e306dd0b"),
+    (6, 2, 1097, "fd5718d202713a89aaf04e80e7f4870a7d1ecfbf3a5432fc65a4038c98ca9fc4"),
+])
+def test_survey_keys_are_pinned(base, max_new, count, digest):
+    keys = [key for key, _, _ in explorer._keyed_variants(base, max_new)]
+    assert len(keys) == count
+    assert hashlib.sha256(b"".join(keys)).hexdigest() == digest
 
 
 # ----- JSON round trips -----
