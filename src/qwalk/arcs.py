@@ -23,7 +23,6 @@ __all__ = ["ArcSpace"]
 
 @dataclass(frozen=True)
 class ArcSpace:
-    graph: Graph
     heads: np.ndarray        # arc index -> vertex the arc leaves
     targets: np.ndarray      # arc index -> vertex the arc points at
     offsets: np.ndarray      # vertex -> index of its first arc
@@ -58,7 +57,7 @@ class ArcSpace:
         reverse = np.asarray([index[(w, v)] for v, w in zip(heads, targets)], dtype=int)
         for arr in (heads_a, targets_a, reverse, offsets):
             arr.flags.writeable = False
-        return cls(g, heads_a, targets_a, offsets, reverse)
+        return cls(heads_a, targets_a, offsets, reverse)
 
     @property
     def n_arcs(self) -> int:

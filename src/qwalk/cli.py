@@ -43,7 +43,7 @@ from qwalk.dtqw import (
     state_at_vertex,
     unit_vector,
 )
-from qwalk.errors import ConfigError, ToleranceError
+from qwalk.errors import ConfigError, ToleranceError, check_table
 from qwalk.explorer import INTERP_CHAINS, interpolation_sweep, pst_search, robustness_sweep
 from qwalk.graphs import (
     JOIN_FAMILIES,
@@ -466,7 +466,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     steps = cfg["steps"]
 
     if rates is not None:
-        sweep = target_probability_vs_rate(
+        probs = target_probability_vs_rate(
             g, policy, psi0, pair, np.asarray(rates), step=steps, basis=basis
         )
         payload = {
@@ -475,18 +475,20 @@ def cmd_decohere(args: argparse.Namespace) -> int:
             "policy": policy_text,
             "basis": basis,
             "step": steps,
-            "rates": sweep.rates,
-            "target_probabilities": sweep.probabilities,
+            "rates": rates,
+            "target_probabilities": probs,
         }
-        _emit(args, payload, ["rate", "p_target"], sweep.rates, sweep.probabilities[:, None])
+        _emit(args, payload, ["rate", "p_target"], rates, probs[:, None])
         return 0
 
     op = build_step_operator(g, policy)
     noise = NoiseModel(basis=basis, rate=rate)
-    marginals = np.stack([
+    check_table("decohere marginals", steps + 1, g.n)
+    # a block sum of a density's diagonal can round a few ulps above 1
+    marginals = np.minimum(np.stack([
         vertex_marginal(space, rho)
         for rho in density_steps(density_from_state(psi0), op, noise, steps)
-    ])
+    ]), 1.0)
     payload = {
         "command": "decohere",
         "graph": args.graph,
@@ -559,23 +561,22 @@ def cmd_robust(args: argparse.Namespace) -> int:
         issues.append(f"kind {kind!r} needs --magnitudes")
     _raise_issues(issues)
 
-    res = robustness_sweep(kind, n_values, mags, runs=runs, seed=seed, step=cfg["step"])
+    probs = robustness_sweep(kind, n_values, mags, runs=runs, seed=seed, step=cfg["step"])
     payload = {
         "command": "robust",
         "kind": kind,
-        "n_values": list(res.n_values),
-        "step": res.step,
+        "n_values": n_values,
+        "step": cfg["step"],
         "seed": seed,
     }
     if kind == "random":
         payload["runs"] = runs
-        payload["mean_probabilities"] = res.probabilities
-        _emit(args, payload, ["n", "mean_p"], res.n_values, res.probabilities[:, None])
+        payload["mean_probabilities"] = probs
+        _emit(args, payload, ["n", "mean_p"], n_values, probs[:, None])
     else:
-        payload["magnitudes"] = res.magnitudes
-        payload["probabilities"] = dict(zip((f"n{n}" for n in res.n_values), res.probabilities))
-        _emit(args, payload, ["magnitude"] + [f"p_n{n}" for n in res.n_values],
-              res.magnitudes, res.probabilities.T)
+        payload["magnitudes"] = mags
+        payload["probabilities"] = dict(zip((f"n{n}" for n in n_values), probs))
+        _emit(args, payload, ["magnitude"] + [f"p_n{n}" for n in n_values], mags, probs.T)
     return 0
 
 
@@ -591,23 +592,23 @@ def cmd_interp(args: argparse.Namespace) -> int:
         c_grid = _parse_list(args.c_grid, float, "c-grid", issues)
         if not c_grid:
             issues.append("need at least one coupling in --c-grid")
-    else:
-        c_grid = list(np.linspace(0.0, 1.0, cfg["c_points"]))
-    for c in c_grid:
-        if not 0.0 <= c <= 1.0:
-            issues.append(f"coupling c must lie in [0, 1], got {c}")
+        issues.extend(f"coupling c must lie in [0, 1], got {c}" for c in c_grid
+                      if not 0.0 <= c <= 1.0)
     _raise_issues(issues)
+    if args.c_grid is None:
+        check_table("interp table", len(n_values), cfg["c_points"])
+        c_grid = list(np.linspace(0.0, 1.0, cfg["c_points"]))
 
-    res = interpolation_sweep(args.chain, n_values, c_grid, step=cfg["step"])
+    probs = interpolation_sweep(args.chain, n_values, c_grid, step=cfg["step"])
     payload = {
         "command": "interp",
-        "chain": res.chain,
-        "n_values": list(res.n_values),
-        "step": res.step,
-        "c_grid": res.c_grid,
-        "probabilities": dict(zip((f"n{n}" for n in res.n_values), res.probabilities)),
+        "chain": args.chain,
+        "n_values": n_values,
+        "step": cfg["step"],
+        "c_grid": c_grid,
+        "probabilities": dict(zip((f"n{n}" for n in n_values), probs)),
     }
-    _emit(args, payload, ["c"] + [f"p_n{n}" for n in res.n_values], res.c_grid, res.probabilities.T)
+    _emit(args, payload, ["c"] + [f"p_n{n}" for n in n_values], c_grid, probs.T)
     return 0
 
 

@@ -26,7 +26,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -39,9 +39,8 @@ __all__ = [
     "hadamard",
     "hadamard_columns_swapped",
     "interp_grover",
-    "UniformDFT",
-    "UniformGrover",
-    "GroverWithHadamardPairs",
+    "hadamard_or_grover",
+    "Uniform",
     "PresetRow",
     "ExplicitMap",
     "CoinPolicy",
@@ -112,32 +111,23 @@ def interp_grover(d: int, t: int, c: float) -> np.ndarray:
 # ===== Policies =====
 
 
-@dataclass(frozen=True)
-class UniformDFT:
-    """Fourier coin of matching dimension at every vertex (policy O1)."""
-
-    def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        return _shared(dft, d)
-
-
-@dataclass(frozen=True)
-class UniformGrover:
-    """Grover coin of matching dimension at every vertex (policy O2)."""
-
-    def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        return _shared(grover, d)
-
-
-@dataclass(frozen=True)
-class GroverWithHadamardPairs:
-    """Hadamard at degree-2 vertices, Grover elsewhere (policy O3)."""
-
-    def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        return _shared(_hadamard_or_grover, d)
-
-
-def _hadamard_or_grover(d: int) -> np.ndarray:
+def hadamard_or_grover(d: int) -> np.ndarray:
+    """Hadamard at degree 2, grover(d) at every other degree (the O3 family)."""
     return hadamard() if d == 2 else grover(d)
+
+
+@dataclass(frozen=True)
+class Uniform:
+    """One coin family at every vertex: coin(d) wherever the degree is d.
+
+    Policies O1, O2 and O3 are Uniform(dft), Uniform(grover) and
+    Uniform(hadamard_or_grover).
+    """
+
+    coin: Callable[[int], np.ndarray]
+
+    def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
+        return _shared(self.coin, d)
 
 
 @functools.lru_cache(maxsize=64)
@@ -212,18 +202,16 @@ class ExplicitMap:
         return self.fallback.coin_for(g, v, d)
 
 
-CoinPolicy = Union[UniformDFT, UniformGrover, GroverWithHadamardPairs, PresetRow, ExplicitMap]
+CoinPolicy = Union[Uniform, PresetRow, ExplicitMap]
 
 
 def parse_policy(text: str) -> CoinPolicy:
     """Parse a policy string: O1, O2, O3, table1:<row>, or inline JSON map."""
     label = text.strip()
-    if label == "O1":
-        return UniformDFT()
-    if label == "O2":
-        return UniformGrover()
-    if label == "O3":
-        return GroverWithHadamardPairs()
+    # looked up per call, so that functions rebound by a profiler are used
+    uniform = {"O1": dft, "O2": grover, "O3": hadamard_or_grover}
+    if label in uniform:
+        return Uniform(uniform[label])
     if label.startswith("table1:"):
         try:
             row = int(label.split(":", 1)[1])
@@ -245,6 +233,6 @@ def parse_policy(text: str) -> CoinPolicy:
                 raise ConfigError(
                     f"coin map key {key!r} must be a vertex index holding a matrix of numbers"
                 ) from exc
-        return ExplicitMap(coins, fallback=UniformGrover())
+        return ExplicitMap(coins, fallback=Uniform(grover))
     raise ConfigError(f"unknown coin policy {text!r}")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwalk.dtqw import PST_TOL, peak_step
-from qwalk.errors import ConfigError, ToleranceError
+from qwalk.errors import ConfigError, ToleranceError, check_table
 from qwalk.graphs import Graph
 
 __all__ = [
@@ -145,6 +145,7 @@ def detect_transfer_ct(
     spec = Spectrum.from_graph(g)
     psi0 = np.zeros(g.n, dtype=complex)
     psi0[source] = 1.0
+    check_table("ctqw time grid", t_max / dt + 1, g.n)
     times = np.arange(0.0, t_max + dt / 2, dt)
     vertex_series = np.empty((times.size, g.n))
     # blocks of equal length, so that no block of a grid of two or more rows

@@ -66,7 +66,6 @@ __all__ = [
     "classical_walk",
     "vertex_marginal",
     "target_probability_vs_rate",
-    "RateSweep",
 ]
 
 DENSITY_TOL = 1e-8  # trace, Hermiticity and positivity slack of a density matrix
@@ -234,18 +233,11 @@ def classical_walk(g: Graph, start, steps: int) -> np.ndarray:
 
 def vertex_marginal(space: ArcSpace, rho: np.ndarray) -> np.ndarray:
     """Probability per vertex from an arc-basis density matrix."""
-    return np.bincount(space.heads, weights=np.real(np.diag(rho)), minlength=space.graph.n)
+    n = len(space.offsets) - 1
+    return np.bincount(space.heads, weights=np.real(np.diag(rho)), minlength=n)
 
 
 # ===== Rate sweeps =====
-
-
-@dataclass(frozen=True)
-class RateSweep:
-    rates: np.ndarray
-    probabilities: np.ndarray
-    step: int
-    basis: str
 
 
 def target_probability_vs_rate(
@@ -256,8 +248,8 @@ def target_probability_vs_rate(
     rates: np.ndarray,
     step: int,
     basis: str = "coin",
-) -> RateSweep:
-    """Target probability at a fixed step as the noise rate varies."""
+) -> np.ndarray:
+    """Target probability at a fixed step, one value per rate, in rate order."""
     op = build_step_operator(g, policy)
     rho0 = density_from_state(init)
     sl = op.space.vertex_slice(pair[1])
@@ -265,4 +257,4 @@ def target_probability_vs_rate(
     for i, p in enumerate(np.asarray(rates, dtype=float)):
         *_, rho = density_steps(rho0, op, NoiseModel(basis, float(p)), step)
         probs[i] = np.real(np.trace(rho[sl, sl]))
-    return RateSweep(np.asarray(rates, dtype=float), probs, step, basis)
+    return probs

@@ -4,10 +4,11 @@ One step is coin then shift: psi' = S C psi, with C block diagonal over
 vertices and S the flip-flop shift.  Transfer is judged on vertex
 probability, the sum of squared amplitude moduli over a vertex's ports,
 so a perfect transfer claim is independent of the coin state in which
-the walker arrives.  Periodicity comes in two strengths: strict means
-the full state returns (fidelity with the start state reaches one),
-positional means all probability returns to the start vertex whatever
-the coin configuration.
+the walker arrives.  A sum of squared moduli can round a few ulps above
+one, so every probability the engine reports is capped at one.
+Periodicity comes in two strengths: strict means the full state returns
+(fidelity with the start state reaches one), positional means all
+probability returns to the start vertex whatever the coin configuration.
 
 The per-vertex coin blocks and the arc reversal are the operator:
 ``StepOperator`` stores nothing else.  A density matrix is stepped by
@@ -36,7 +37,7 @@ import numpy as np
 
 from qwalk.arcs import ArcSpace
 from qwalk.coins import CoinPolicy, ExplicitMap
-from qwalk.errors import ConfigError, ToleranceError
+from qwalk.errors import ConfigError, ToleranceError, check_table
 from qwalk.graphs import Graph
 
 __all__ = [
@@ -79,7 +80,6 @@ class StepOperator:
     first use for state-vector steps.
     """
 
-    graph: Graph
     space: ArcSpace
     runs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
 
@@ -154,7 +154,7 @@ def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
         hi = lo + len(stack) * d
         runs.append((lo, hi, stack, adjoints))
         lo = hi
-    return StepOperator(g, space, tuple(runs))
+    return StepOperator(space, tuple(runs))
 
 
 def state_at_vertex(space: ArcSpace, v: int, amplitudes: Sequence[complex]) -> np.ndarray:
@@ -193,7 +193,7 @@ def unit_vector(amps: np.ndarray) -> np.ndarray:
 def vertex_probability(space: ArcSpace, psi: np.ndarray, v: int) -> float | np.ndarray:
     """Probability at v of a state, or of each state along leading axes."""
     block = np.asarray(psi)[..., space.vertex_slice(v)]
-    return np.sum(np.abs(block) ** 2, axis=-1)
+    return np.minimum(np.sum(np.abs(block) ** 2, axis=-1), 1.0)
 
 
 def trajectory(op: StepOperator, cols: np.ndarray, t_max: int) -> np.ndarray:
@@ -205,6 +205,7 @@ def trajectory(op: StepOperator, cols: np.ndarray, t_max: int) -> np.ndarray:
     """
     u = op.matrix
     cols = np.asarray(cols, dtype=complex)
+    check_table("trajectory", t_max + 1, cols.size)
     out = np.empty((t_max + 1,) + cols.shape, dtype=complex)
     out[0] = cols
     for t in range(t_max):
@@ -236,6 +237,7 @@ def haar_states(d: int, count: int, seed: int) -> np.ndarray:
     """(count, d) array of Haar-uniform unit vectors on C^d."""
     if d < 1 or count < 1:
         raise ConfigError("haar_states requires d >= 1 and count >= 1")
+    check_table("Haar states", count, d)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -296,12 +298,13 @@ def detect_transfer(
         raise ConfigError(
             f"initial state has {psi0.shape} entries, arc space has {op.space.n_arcs}"
         )
+    check_table("dtqw step table", t_max + 1, g.n)
     probs = np.empty((t_max + 1, g.n))
     fidelity_series = np.empty(t_max + 1)
     for lo, piece in _trajectory_pieces(op, psi0, t_max):
         for v in range(g.n):
             probs[lo : lo + len(piece), v] = vertex_probability(op.space, piece, v)
-        fidelity_series[lo : lo + len(piece)] = np.abs(piece @ psi0.conj()) ** 2
+        fidelity_series[lo : lo + len(piece)] = np.minimum(np.abs(piece @ psi0.conj()) ** 2, 1.0)
     drift = abs(np.linalg.norm(piece[-1]) - 1.0)
     if not drift <= 1e-9:
         raise ToleranceError(f"norm drift {drift:.3e} after {t_max} steps")
@@ -399,6 +402,7 @@ def block_scan(
     eigvalsh adds an error of order d u.
     """
     space = op.space
+    check_table("scan steps", t_max, len(pairs))
     offsets = np.cumsum([0] + [space.degree(src) for src, _ in pairs])
     # a step never folded keeps -inf: it cannot be the best or tie with it
     step_best = [np.full(t_max, -np.inf) for _ in pairs]
@@ -416,7 +420,7 @@ def block_scan(
             for j in np.argsort(-top, kind="stable").tolist():
                 if top[j] <= lam - _PRUNE_SLACK and top[j] < best - TIE_TOL - _PRUNE_SLACK:
                     break
-                probs = _sample_probabilities(grams[j], states[i])
+                probs = np.minimum(_sample_probabilities(grams[j], states[i]), 1.0)
                 step_best[i][lo + j] = probs.max()
                 over[i] |= probs > lam
                 best = max(best, step_best[i][lo + j])

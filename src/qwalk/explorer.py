@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from qwalk.coins import CoinPolicy, ExplicitMap, UniformGrover, interp_grover, parse_policy
+from qwalk.coins import CoinPolicy, ExplicitMap, Uniform, grover, interp_grover, parse_policy
 from qwalk.dtqw import (
     ScanResult,
     block_scan,
@@ -45,7 +45,7 @@ from qwalk.dtqw import (
     unit_vector,
     vertex_probability,
 )
-from qwalk.errors import ConfigError
+from qwalk.errors import ConfigError, check_table
 from qwalk.graphs import JOIN_FAMILIES, Cycle, Edgeless, Graph, Join, build, canonical_key
 
 __all__ = [
@@ -57,9 +57,7 @@ __all__ = [
     "pst_search",
     "family_initial_state",
     "robustness_sweep",
-    "RobustnessResult",
     "interpolation_sweep",
-    "InterpolationResult",
     "INTERP_CHAINS",
 ]
 
@@ -157,10 +155,11 @@ def _keyed_variants(
     image's attachment index and the links relabelled to match.  The
     attachment part is compared once per attachment tuple: an earlier
     image tuple skips every link set on it, and only the symmetries that
-    fix the tuple are compared link set by link set.  The rule is exact.  A skipped candidate has an earlier image with the
-    same key, and the first candidate of a key class has no earlier
-    image, so it is always keyed and the ``seen`` check yields the same
-    sequence as keying every candidate would.
+    fix the tuple are compared link set by link set.  The rule is exact.
+    A skipped candidate has an earlier image with the same key, and the
+    first candidate of a key class has no earlier image, so it is always
+    keyed and the ``seen`` check yields the same sequence as keying every
+    candidate would.
     """
     _check_variant_args(base, max_new)
     half = base // 2
@@ -349,9 +348,9 @@ def pst_search(
     """Survey every variant under every policy and sort by best transfer.
 
     Policy names and the enumeration arguments are checked first, so a
-    bad or repeated name, an odd base, a base outside 4..16 or a
-    ``max_new`` below 1 raises ``ConfigError`` before the sink is
-    touched.  One task is one variant:
+    bad or repeated name, an odd base, a base outside 4..16, a
+    ``max_new`` below 1 or a table of Haar samples or steps over the
+    limit raises ``ConfigError`` before the sink is touched.  One task is one variant:
     the graph built while keying it is walked under every policy still
     missing from the sink.  With a sink path, each variant's records are
     appended to a JSON-lines file and flushed as soon as its cells
@@ -360,7 +359,8 @@ def pst_search(
     last line, left by a kill in the middle of a write, is cut from the
     file and its cell runs again.  Per-cell seeds derive from the master
     seed, the variant's position and the policy, which keeps results
-    identical however many workers run.  Records of equal ``best_p``
+    identical however many workers run; the pool has min(workers, tasks,
+    CPU count) processes.  Records of equal ``best_p``
     sort by key, then policy, so a resumed run returns the same order.
     """
     parsed: dict[str, CoinPolicy] = {}
@@ -369,6 +369,9 @@ def pst_search(
             raise ConfigError(f"policy {name!r} listed twice")
         parsed[name] = parse_policy(name)
     _check_variant_args(base, max_new)
+    # a source port count of 2 + max_new occurs: every new node on vertex 0
+    check_table("Haar states", samples, 2 + max_new)
+    check_table("scan steps", t_max, 2)
     records = _read_sink(sink_path) if sink_path and os.path.exists(sink_path) else []
     done = {(rec.key, rec.policy) for rec in records}
 
@@ -382,9 +385,10 @@ def pst_search(
         _run_variant, pair=(0, base // 2), samples=samples, t_max=t_max, lam=lam, seed=seed
     )
 
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(open(sink_path, "a")) if sink_path else None
-        if workers > 1 and len(tasks) > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
@@ -474,17 +478,8 @@ def family_initial_state(x: complex, y: complex) -> np.ndarray:
 # ===== Robustness sweep =====
 
 
-@dataclass(frozen=True)
-class RobustnessResult:
-    kind: str
-    n_values: tuple[int, ...]
-    magnitudes: np.ndarray       # grid of delta or theta (empty for random)
-    probabilities: np.ndarray    # (len(n_values), len(magnitudes)) or (len(n_values),)
-    step: int
-
-
 def _hub_cycle_block(n: int, step: int) -> np.ndarray:
-    op = build_step_operator(build(Join(Edgeless(2), Cycle(n))), UniformGrover())
+    op = build_step_operator(build(Join(Edgeless(2), Cycle(n))), Uniform(grover))
     return target_block_powers(op, (0, 1), step)[-1]
 
 
@@ -495,7 +490,7 @@ def robustness_sweep(
     runs: int = 1000,
     seed: int = 0,
     step: int = 6,
-) -> RobustnessResult:
+) -> np.ndarray:
     """Transfer at the perfect-transfer step under perturbed initial states.
 
     The reference walk is the hub pair joined to a cycle with Grover
@@ -505,6 +500,9 @@ def robustness_sweep(
     "phase" multiplies one port by exp(i theta), and "random" draws an
     independent uniform delta in [0, 1] for every port, averaging the
     resulting transfer over the requested number of runs.
+
+    Returns the (len(n_values), len(magnitudes)) table of target
+    probabilities, or for "random" the (len(n_values),) mean transfers.
     """
     if kind not in ("defect", "phase", "random"):
         raise ConfigError(f"unknown robustness kind {kind!r}")
@@ -512,14 +510,15 @@ def robustness_sweep(
     if kind == "random":
         means = np.empty(len(n_values))
         for i, n in enumerate(n_values):
+            check_table("random robustness runs", runs, n)
             rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
             block = _hub_cycle_block(n, step)
             deltas = rng.uniform(0.0, 1.0, size=(runs, n))
             states = 1.0 - deltas
             states = states / np.linalg.norm(states, axis=1, keepdims=True)
-            probs = np.sum(np.abs(states @ block.T) ** 2, axis=1)
+            probs = np.minimum(np.sum(np.abs(states @ block.T) ** 2, axis=1), 1.0)
             means[i] = probs.mean()
-        return RobustnessResult(kind, n_values, np.empty(0), means, step)
+        return means
 
     mags = np.asarray(list(magnitudes if magnitudes is not None else []), dtype=float)
     if mags.size == 0:
@@ -534,20 +533,11 @@ def robustness_sweep(
             else:
                 amps[-1] = np.exp(1j * mag)
             amps = unit_vector(amps)
-            out[i, j] = float(np.sum(np.abs(block @ amps) ** 2))
-    return RobustnessResult(kind, n_values, mags, out, step)
+            out[i, j] = min(float(np.sum(np.abs(block @ amps) ** 2)), 1.0)
+    return out
 
 
 # ===== Interpolation sweep =====
-
-
-@dataclass(frozen=True)
-class InterpolationResult:
-    chain: str
-    n_values: tuple[int, ...]
-    c_grid: np.ndarray
-    probabilities: np.ndarray  # (len(n_values), len(c_grid))
-    step: int
 
 
 def _interp_block(d: int, tunnel: tuple[int, ...], c: float) -> np.ndarray:
@@ -570,14 +560,15 @@ def interpolation_sweep(
     n_values: Sequence[int],
     c_grid: Sequence[float],
     step: int = 6,
-) -> InterpolationResult:
+) -> np.ndarray:
     """Transfer vs coupling as one graph's extra edges turn on.
 
     Walks run on the larger endpoint graph for c > 0, with the
     interpolating coin at every vertex that gains edges; c = 0 falls
     back to the plain Grover walk on the smaller endpoint.  The initial
     state is the equal superposition at hub 0 and the probability is
-    read at hub 1 after the given step count.
+    read at hub 1 after the given step count.  Returns the
+    (len(n_values), len(c_grid)) table of those probabilities.
     """
     if chain not in INTERP_CHAINS:
         raise ConfigError(
@@ -599,11 +590,11 @@ def interpolation_sweep(
                 keys[v] = (len(nbrs), tunnel)
         for j, c in enumerate(cs):
             if c == 0.0:
-                op = build_step_operator(sparse, UniformGrover())
+                op = build_step_operator(sparse, Uniform(grover))
             else:
                 blocks = {key: _interp_block(*key, float(c)) for key in set(keys.values())}
                 coins = {v: blocks[key] for v, key in keys.items()}
-                op = build_step_operator(dense, ExplicitMap(coins, fallback=UniformGrover()))
+                op = build_step_operator(dense, ExplicitMap(coins, fallback=Uniform(grover)))
             psi = trajectory(op, equal_superposition(op.space, 0), step)[-1]
             out[i, j] = vertex_probability(op.space, psi, 1)
-    return InterpolationResult(chain, n_values, cs, out, step)
+    return out

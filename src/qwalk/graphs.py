@@ -14,13 +14,14 @@ vertices at indices 0 and 1 and the cycle at indices 2..6.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
-from qwalk.errors import ConfigError
+from qwalk.errors import TABLE_LIMIT, ConfigError
 
 __all__ = [
     "Graph",
@@ -30,7 +31,6 @@ __all__ = [
     "Edgeless",
     "Join",
     "DiamondChain",
-    "Custom",
     "JOIN_FAMILIES",
     "build",
     "complement",
@@ -162,18 +162,13 @@ class DiamondChain:
     loop_ends: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class Custom:
-    adjacency: np.ndarray
-
-
-FamilySpec = Union[Complete, Cycle, Path, Edgeless, Join, DiamondChain, Custom]
+FamilySpec = Union[Complete, Cycle, Path, Edgeless, Join, DiamondChain]
 
 # The right operand X of each hub-pair join K2 + X, by its spec-string name
 JOIN_FAMILIES = {"k2c": Cycle, "k2k": Edgeless, "k2p": Path}
 
 
-_MAX_VERTICES = 4096  # a 128 MiB dense float adjacency
+_MAX_VERTICES = math.isqrt(TABLE_LIMIT)  # 4096: a 128 MiB dense float adjacency
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -217,8 +212,6 @@ def build(spec: FamilySpec) -> Graph:
         return _join(build(spec.left), build(spec.right))
     if isinstance(spec, DiamondChain):
         return _diamond_chain(spec.n, spec.loop_ends)
-    if isinstance(spec, Custom):
-        return Graph(np.asarray(spec.adjacency, dtype=float))
     raise ConfigError(f"unknown family spec: {spec!r}")
 
 

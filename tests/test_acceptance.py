@@ -287,20 +287,20 @@ def test_criterion_07_perturbed_start_robustness(capsys):
     checks = []
     thetas = np.linspace(0.0, 2.0 * np.pi, 65)
     phase = robustness_sweep("phase", [5, 36], magnitudes=thetas)
-    p5_pi = float(phase.probabilities[0, 32])
+    p5_pi = float(phase[0, 32])
     checks.append(
         ("phase n=5 theta=pi", abs(p5_pi - 0.19) <= 0.01, f"P={p5_pi:.6f} want 0.19+-0.01")
     )
-    min36 = float(phase.probabilities[1].min())
+    min36 = float(phase[1].min())
     checks.append(("phase n=36 floor", min36 >= 0.9, f"min={min36:.6f} want >=0.9"))
 
     rand = robustness_sweep("random", [3, 30, 40], runs=1000, seed=0)
-    p3 = float(rand.probabilities[0])
+    p3 = float(rand[0])
     checks.append(
         ("random n=3 mean", abs(p3 - 0.82) <= 0.03, f"P={p3:.6f} want 0.82+-0.03")
     )
     for i, n in ((1, 30), (2, 40)):
-        p = float(rand.probabilities[i])
+        p = float(rand[i])
         checks.append(
             (f"random plateau n={n}", abs(p - 0.77) <= 0.03, f"P={p:.6f} want 0.77+-0.03")
         )
@@ -356,7 +356,7 @@ def test_criterion_08_decoherence_limits(capsys):
         curves[n] = target_probability_vs_rate(
             g, parse_policy("O2"), equal_superposition(space, 0), (0, 1),
             rates, step=6, basis="coin",
-        ).probabilities
+        )
     gap = float(np.max(np.abs(curves[3] - curves[8])))
     checks.append(("curve n=3 vs n=8", gap <= 1e-6, f"gap={gap:.2e} limit 1e-6"))
     _finish(8, checks, capsys)
@@ -512,9 +512,9 @@ def test_criterion_11_interpolating_coin(capsys):
     checks.append(("unitary on c grid", worst <= 1e-12, f"defect={worst:.2e}"))
 
     res = interpolation_sweep("k2kn-k2cn", [3, 6], np.linspace(0.0, 1.0, 21))
-    gap = float(np.max(np.abs(res.probabilities[0] - res.probabilities[1])))
+    gap = float(np.max(np.abs(res[0] - res[1])))
     checks.append(("n=3 vs n=6", gap <= 1e-6, f"gap={gap:.2e}"))
-    p0, pmid, p1 = (float(res.probabilities[0][i]) for i in (0, 10, 20))
+    p0, pmid, p1 = (float(res[0][i]) for i in (0, 10, 20))
     checks.append(("P(0)=1", p0 >= 1.0 - 1e-9, f"P(0)={p0:.12f}"))
     checks.append(
         (

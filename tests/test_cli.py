@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -716,7 +718,7 @@ def test_interp_chain_choices_are_the_sweep_chains():
     chain = next(a for a in commands.choices["interp"]._actions if a.dest == "chain")
     assert list(chain.choices) == list(INTERP_CHAINS)
     for name in chain.choices:
-        assert interpolation_sweep(name, [3], [0.5]).chain == name
+        assert interpolation_sweep(name, [3], [0.5]).shape == (1, 1)
 
 
 STRAY_COIN_MAP = '{"9": [[1,0],[0,1]], "-3": [[0,1],[1,0]], "1": [[0,1],[1,0]]}'
@@ -757,9 +759,10 @@ def test_search_checks_its_enumeration_before_the_sink(args, message, tmp_path, 
     assert sink.read_bytes() == data
 
 
-def test_search_refuses_a_base_of_40_without_listing_its_subsets(tmp_path):
-    # 2**40 attachment subsets would exhaust memory; a 1.5 GB address
-    # space makes a regression fail fast instead
+def _run_in_1_5_gb(argv):
+    """qwalk argv in a child process whose address space is capped at 1.5 GB,
+    so that a regression that allocates from input fails fast instead of
+    taking the machine's memory."""
     import resource
 
     def limit_memory():
@@ -767,10 +770,116 @@ def test_search_refuses_a_base_of_40_without_listing_its_subsets(tmp_path):
 
     env = dict(os.environ, PYTHONPATH=str(Path(qwalk.cli.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "qwalk.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+
+
+def test_search_refuses_a_base_of_40_without_listing_its_subsets(tmp_path):
+    # 2**40 attachment subsets would exhaust memory
     argv = ["search", "--base", "40", "--max-new", "1", "--workers", "1",
             "--out", str(tmp_path / "s.jsonl")]
-    done = subprocess.run([sys.executable, "-m", "qwalk.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+    done = _run_in_1_5_gb(argv)
     assert done.returncode == 1, done.stderr
     assert "at most 65,535 attachment subsets), got 40" in done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["ctqw", "--graph", "cycle n=4", "--pair", "0,2", "--dt", "1e-9"],
+     "ctqw time grid needs 100,000,000,001 x 4 entries"),
+    (["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "1000000000"],
+     "dtqw step table needs 1,000,000,001 x 4 entries"),
+    (["robust", "--kind", "random", "--n", "4", "--runs", "10000000000"],
+     "random robustness runs needs 10,000,000,000 x 4 entries"),
+    (["interp", "--n", "3", "--c-points", "1000000000"],
+     "interp table needs 1 x 1,000,000,000 entries"),
+    # the search refuses before it creates its sink
+    (["search", "--max-new", "2", "--samples", "1000000000", "--workers", "1"],
+     "Haar states needs 1,000,000,000 x 4 entries"),
+    (["search", "--max-new", "1", "--steps", "1000000000", "--workers", "1"],
+     "scan steps needs 1,000,000,000 x 2 entries"),
+], ids=["ctqw-grid", "dtqw-steps", "robust-runs", "interp-c-points", "search-samples",
+        "search-steps"])
+def test_tables_over_the_limit_are_refused_before_allocation(argv, table, tmp_path):
+    done = _run_in_1_5_gb(argv + ["--out", str(tmp_path / "r")])
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("config error:")
+    assert f"{table}, over the limit of 16,777,216" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_ctqw_grid_fits_under_the_table_limit(tmp_path):
+    # 50,001 x 202 = 10.1 M entries of the 16.8 M limit
+    argv = ["ctqw", "--graph", "join k2k n=200", "--pair", "0,1", "--tmax", "50",
+            "--dt", "0.001", "--track", "0"]
+    assert main(argv + ["--out", str(tmp_path / "ct")]) == 0
+
+
+def test_dtqw_scan_caps_probabilities_at_one(capsys):
+    # grover(2) is the swap, so on C4 every source coin state reaches the
+    # antipode at step 2 with probability exactly 1 and none exceeds lam = 1
+    argv = ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--init", "haar:50:7",
+            "--steps", "8", "--lam", "1"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_probability"] == 1.0
+    assert report["fraction_over_lam"] == 0.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["graph", " "], "empty graph spec"),
+    (["graph", "cycle n=six"], "graph spec n must be an integer, got 'six'"),
+    (["graph", "diamond n=2 loops=all"], "diamond loops must be 'none' or 'ends', got 'all'"),
+    (["dtqw", "--graph", "cycle n=4", "--init", "0,0"], "explicit amplitudes cannot all be zero"),
+    (["dtqw", "--graph", "cycle n=4", "--init", "haar:two"], "has non-integer fields"),
+    (["dtqw", "--graph", "cycle n=4", "--pair", "0"],
+     "pair must be two comma-separated integers, got '0'"),
+    (["dtqw", "--graph", "cycle n=4", "--pair", "1,1"], "pair vertices must differ"),
+    (["dtqw", "--graph", "cycle n=4", "--track", "0,x"],
+     "track must be comma-separated integers, got '0,x'"),
+    (["dtqw", "--graph", "cycle n=4", "--config", "{dir}/absent.json"], "cannot read config file"),
+    (["dtqw", "--graph", "cycle n=4", "--config", "{dir}/torn.json"], "is not valid JSON"),
+    (["dtqw", "--graph", "cycle n=4", "--config", "{dir}/list.json"], "must hold a JSON object"),
+    (["ctqw", "--graph", "cycle n=4", "--tmax", "1", "--dt", "2"],
+     "dt must not exceed tmax (1.0), got 2.0"),
+    (["decohere", "--graph", "cycle n=4", "--rate", "1.5"],
+     "noise rate must lie in [0, 1], got 1.5"),
+    (["decohere", "--graph", "cycle n=4", "--model", "ct"], "continuous model needs --time"),
+    (["search", "--policies", " , "], "policies list is empty"),
+    (["search", "--workers", "0"], "workers must be positive, got 0"),
+    (["robust", "--kind", "random", "--n", ""], "need at least one cycle size in --n"),
+    (["robust", "--kind", "defect", "--n", "3"], "kind 'defect' needs --magnitudes"),
+    (["interp", "--n", ""], "need at least one size in --n"),
+    (["interp", "--n", "3", "--c-grid", "0,1.5"], "coupling c must lie in [0, 1], got 1.5"),
+], ids=["empty-graph", "n-not-int", "bad-loops", "zero-amplitudes", "haar-not-int",
+        "pair-malformed", "pair-equal", "list-malformed", "config-unreadable",
+        "config-not-json", "config-not-object", "dt-over-tmax", "rate-range", "ct-no-time",
+        "no-policies", "no-workers", "robust-no-n", "defect-no-magnitudes", "interp-no-n",
+        "coupling-range"])
+def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys):
+    (tmp_path / "torn.json").write_text('{"steps": ')
+    (tmp_path / "list.json").write_text("[1]")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def _readme_commands() -> list[str]:
+    """Each single qwalk command of README's sh blocks, continuations joined;
+    lines that hold $ need a shell and are left out."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("qwalk ") and "$" not in line:
+                commands.append(line)
+    return commands
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_example_runs(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from qwalk.coins import (
     ExplicitMap,
-    GroverWithHadamardPairs,
     PresetRow,
-    UniformDFT,
-    UniformGrover,
+    Uniform,
     dft,
     grover,
     hadamard,
     hadamard_columns_swapped,
+    hadamard_or_grover,
     interp_grover,
     parse_policy,
 )
@@ -109,13 +108,13 @@ def test_interp_rejects_bad_split():
 
 def test_uniform_policies_pick_degree():
     g = build(Join(Edgeless(2), Cycle(4)))
-    assert np.allclose(UniformGrover().coin_for(g, 0, 4), grover(4))
-    assert np.allclose(UniformDFT().coin_for(g, 2, 4), dft(4))
+    assert np.allclose(Uniform(grover).coin_for(g, 0, 4), grover(4))
+    assert np.allclose(Uniform(dft).coin_for(g, 2, 4), dft(4))
 
 
 def test_pairs_policy_uses_hadamard_at_degree_two():
     g = build(Cycle(5))
-    pol = GroverWithHadamardPairs()
+    pol = Uniform(hadamard_or_grover)
     assert np.allclose(pol.coin_for(g, 0, 2), hadamard())
     g2 = build(Join(Edgeless(2), Cycle(4)))
     assert np.allclose(pol.coin_for(g2, 0, 4), grover(4))
@@ -138,7 +137,7 @@ def test_preset_row_one_all_dft():
 
 def test_explicit_map_with_fallback():
     g = build(Cycle(4))
-    pol = ExplicitMap({1: np.eye(2)}, fallback=UniformGrover())
+    pol = ExplicitMap({1: np.eye(2)}, fallback=Uniform(grover))
     assert np.allclose(pol.coin_for(g, 1, 2), np.eye(2))
     assert np.allclose(pol.coin_for(g, 0, 2), grover(2))
 
@@ -146,9 +145,9 @@ def test_explicit_map_with_fallback():
 # ----- policy string parsing -----
 
 def test_parse_policy_names():
-    assert isinstance(parse_policy("O1"), UniformDFT)
-    assert isinstance(parse_policy("O2"), UniformGrover)
-    assert isinstance(parse_policy("O3"), GroverWithHadamardPairs)
+    assert parse_policy("O1") == Uniform(dft)
+    assert parse_policy("O2") == Uniform(grover)
+    assert parse_policy("O3") == Uniform(hadamard_or_grover)
     assert isinstance(parse_policy("table1:3"), PresetRow)
 
 

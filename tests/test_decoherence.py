@@ -289,8 +289,8 @@ def test_rate_sweep_endpoints():
     sweep = target_probability_vs_rate(
         g, parse_policy("O2"), init, (0, 1), rates=np.array([0.0, 1.0]), step=6
     )
-    assert sweep.probabilities[0] == pytest.approx(1.0, abs=1e-9)
-    assert sweep.probabilities[1] == pytest.approx(0.171875, abs=1e-9)
+    assert sweep[0] == pytest.approx(1.0, abs=1e-9)
+    assert sweep[1] == pytest.approx(0.171875, abs=1e-9)
 
 
 def test_rate_sweep_monotone_near_zero():
@@ -300,7 +300,7 @@ def test_rate_sweep_monotone_near_zero():
     sweep = target_probability_vs_rate(
         g, parse_policy("O2"), init, (0, 1), rates=np.array([0.0, 0.05, 0.1]), step=6
     )
-    assert sweep.probabilities[0] > sweep.probabilities[1] > sweep.probabilities[2]
+    assert sweep[0] > sweep[1] > sweep[2]
 
 
 def test_rate_sweep_reads_the_last_density_step():
@@ -312,6 +312,6 @@ def test_rate_sweep_reads_the_last_density_step():
     sl = op.space.vertex_slice(1)
     rates = np.linspace(0.0, 1.0, 6)
     sweep = target_probability_vs_rate(g, policy, init, (0, 1), rates, step=9, basis="position")
-    for rate, got in zip(rates, sweep.probabilities):
+    for rate, got in zip(rates, sweep):
         *_, rho = density_steps(rho0, op, NoiseModel("position", float(rate)), 9)
         assert got == np.real(np.trace(rho[sl, sl]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk.arcs import ArcSpace
-from qwalk.coins import ExplicitMap, UniformGrover, grover, parse_policy
+from qwalk.coins import ExplicitMap, Uniform, grover, parse_policy
 from qwalk.dtqw import (
     PST_SINGULAR_TOL,
     TIE_TOL,
@@ -127,7 +127,7 @@ def test_step_matrix_is_shift_times_coin(case):
 
 def test_step_operator_runs_hold_the_coin_blocks():
     g = build(Join(Edgeless(2), Cycle(3)))
-    op = build_step_operator(g, UniformGrover())
+    op = build_step_operator(g, Uniform(grover))
     # two hubs of degree 3, then three cycle vertices of degree 4
     assert [(lo, hi, blocks.shape) for lo, hi, blocks, _ in op.runs] == [
         (0, 6, (2, 3, 3)),
@@ -142,7 +142,7 @@ def test_step_operator_runs_hold_the_coin_blocks():
 def test_wrong_coin_shape_is_rejected():
     g = build(Cycle(4))
     with pytest.raises(ConfigError, match=r"vertex 0: coin block is \(3, 3\), expected \(2, 2\)"):
-        build_step_operator(g, ExplicitMap({0: np.eye(3)}, fallback=UniformGrover()))
+        build_step_operator(g, ExplicitMap({0: np.eye(3)}, fallback=Uniform(grover)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.coins import UniformGrover, grover, interp_grover, parse_policy
+from qwalk.coins import Uniform, grover, interp_grover, parse_policy
 from qwalk.dtqw import (
     PST_SINGULAR_TOL,
     build_step_operator,
@@ -192,6 +194,38 @@ def test_search_worker_count_does_not_change_results():
     serial = pst_search(4, 1, samples=80, t_max=16, seed=2, workers=1)
     parallel = pst_search(4, 1, samples=80, t_max=16, seed=2, workers=3)
     assert serial == parallel
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, cpus, sizes", [
+    (100_000, 64, [8]),  # the 8 variants of C4 with one added node
+    (100_000, 3, [3]),
+    (4, 64, [4]),
+    (100_000, 1, []),  # one process walks in the caller, with no pool
+], ids=["tasks", "cpus", "workers", "one-cpu"])
+def test_search_pool_is_sized_by_workers_tasks_and_cpus(monkeypatch, workers, cpus, sizes):
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(started, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    serial = pst_search(4, 1, samples=20, t_max=8, seed=0, workers=1)
+    assert pst_search(4, 1, samples=20, t_max=8, seed=0, workers=workers) == serial
+    assert started == sizes
 
 
 @pytest.mark.parametrize("kept", [12, 13], ids=["between-variants", "inside-variant"])
@@ -398,8 +432,8 @@ def test_tails_variant_ten_step_map():
 
 def test_defect_sweep_zero_magnitude_is_perfect():
     res = robustness_sweep("defect", [3, 7], magnitudes=[0.0, 0.4])
-    assert np.allclose(res.probabilities[:, 0], 1.0, atol=1e-9)
-    assert np.all(res.probabilities[:, 1] < 1.0)
+    assert np.allclose(res[:, 0], 1.0, atol=1e-9)
+    assert np.all(res[:, 1] < 1.0)
 
 
 def test_defect_sweep_normalises_huge_magnitudes():
@@ -408,31 +442,31 @@ def test_defect_sweep_normalises_huge_magnitudes():
     last = np.zeros(3)
     last[-1] = 1.0
     want = np.sum(np.abs(explorer._hub_cycle_block(3, 6) @ last) ** 2)
-    assert abs(res.probabilities[0, 0] - want) <= 1e-12
+    assert abs(res[0, 0] - want) <= 1e-12
 
 
 def test_phase_sweep_worst_case_at_pi():
     res = robustness_sweep("phase", [3], magnitudes=[np.pi / 2, np.pi])
-    assert res.probabilities[0, 1] < res.probabilities[0, 0]
-    assert res.probabilities[0, 1] == pytest.approx(0.181424, abs=1e-6)
+    assert res[0, 1] < res[0, 0]
+    assert res[0, 1] == pytest.approx(0.181424, abs=1e-6)
 
 
 def test_phase_sweep_large_cycle_frozen_value():
     res = robustness_sweep("phase", [36], magnitudes=[np.pi])
-    assert res.probabilities[0, 0] == pytest.approx(0.899571, abs=1e-6)
+    assert res[0, 0] == pytest.approx(0.899571, abs=1e-6)
 
 
 def test_random_sweep_frozen_and_seeded():
     res = robustness_sweep("random", [3], runs=1000, seed=0)
-    assert res.probabilities[0] == pytest.approx(0.813989, abs=1e-6)
+    assert res[0] == pytest.approx(0.813989, abs=1e-6)
     again = robustness_sweep("random", [3], runs=1000, seed=0)
-    assert np.array_equal(res.probabilities, again.probabilities)
+    assert np.array_equal(res, again)
 
 
 def test_random_sweep_value_independent_of_listing():
     alone = robustness_sweep("random", [8], runs=200, seed=3)
     grouped = robustness_sweep("random", [3, 8], runs=200, seed=3)
-    assert alone.probabilities[0] == grouped.probabilities[1]
+    assert alone[0] == grouped[1]
 
 
 def test_robustness_rejects_unknown_kind():
@@ -446,22 +480,22 @@ def test_robustness_rejects_unknown_kind():
 
 def test_interpolation_endpoints_and_dip():
     res = interpolation_sweep("k2kn-k2cn", [3], [0.0, 0.5, 1.0], step=6)
-    assert res.probabilities[0, 0] == pytest.approx(1.0, abs=1e-9)
-    assert res.probabilities[0, 2] == pytest.approx(1.0, abs=1e-9)
-    assert res.probabilities[0, 1] == pytest.approx(0.344944365, abs=1e-6)
+    assert res[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert res[0, 2] == pytest.approx(1.0, abs=1e-9)
+    assert res[0, 1] == pytest.approx(0.344944365, abs=1e-6)
 
 
 def test_interpolation_curves_match_across_sizes():
     grid = np.linspace(0.0, 1.0, 9)
     res = interpolation_sweep("k2kn-k2cn", [3, 6], grid, step=6)
-    assert np.max(np.abs(res.probabilities[0] - res.probabilities[1])) < 1e-6
+    assert np.max(np.abs(res[0] - res[1])) < 1e-6
 
 
 def test_interpolation_chain_endpoints_agree():
     # the path endpoint of one chain is the path start of the next
     a = interpolation_sweep("k2kn-k2pn", [4], [1.0], step=6)
     b = interpolation_sweep("k2pn-k2cn", [4], [0.0], step=6)
-    assert a.probabilities[0, 0] == pytest.approx(b.probabilities[0, 0], abs=1e-9)
+    assert a[0, 0] == pytest.approx(b[0, 0], abs=1e-9)
 
 
 class _PerVertexInterpPolicy:
@@ -501,7 +535,7 @@ def _per_vertex_interpolation_sweep(chain, n_values, cs, step=6):
             turned_on.setdefault(v, set()).add(u)
         for j, c in enumerate(cs):
             if c == 0.0:
-                op = build_step_operator(sparse, UniformGrover())
+                op = build_step_operator(sparse, Uniform(grover))
             else:
                 op = build_step_operator(dense, _PerVertexInterpPolicy(turned_on, float(c)))
             psi = trajectory(op, equal_superposition(op.space, 0), step)[-1]
@@ -514,7 +548,7 @@ def test_interpolation_sweep_equals_the_per_vertex_policy_bit_for_bit(chain):
     cs = np.linspace(0.0, 1.0, 11)
     res = interpolation_sweep(chain, range(3, 9), cs)
     want = _per_vertex_interpolation_sweep(chain, range(3, 9), cs)
-    assert res.probabilities.tobytes() == want.tobytes()
+    assert res.tobytes() == want.tobytes()
 
 
 def test_interpolation_rejects_unknown_chain():

@@ -12,7 +12,6 @@ from qwalk import explorer, graphs
 from qwalk.errors import ConfigError
 from qwalk.graphs import (
     Complete,
-    Custom,
     Cycle,
     DiamondChain,
     Edgeless,
@@ -103,7 +102,7 @@ def test_diamond_chain_loop_ends_degree():
 
 def test_custom_family():
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    g = build(Custom(adj))
+    g = Graph(adj)
     assert g.edge_set() == {(0, 1)}
 
 

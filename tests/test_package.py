@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -61,3 +62,42 @@ def test_tracer_wraps_qwalk_and_restores_every_function(monkeypatch):
     assert {("qwalk.graphs", "build"), ("qwalk.cli", "main")} <= wrapped
     assert {("ctqw", "Spectrum", "propagate"), ("arcs", "ArcSpace", "from_graph")} <= wrapped
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+# Suffixes of the per-layer metrics that aggregate one traced function's spans
+SPAN_STATS = ("calls", "self_s", "max_s", "unique_ratio")
+# Per-layer metrics of BENCHMARK.json whose function is gone from qwalk
+DEAD_METRICS = {
+    "arcs.shift_matrix.calls",
+    "arcs.shift_matrix.self_s",
+    "coins.assemble_coin.calls",
+    "coins.assemble_coin.self_s",
+    "coins.assemble_coin.max_s",
+    "ctqw.golden_section_max.calls",
+    "ctqw.golden_section_max.self_s",
+    "ctqw.golden_section_max.max_s",
+}
+
+
+def test_benchmark_metric_names_resolve_to_traced_code(monkeypatch):
+    # a fold that deletes or renames a traced function would otherwise
+    # leave its benchmark metric reading nothing
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    bench = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    unresolved = []
+    for name in (metric["name"] for metric in bench["per_layer"]):
+        parts = name.split(".")
+        if len(parts) < 3 or parts[0] not in tracer.MODULES or parts[-1] not in SPAN_STATS:
+            continue
+        short, *path, _ = parts
+        module = importlib.import_module(f"qwalk.{short}")
+        if len(path) == 1:
+            fn = getattr(module, path[0], None)
+            live = (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not path[0].startswith("_") and (short != "cli" or path[0] == "main"))
+        else:
+            live = (short, *path) in tracer.CLASS_ATTRS
+        if not live:
+            unresolved.append(name)
+    assert sorted(unresolved) == sorted(DEAD_METRICS)
