@@ -325,6 +325,24 @@ def _emit(args: argparse.Namespace, payload: dict, header=None, x=(), table=()) 
     _write(args.out + ".json" if args.out else None, text)
 
 
+def _check_out(args: argparse.Namespace) -> None:
+    """Refuse an --out that cannot be written, before the command runs.
+
+    Its directory must exist, and no file it names may be a directory:
+    X itself for graph and search, X.json and X.csv for the others.
+    """
+    out = args.out
+    if not out:
+        return
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {out}: no directory {folder}")
+    files = [out] if args.command in ("graph", "search") else [out + ".json", out + ".csv"]
+    for path in files:
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+
+
 def _raise_issues(issues: list[str]) -> None:
     if issues:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(issues))
@@ -335,7 +353,7 @@ def _raise_issues(issues: list[str]) -> None:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     g = parse_graph_spec(args.spec)
-    _write(args.out, graph_to_json(g) + "\n")
+    _write(args.out or None, graph_to_json(g) + "\n")
     return 0
 
 
@@ -716,6 +734,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args)
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

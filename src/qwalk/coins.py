@@ -191,15 +191,14 @@ def _haar_unitary(d: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExplicitMap:
-    """Explicit vertex -> unitary assignment; missing vertices fall back."""
+    """Explicit vertex -> unitary assignment; unmapped vertices take grover(d)."""
 
     coins: dict[int, np.ndarray]
-    fallback: "CoinPolicy"
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
         if v in self.coins:
             return np.asarray(self.coins[v], dtype=complex)
-        return self.fallback.coin_for(g, v, d)
+        return _shared(grover, d)
 
 
 CoinPolicy = Union[Uniform, PresetRow, ExplicitMap]
@@ -233,6 +232,6 @@ def parse_policy(text: str) -> CoinPolicy:
                 raise ConfigError(
                     f"coin map key {key!r} must be a vertex index holding a matrix of numbers"
                 ) from exc
-        return ExplicitMap(coins, fallback=Uniform(grover))
+        return ExplicitMap(coins)
     raise ConfigError(f"unknown coin policy {text!r}")
 

@@ -194,20 +194,12 @@ def classical_transition_matrix(g: Graph) -> np.ndarray:
     """Column-stochastic matrix of the uniform random walk on g.
 
     From vertex v the walker moves along each incident edge with
-    probability 1/degree(v); a self loop counts as an edge back to v.
+    probability 1/degree(v); a self loop counts as an edge back to v.  An
+    isolated vertex keeps the walker.
     """
-    n = g.n
-    t = np.zeros((n, n))
-    for v in range(n):
-        d = g.degree(v)
-        if d == 0:
-            t[v, v] = 1.0
-            continue
-        for w in g.neighbors(v):
-            t[w, v] += 1.0 / d
-        if g.has_loop(v):
-            t[v, v] += 1.0 / d
-    return t
+    edges = (g.adjacency != 0).astype(float)  # a loop is its diagonal entry
+    degree = edges.sum(axis=0)
+    return edges / np.maximum(degree, 1.0) + np.eye(g.n) * (degree == 0)
 
 
 def classical_walk(g: Graph, start, steps: int) -> np.ndarray:
@@ -255,6 +247,7 @@ def target_probability_vs_rate(
     sl = op.space.vertex_slice(pair[1])
     probs = np.empty(len(rates))
     for i, p in enumerate(np.asarray(rates, dtype=float)):
-        *_, rho = density_steps(rho0, op, NoiseModel(basis, float(p)), step)
+        for rho in density_steps(rho0, op, NoiseModel(basis, float(p)), step):
+            pass  # keep only the last density, so memory does not grow with step
         probs[i] = np.real(np.trace(rho[sl, sl]))
     return probs

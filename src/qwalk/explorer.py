@@ -46,7 +46,7 @@ from qwalk.dtqw import (
     vertex_probability,
 )
 from qwalk.errors import ConfigError, check_table
-from qwalk.graphs import JOIN_FAMILIES, Cycle, Edgeless, Graph, Join, build, canonical_key
+from qwalk.graphs import JOIN_FAMILIES, Cycle, Edgeless, Graph, Join, adjacency, build, canonical_key
 
 __all__ = [
     "VariantDescriptor",
@@ -113,8 +113,7 @@ def build_variant(desc: VariantDescriptor) -> Graph:
     m = desc.base
     k = len(desc.attachments)
     adj = np.zeros((m + k, m + k))
-    for v in range(m):
-        adj[v, (v + 1) % m] = adj[(v + 1) % m, v] = 1
+    adj[:m, :m] = adjacency(Cycle(m))
     for i, subset in enumerate(desc.attachments):
         for v in subset:
             adj[m + i, v] = adj[v, m + i] = 1
@@ -523,17 +522,16 @@ def robustness_sweep(
     mags = np.asarray(list(magnitudes if magnitudes is not None else []), dtype=float)
     if mags.size == 0:
         raise ConfigError(f"robustness kind {kind!r} needs a magnitude grid")
+    last = 1.0 - mags if kind == "defect" else np.exp(1j * mags)
     out = np.empty((len(n_values), mags.size))
     for i, n in enumerate(n_values):
-        block = _hub_cycle_block(n, step)
-        for j, mag in enumerate(mags):
-            amps = np.ones(n, dtype=complex)
-            if kind == "defect":
-                amps[-1] = 1.0 - mag
-            else:
-                amps[-1] = np.exp(1j * mag)
-            amps = unit_vector(amps)
-            out[i, j] = min(float(np.sum(np.abs(block @ amps) ** 2)), 1.0)
+        check_table(f"{kind} robustness start states", mags.size, n)
+        states = np.ones((mags.size, n), dtype=complex)
+        states[:, -1] = last
+        states = np.array([unit_vector(s) for s in states])
+        # a stacked product gives each row the bits of block @ row; states @ block.T does not
+        amps = np.matmul(_hub_cycle_block(n, step), states[..., None])[..., 0]
+        out[i] = np.minimum(np.sum(np.abs(amps) ** 2, axis=1), 1.0)
     return out
 
 
@@ -594,7 +592,7 @@ def interpolation_sweep(
             else:
                 blocks = {key: _interp_block(*key, float(c)) for key in set(keys.values())}
                 coins = {v: blocks[key] for v, key in keys.items()}
-                op = build_step_operator(dense, ExplicitMap(coins, fallback=Uniform(grover)))
+                op = build_step_operator(dense, ExplicitMap(coins))
             psi = trajectory(op, equal_superposition(op.space, 0), step)[-1]
             out[i, j] = vertex_probability(op.space, psi, 1)
     return out

@@ -32,6 +32,7 @@ __all__ = [
     "Join",
     "DiamondChain",
     "JOIN_FAMILIES",
+    "adjacency",
     "build",
     "complement",
     "canonical_key",
@@ -43,9 +44,12 @@ __all__ = [
 # ===== Core container =====
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected graph backed by an adjacency matrix."""
+    """Immutable undirected graph backed by an adjacency matrix.
+
+    Graphs compare and hash by identity.
+    """
 
     adjacency: np.ndarray
 
@@ -95,20 +99,7 @@ class Graph:
 
     def edge_set(self) -> set[tuple[int, int]]:
         """Off-diagonal edges as (i, j) pairs with i < j."""
-        out = set()
-        rows, cols = np.nonzero(self.adjacency)
-        for i, j in zip(rows, cols):
-            if i < j:
-                out.add((int(i), int(j)))
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return np.array_equal(self.adjacency, other.adjacency)
-
-    def __hash__(self) -> int:
-        return hash(self.adjacency.tobytes())
+        return {(v, w) for v, ws in enumerate(self._neighbor_lists) for w in ws if v < w}
 
 
 # ===== Graph families =====
@@ -180,67 +171,52 @@ def _zeros(n: int) -> np.ndarray:
     return np.zeros((n, n))
 
 
-def build(spec: FamilySpec) -> Graph:
-    """Construct the graph a family dataclass describes."""
+def adjacency(spec: FamilySpec) -> np.ndarray:
+    """Adjacency matrix of the graph a family dataclass describes."""
     if isinstance(spec, Complete):
         if spec.n < 1:
             raise ConfigError("complete graph requires n ≥ 1")
         adj = _zeros(spec.n) + 1.0
         np.fill_diagonal(adj, 0.0)
-        return Graph(adj)
-    if isinstance(spec, Cycle):
-        if spec.n < 3:
-            raise ConfigError("cycle requires n ≥ 3")
+        return adj
+    if isinstance(spec, (Cycle, Path)):
+        cycle = isinstance(spec, Cycle)
+        least = 3 if cycle else 2
+        if spec.n < least:
+            raise ConfigError(f"{type(spec).__name__.lower()} requires n ≥ {least}")
         adj = _zeros(spec.n)
-        for v in range(spec.n):
-            adj[v, (v + 1) % spec.n] = 1
-            adj[(v + 1) % spec.n, v] = 1
-        return Graph(adj)
-    if isinstance(spec, Path):
-        if spec.n < 2:
-            raise ConfigError("path requires n ≥ 2")
-        adj = _zeros(spec.n)
-        for v in range(spec.n - 1):
-            adj[v, v + 1] = 1
-            adj[v + 1, v] = 1
-        return Graph(adj)
+        adj.flat[1 :: spec.n + 1] = adj.flat[spec.n :: spec.n + 1] = 1  # v ~ v + 1
+        if cycle:
+            adj[0, -1] = adj[-1, 0] = 1
+        return adj
     if isinstance(spec, Edgeless):
         if spec.n < 1:
             raise ConfigError("edgeless graph requires n ≥ 1")
-        return Graph(_zeros(spec.n))
+        return _zeros(spec.n)
     if isinstance(spec, Join):
-        return _join(build(spec.left), build(spec.right))
+        left, right = adjacency(spec.left), adjacency(spec.right)
+        k = len(left)
+        adj = _zeros(k + len(right))
+        adj[:k, :k], adj[k:, k:] = left, right
+        adj[:k, k:] = adj[k:, :k] = 1.0
+        return adj
     if isinstance(spec, DiamondChain):
-        return _diamond_chain(spec.n, spec.loop_ends)
+        if spec.n < 1:
+            raise ConfigError("diamond chain requires n ≥ 1")
+        adj = _zeros(3 * spec.n + 1)
+        corners = 3 * np.arange(spec.n)
+        for mid in (corners + 1, corners + 2):
+            for end in (corners, corners + 3):
+                adj[end, mid] = adj[mid, end] = 1
+        if spec.loop_ends:
+            adj[0, 0] = adj[-1, -1] = 1
+        return adj
     raise ConfigError(f"unknown family spec: {spec!r}")
 
 
-def _join(g: Graph, h: Graph) -> Graph:
-    ng, nh = g.n, h.n
-    adj = _zeros(ng + nh)
-    adj[:ng, :ng] = g.adjacency
-    adj[ng:, ng:] = h.adjacency
-    adj[:ng, ng:] = 1.0
-    adj[ng:, :ng] = 1.0
-    return Graph(adj)
-
-
-def _diamond_chain(n: int, loop_ends: bool) -> Graph:
-    if n < 1:
-        raise ConfigError("diamond chain requires n ≥ 1")
-    size = 3 * n + 1
-    adj = _zeros(size)
-    for i in range(n):
-        left = 3 * i
-        top, bottom = 3 * i + 1, 3 * i + 2
-        right = 3 * i + 3
-        for mid in (top, bottom):
-            adj[left, mid] = adj[mid, left] = 1
-            adj[right, mid] = adj[mid, right] = 1
-    if loop_ends:
-        adj[0, 0] = 1
-        adj[size - 1, size - 1] = 1
-    return Graph(adj)
+def build(spec: FamilySpec) -> Graph:
+    """Construct the graph a family dataclass describes."""
+    return Graph(adjacency(spec))
 
 
 def complement(g: Graph) -> Graph:

@@ -692,6 +692,19 @@ def test_search_stdout_filters(tmp_path, capsys):
         assert json.loads(line)["pst"] is True
 
 
+def test_search_min_p_prints_only_records_at_or_above_it(capsys):
+    argv = ["search", "--base", "4", "--max-new", "1", "--samples", "50",
+            "--steps", "20", "--workers", "1"]
+    assert main(argv) == 0
+    every = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--min-p", "0.99"]) == 0
+    captured = capsys.readouterr()
+    shown = captured.out.splitlines()
+    assert shown == [line for line in every if json.loads(line)["best_p"] >= 0.99]
+    assert 0 < len(shown) < len(every)
+    assert f"({len(shown)} shown)" in captured.err
+
+
 def test_robust_cli(tmp_path):
     base = tmp_path / "rob"
     argv = ["robust", "--kind", "phase", "--n", "3", "--magnitudes",
@@ -710,6 +723,14 @@ def test_interp_cli(tmp_path):
     assert lines[0] == "c,p_n3"
     assert float(lines[1].split(",")[1]) == pytest.approx(1.0, abs=1e-9)
     assert float(lines[3].split(",")[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_interp_c_points_writes_what_the_same_c_grid_writes(tmp_path):
+    assert main(["interp", "--n", "3,5", "--c-points", "3", "--out", str(tmp_path / "pts")]) == 0
+    assert main(["interp", "--n", "3,5", "--c-grid", "0,0.5,1", "--out", str(tmp_path / "grid")]) == 0
+    for suffix in (".json", ".csv"):
+        pts, grid = (tmp_path / (stem + suffix) for stem in ("pts", "grid"))
+        assert pts.read_bytes() == grid.read_bytes()
 
 
 def test_interp_chain_choices_are_the_sweep_chains():
@@ -759,6 +780,31 @@ def test_search_checks_its_enumeration_before_the_sink(args, message, tmp_path, 
     assert sink.read_bytes() == data
 
 
+@pytest.mark.parametrize("argv, out, message", [
+    (["ctqw", "--graph", "cycle n=4", "--pair", "0,2", "--tmax", "1"],
+     "missing/x", "cannot write {dir}/missing/x: no directory {dir}/missing"),
+    (["graph", "cycle n=4"],
+     "missing/x", "cannot write {dir}/missing/x: no directory {dir}/missing"),
+    (_SEARCH_SMALL + ["--base", "4", "--max-new", "1"],
+     "missing/s.jsonl", "cannot write {dir}/missing/s.jsonl: no directory {dir}/missing"),
+    (_SEARCH_SMALL + ["--base", "4", "--max-new", "1"],
+     "", "cannot write {dir}: it is a directory"),
+], ids=["ctqw", "graph", "search-missing-dir", "search-directory"])
+def test_an_out_that_cannot_be_written_exits_1_before_the_run(
+    argv, out, message, tmp_path, monkeypatch, capsys
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("detect_transfer_ct", "parse_graph_spec", "pst_search"):
+        monkeypatch.setattr(qwalk.cli, name, no_run)
+    path = os.path.join(tmp_path, out) if out else str(tmp_path)
+    assert main(argv + ["--out", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message.format(dir=tmp_path)}\n"
+    assert captured.out == ""
+
+
 def _run_in_1_5_gb(argv):
     """qwalk argv in a child process whose address space is capped at 1.5 GB,
     so that a regression that allocates from input fails fast instead of
@@ -791,6 +837,9 @@ def test_search_refuses_a_base_of_40_without_listing_its_subsets(tmp_path):
      "dtqw step table needs 1,000,000,001 x 4 entries"),
     (["robust", "--kind", "random", "--n", "4", "--runs", "10000000000"],
      "random robustness runs needs 10,000,000,000 x 4 entries"),
+    # checked before the hub graph, which would be refused at 4,096 vertices
+    (["robust", "--kind", "defect", "--n", "1000000000", "--magnitudes", "0.5"],
+     "defect robustness start states needs 1 x 1,000,000,000 entries"),
     (["interp", "--n", "3", "--c-points", "1000000000"],
      "interp table needs 1 x 1,000,000,000 entries"),
     # the search refuses before it creates its sink
@@ -798,8 +847,8 @@ def test_search_refuses_a_base_of_40_without_listing_its_subsets(tmp_path):
      "Haar states needs 1,000,000,000 x 4 entries"),
     (["search", "--max-new", "1", "--steps", "1000000000", "--workers", "1"],
      "scan steps needs 1,000,000,000 x 2 entries"),
-], ids=["ctqw-grid", "dtqw-steps", "robust-runs", "interp-c-points", "search-samples",
-        "search-steps"])
+], ids=["ctqw-grid", "dtqw-steps", "robust-runs", "robust-start-states", "interp-c-points",
+        "search-samples", "search-steps"])
 def test_tables_over_the_limit_are_refused_before_allocation(argv, table, tmp_path):
     done = _run_in_1_5_gb(argv + ["--out", str(tmp_path / "r")])
     assert done.returncode == 1, done.stderr
@@ -883,3 +932,17 @@ def _readme_commands() -> list[str]:
 def test_readme_example_runs(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err
+
+
+def _readme_python_blocks() -> list[str]:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
+@pytest.mark.parametrize("block", _readme_python_blocks(), ids=lambda block: block.split("\n")[-2])
+def test_readme_python_example_prints_its_comments(block, capsys):
+    # each trailing "# ..." comment of a code line is one line it prints
+    want = re.findall(r"^[^#\n]+#\s*(.*?)\s*$", block, re.M)
+    assert want
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want

@@ -137,7 +137,7 @@ def test_preset_row_one_all_dft():
 
 def test_explicit_map_with_fallback():
     g = build(Cycle(4))
-    pol = ExplicitMap({1: np.eye(2)}, fallback=Uniform(grover))
+    pol = ExplicitMap({1: np.eye(2)})
     assert np.allclose(pol.coin_for(g, 1, 2), np.eye(2))
     assert np.allclose(pol.coin_for(g, 0, 2), grover(2))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,20 @@ def test_transition_matrix_column_stochastic():
     assert np.all(m >= 0)
 
 
+def test_transition_matrix_of_a_loop_and_an_isolated_vertex():
+    # 0 - 1 - 2 with a loop at 1, and 3 alone
+    adj = np.zeros((4, 4))
+    adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = adj[1, 1] = 1.0
+    third = 1.0 / 3.0
+    want = np.array([
+        [0.0, third, 0.0, 0.0],
+        [1.0, third, 1.0, 0.0],
+        [0.0, third, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    assert np.array_equal(classical_transition_matrix(Graph(adj)), want)
+
+
 def test_cycle4_two_step_distribution():
     want = np.array([0.5, 0.0, 0.5, 0.0])
     assert np.allclose(classical_walk(build(Cycle(4)), 0, 2), want)
@@ -301,6 +317,21 @@ def test_rate_sweep_monotone_near_zero():
         g, parse_policy("O2"), init, (0, 1), rates=np.array([0.0, 0.05, 0.1]), step=6
     )
     assert sweep[0] > sweep[1] > sweep[2]
+
+
+def test_rate_sweep_memory_does_not_grow_with_the_step():
+    g = build(Cycle(8))
+    init = equal_superposition(ArcSpace.from_graph(g), 0)
+    peaks = []
+    for step in (50, 400):
+        tracemalloc.start()
+        try:
+            target_probability_vs_rate(g, parse_policy("O2"), init, (0, 4), np.array([0.1]), step)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one 16 x 16 complex density is 4 KB; 351 more of them would be 1.4 MB
+    assert peaks[1] <= peaks[0] + 16384
 
 
 def test_rate_sweep_reads_the_last_density_step():

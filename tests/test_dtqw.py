@@ -142,7 +142,7 @@ def test_step_operator_runs_hold_the_coin_blocks():
 def test_wrong_coin_shape_is_rejected():
     g = build(Cycle(4))
     with pytest.raises(ConfigError, match=r"vertex 0: coin block is \(3, 3\), expected \(2, 2\)"):
-        build_step_operator(g, ExplicitMap({0: np.eye(3)}, fallback=Uniform(grover)))
+        build_step_operator(g, ExplicitMap({0: np.eye(3)}))
 
 
 @settings(max_examples=60, deadline=None)

@@ -34,7 +34,7 @@ from qwalk.explorer import (
 )
 from qwalk import explorer
 from qwalk.arcs import ArcSpace
-from qwalk.dtqw import haar_states
+from qwalk.dtqw import haar_states, unit_vector
 
 
 # ----- descriptors and enumeration -----
@@ -443,6 +443,18 @@ def test_defect_sweep_normalises_huge_magnitudes():
     last[-1] = 1.0
     want = np.sum(np.abs(explorer._hub_cycle_block(3, 6) @ last) ** 2)
     assert abs(res[0, 0] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["defect", "phase"])
+def test_sweep_equals_one_product_per_start_state(kind):
+    mags = np.linspace(-1.0, 3.0, 9)
+    res = robustness_sweep(kind, [3, 8], magnitudes=mags)
+    for i, n in enumerate([3, 8]):
+        block = explorer._hub_cycle_block(n, 6)
+        for j, mag in enumerate(mags):
+            amps = np.ones(n, dtype=complex)
+            amps[-1] = 1.0 - mag if kind == "defect" else np.exp(1j * mag)
+            assert res[i, j] == min(float(np.sum(np.abs(block @ unit_vector(amps)) ** 2)), 1.0)
 
 
 def test_phase_sweep_worst_case_at_pi():
