@@ -40,6 +40,7 @@ from qwalk.dtqw import (
     equal_superposition,
     haar_states,
     max_transfer_scan,
+    report_json,
     state_at_vertex,
     unit_vector,
 )
@@ -142,8 +143,12 @@ def parse_graph_spec(text: str) -> Graph:
             raise ConfigError(f"diamond loops must be 'none' or 'ends', got {loops!r}")
         return build(DiamondChain(need_n(), loop_ends=loops == "ends"))
     if os.path.exists(text):
-        with open(text) as fh:
-            return graph_from_json(fh.read())
+        try:
+            with open(text, encoding="utf-8") as fh:
+                data = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read graph file {text}: {exc}") from exc
+        return graph_from_json(data)
     raise ConfigError(f"unknown graph spec {text!r} (not a family string or file)")
 
 
@@ -248,9 +253,9 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
@@ -381,9 +386,7 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
             "policy": args.policy,
             "pair": list(pair),
             "seed": seed,
-            "max_probability": scan.max_probability,
-            "best_step": scan.best_step,
-            "fraction_over_lam": scan.fraction_over_lam,
+            **report_json(scan, ("pst_steps", "top_gram")),
             "lam": lam,
             "samples": samples,
             "t_max": steps,
@@ -465,13 +468,14 @@ def cmd_decohere(args: argparse.Namespace) -> int:
 
     if model == "ct":
         rho = decohere_ct(g, density_from_state(np.eye(g.n)[pair[0]]), rate, args.time)
+        probs = np.minimum(np.real(np.diag(rho)), 1.0)
         payload = {
             "command": "decohere-ct",
             "graph": args.graph,
             "rate": rate,
             "time": args.time,
-            "vertex_probabilities": np.real(np.diag(rho)),
-            "target_probability": np.real(rho[pair[1], pair[1]]),
+            "vertex_probabilities": probs,
+            "target_probability": probs[pair[1]],
         }
         _emit(args, payload)
         return 0
@@ -640,49 +644,43 @@ def _option(p: argparse.ArgumentParser, key: str, text: str) -> None:
                    help=f"{text} (default {default}; must {rule})")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default option values")
-    _option(p, "seed", "master seed, else from the config file, then QWALK_SEED")
-    p.add_argument("--out", help="output path stem; writes <out>.json, and <out>.csv for a series")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, each declared once on a parent
+    walk, track, config, seed, out = (_Parser(add_help=False) for _ in range(5))
+    walk.add_argument("--graph", required=True, help="graph spec string or file")
+    walk.add_argument("--pair", default="0,1", help="source,target vertices")
+    track.add_argument("--track", help="comma list of vertices for the CSV columns")
+    config.add_argument("--config", help="JSON file with default option values")
+    _option(seed, "seed", "master seed, else from the config file, then QWALK_SEED")
+    out.add_argument("--out", help="output path stem; writes <out>.json, and <out>.csv for a series")
 
     p = sub.add_parser("graph", help="build a graph and print its JSON form")
     p.add_argument("spec", help='family string like "cycle n=6" or a JSON file path')
     p.add_argument("--out", help="write the JSON here instead of stdout")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("dtqw", help="run a coined walk and report transfer")
-    p.add_argument("--graph", required=True, help="graph spec string or file")
+    p = sub.add_parser("dtqw", help="run a coined walk and report transfer",
+                       parents=[walk, track, config, seed, out])
     p.add_argument("--policy", default="O2", help="O1, O2, O3, table1:<row>, or JSON map")
     p.add_argument("--init", default="equal", help='"equal", "haar:<count>[:<seed>]", or amplitudes')
-    p.add_argument("--pair", default="0,1", help="source,target vertices")
     _option(p, "steps", "number of steps")
     _option(p, "lam", "high-amplitude threshold")
-    p.add_argument("--track", help="comma list of vertices for the CSV columns")
-    _add_common(p)
     p.set_defaults(func=cmd_dtqw)
 
-    p = sub.add_parser("ctqw", help="run a continuous walk and report transfer")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pair", default="0,1")
+    p = sub.add_parser("ctqw", help="run a continuous walk and report transfer",
+                       parents=[walk, track, config, out])
     _option(p, "tmax", "scan horizon")
     _option(p, "dt", "scan grid spacing, at most tmax")
     _option(p, "lam", "high-amplitude threshold")
-    p.add_argument("--track", help="comma list of vertices for the CSV columns")
-    p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json")
     p.set_defaults(func=cmd_ctqw)
 
-    p = sub.add_parser("decohere", help="evolve a dephasing walk")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("decohere", help="evolve a dephasing walk",
+                       parents=[walk, config, seed, out])
     p.add_argument("--model", choices=("dt", "ct"), default="dt")
     p.add_argument("--policy", help="dt model: coin policy as for dtqw (default O2)")
     p.add_argument("--init", help="dt model: initial state as for dtqw, one state (default equal)")
-    p.add_argument("--pair", default="0,1")
     p.add_argument("--basis", help="dt model: coin, position, or both (default coin)")
     p.add_argument("--rate", type=float, help="dephasing rate in [0, 1]")
     p.add_argument("--rates", help="dt model: comma list of rates for a fixed-step sweep")
@@ -690,10 +688,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, help="ct model: evolution time")
     p.add_argument("--dt", type=float,
                    help="no effect: the ct model is propagated exactly; accepted for old command lines")
-    _add_common(p)
     p.set_defaults(func=cmd_decohere)
 
-    p = sub.add_parser("search", help="enumerate cycle variants and survey transfer")
+    p = sub.add_parser("search", help="enumerate cycle variants and survey transfer",
+                       parents=[config, seed])
     p.add_argument("--base", type=int, default=4, help="even base cycle size")
     p.add_argument("--max-new", type=int, default=2, dest="max_new")
     p.add_argument("--policies", default="O1,O2,O3")
@@ -704,27 +702,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pst-only", action="store_true", help="print only exact-transfer records")
     p.add_argument("--min-p", type=float, default=0.0,
                    help="print only records at or above this probability")
-    p.add_argument("--config", help="JSON file with default option values")
-    _option(p, "seed", "master seed, else from the config file, then QWALK_SEED")
     p.add_argument("--out", help="JSON-lines sink; existing records are not recomputed")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("robust", help="perturbed-start transfer sweeps on hub cycles")
+    p = sub.add_parser("robust", help="perturbed-start transfer sweeps on hub cycles",
+                       parents=[config, seed, out])
     p.add_argument("--kind", required=True, choices=("defect", "phase", "random"))
     p.add_argument("--n", required=True, help="comma list of cycle sizes")
     p.add_argument("--magnitudes", help="comma list of delta or theta values")
     _option(p, "runs", "samples for kind=random")
     _option(p, "step", "readout step")
-    _add_common(p)
     p.set_defaults(func=cmd_robust)
 
-    p = sub.add_parser("interp", help="transfer vs coupling along a graph chain")
+    p = sub.add_parser("interp", help="transfer vs coupling along a graph chain", parents=[out])
     p.add_argument("--chain", default="k2kn-k2cn", choices=INTERP_CHAINS)
     p.add_argument("--n", required=True, help="comma list of sizes")
     p.add_argument("--c-grid", dest="c_grid", help="explicit comma list of couplings")
     _option(p, "c_points", "uniform grid size on [0, 1] when --c-grid is absent")
     _option(p, "step", "readout step")
-    p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json")
     p.set_defaults(func=cmd_interp)
 
     return parser

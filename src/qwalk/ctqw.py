@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qwalk.dtqw import PST_TOL, peak_step
+from qwalk.dtqw import PST_TOL, peak_step, report_json
 from qwalk.errors import ConfigError, ToleranceError, check_table
 from qwalk.graphs import Graph
 
@@ -84,7 +84,6 @@ class CtTransferReport:
     target: int
     times: np.ndarray
     vertex_series: np.ndarray  # (len(times), n) vertex probabilities
-    target_series: np.ndarray
     pst_times: tuple[float, ...]
     period: float | None
     max_probability: float
@@ -92,18 +91,12 @@ class CtTransferReport:
     high_amplitude: bool
     lam: float
 
+    @property
+    def target_series(self) -> np.ndarray:
+        return self.vertex_series[:, self.target]
+
     def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "pst_times": list(self.pst_times),
-            "period": self.period,
-            "max_probability": self.max_probability,
-            "max_time": self.max_time,
-            "high_amplitude": self.high_amplitude,
-            "lam": self.lam,
-            "pst_tol": PST_TOL,
-        }
+        return report_json(self, ("times", "vertex_series")) | {"pst_tol": PST_TOL}
 
 
 def _refined_maxima(
@@ -183,7 +176,6 @@ def detect_transfer_ct(
         target=target,
         times=times,
         vertex_series=vertex_series,
-        target_series=target_series,
         pst_times=pst_times,
         period=period,
         max_probability=max_probability,

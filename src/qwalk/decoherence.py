@@ -92,9 +92,7 @@ def dephasing_mask(space: ArcSpace, basis: str) -> np.ndarray:
     if basis == "position":
         labels = space.heads
     elif basis == "coin":
-        labels = np.asarray(
-            [a - space.offsets[space.heads[a]] for a in range(m)], dtype=int
-        )
+        labels = np.arange(m) - space.offsets[space.heads]
     else:
         raise ConfigError(f"unknown dephasing basis {basis!r}")
     return (labels[:, None] == labels[None, :]).astype(float)
@@ -241,13 +239,12 @@ def target_probability_vs_rate(
     step: int,
     basis: str = "coin",
 ) -> np.ndarray:
-    """Target probability at a fixed step, one value per rate, in rate order."""
+    """Target marginal, capped at 1, at a fixed step, one value per rate, in rate order."""
     op = build_step_operator(g, policy)
     rho0 = density_from_state(init)
-    sl = op.space.vertex_slice(pair[1])
     probs = np.empty(len(rates))
     for i, p in enumerate(np.asarray(rates, dtype=float)):
         for rho in density_steps(rho0, op, NoiseModel(basis, float(p)), step):
             pass  # keep only the last density, so memory does not grow with step
-        probs[i] = np.real(np.trace(rho[sl, sl]))
+        probs[i] = min(vertex_marginal(op.space, rho)[pair[1]], 1.0)
     return probs

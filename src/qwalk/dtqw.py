@@ -29,7 +29,7 @@ so far.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -56,6 +56,7 @@ __all__ = [
     "target_block_powers",
     "TransferReport",
     "ScanResult",
+    "report_json",
 ]
 
 UNITARITY_TOL = 1e-12
@@ -262,20 +263,14 @@ class TransferReport:
     lam: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "target_series": [float(p) for p in self.target_series],
-            "source_series": [float(p) for p in self.source_series],
-            "pst_steps": list(self.pst_steps),
-            "strict_period": self.strict_period,
-            "positional_period": self.positional_period,
-            "max_probability": self.max_probability,
-            "max_step": self.max_step,
-            "high_amplitude": self.high_amplitude,
-            "lam": self.lam,
-            "pst_tol": PST_TOL,
-        }
+        return report_json(self, ("fidelity_series", "vertex_series")) | {"pst_tol": PST_TOL}
+
+
+def report_json(report, tables: Sequence[str]) -> dict:
+    """The dataclass fields of a report, except the named tables, with
+    arrays as lists, ready for ``json.dumps``."""
+    out = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in tables}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 
 def detect_transfer(

@@ -29,7 +29,7 @@ import math
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 

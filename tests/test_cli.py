@@ -1,10 +1,14 @@
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -584,6 +588,27 @@ def test_decohere_rate_sweep(tmp_path):
     assert float(lines[2].split(",")[1]) == pytest.approx(0.171875, abs=1e-9)
 
 
+@pytest.mark.parametrize("graph, pair", [
+    ("join k2c n=5", "0,1"), ("cycle n=6", "0,3"), ("join k2k n=4", "0,1"),
+    ("diamond n=2", "0,6"), ("join k2p n=4", "0,1"),
+])
+def test_decohere_rate_and_rates_print_one_capped_target_probability(graph, pair, capsys):
+    # both paths read the capped vertex marginal of the same final density
+    differ = []
+    for basis, rate, steps in itertools.product(("coin", "position", "both"),
+                                                ("0", "0.1", "0.5"), ("6", "7", "12")):
+        argv = ["decohere", "--graph", graph, "--pair", pair, "--basis", basis,
+                "--steps", steps]
+        assert main(argv + ["--rate", rate]) == 0
+        one = json.loads(capsys.readouterr().out)["target_probability"]
+        assert main(argv + ["--rates", rate]) == 0
+        (swept,) = json.loads(capsys.readouterr().out)["target_probabilities"]
+        assert one <= 1.0 and swept <= 1.0
+        if one != swept:
+            differ.append((basis, rate, steps, one, swept))
+    assert differ == []
+
+
 def test_every_discrete_decohere_path_checks_its_density(monkeypatch, capsys):
     conjugate = qwalk.dtqw.StepOperator.conjugate
     monkeypatch.setattr(qwalk.dtqw.StepOperator, "conjugate",
@@ -665,6 +690,51 @@ def test_resumed_search_prints_tied_records_in_the_same_order(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == full
     assert sorted(sink.read_text().splitlines()) == sorted(lines)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_killed_mid_run_resumes_to_the_uninterrupted_bytes(workers, tmp_path):
+    # a real SIGKILL to the whole process group, pool workers included, once
+    # the sink holds a line; the rerun must finish the same sink and stdout
+    argv = [sys.executable, "-m", "qwalk.cli", "search", "--base", "4", "--max-new", "2",
+            "--samples", "300", "--steps", "40", "--workers", workers, "--out"]
+    env = dict(os.environ, PYTHONPATH=str(Path(qwalk.cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+
+    def run(sink):
+        done = subprocess.run(argv + [str(sink)], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    whole = tmp_path / "whole.jsonl"
+    whole_out = run(whole)
+    sink = tmp_path / "killed.jsonl"
+    for _ in range(3):  # a run that ends before the kill lands is run again
+        sink.unlink(missing_ok=True)
+        proc = subprocess.Popen(argv + [str(sink)], env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and not (sink.exists() and b"\n" in sink.read_bytes()):
+                assert time.monotonic() < deadline, "the search wrote no line in 60 s"
+                time.sleep(0.001)
+        finally:
+            with contextlib.suppress(ProcessLookupError):  # a group that already ended
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+        if len(sink.read_bytes()) < len(whole.read_bytes()):
+            break
+    assert 0 < len(sink.read_bytes()) < len(whole.read_bytes()), "no kill landed mid-run"
+    deadline = time.monotonic() + 30
+    while True:  # the killed group, pool workers included, is gone
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a killed search process is still running"
+        time.sleep(0.05)
+    assert run(sink) == whole_out
+    assert sink.read_bytes() == whole.read_bytes()
 
 
 @pytest.mark.parametrize("policies, message", [
@@ -889,6 +959,10 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
     (["dtqw", "--graph", "cycle n=4", "--config", "{dir}/absent.json"], "cannot read config file"),
     (["dtqw", "--graph", "cycle n=4", "--config", "{dir}/torn.json"], "is not valid JSON"),
     (["dtqw", "--graph", "cycle n=4", "--config", "{dir}/list.json"], "must hold a JSON object"),
+    (["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--config", "{dir}/bytes.json"],
+     "cannot read config file {dir}/bytes.json: 'utf-8' codec can't decode"),
+    (["graph", "{dir}/bytes.json"], "cannot read graph file {dir}/bytes.json: 'utf-8' codec"),
+    (["graph", "{dir}"], "cannot read graph file {dir}: "),
     (["ctqw", "--graph", "cycle n=4", "--tmax", "1", "--dt", "2"],
      "dt must not exceed tmax (1.0), got 2.0"),
     (["decohere", "--graph", "cycle n=4", "--rate", "1.5"],
@@ -902,17 +976,19 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
     (["interp", "--n", "3", "--c-grid", "0,1.5"], "coupling c must lie in [0, 1], got 1.5"),
 ], ids=["empty-graph", "n-not-int", "bad-loops", "zero-amplitudes", "haar-not-int",
         "pair-malformed", "pair-equal", "list-malformed", "config-unreadable",
-        "config-not-json", "config-not-object", "dt-over-tmax", "rate-range", "ct-no-time",
+        "config-not-json", "config-not-object", "config-not-utf8", "graph-not-utf8",
+        "graph-directory", "dt-over-tmax", "rate-range", "ct-no-time",
         "no-policies", "no-workers", "robust-no-n", "defect-no-magnitudes", "interp-no-n",
         "coupling-range"])
 def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys):
     (tmp_path / "torn.json").write_text('{"steps": ')
     (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
-    assert message in captured.err
+    assert message.replace("{dir}", str(tmp_path)) in captured.err
     assert captured.out == ""
 
 
@@ -946,3 +1022,30 @@ def test_readme_python_example_prints_its_comments(block, capsys):
     assert want
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == want
+
+
+def _option_readers() -> dict[str, set[str]]:
+    """Option key -> the subcommands that declare it through ``_option``,
+    known by the "(default ...; must ...)" help that ``_option`` writes."""
+    parser = qwalk.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    readers = {key: set() for key in qwalk.cli.OPTIONS}
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            for key, (default, _, rule) in qwalk.cli.OPTIONS.items():
+                if (action.dest == key and action.type is type(default)
+                        and (action.help or "").endswith(f"(default {default}; must {rule})")):
+                    readers[key].add(command)
+    return readers
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Shared behavior:", 1)[1].split("\n\n")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        key, default, _, read_by = (cell.strip() for cell in line.strip("|").split("|"))
+        commands = set(re.findall(r"`([a-z]+)`", re.sub(r"\([^)]*\)", "", read_by)))
+        rows[key.strip("`")] = (float(default), commands)
+    readers = _option_readers()
+    assert rows == {key: (float(spec[0]), readers[key]) for key, spec in qwalk.cli.OPTIONS.items()}

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -20,6 +21,45 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"qwalk.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, missing
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads.
+
+    A name listed in ``__all__`` counts as read; ``from __future__``
+    imports bind nothing.
+    """
+    tree = ast.parse(source)
+    bound = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_unused_imports_finds_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom typing import Iterable, Sequence\n"
+        "from m import exported\n__all__ = ['exported']\n"
+        "def f(x: Sequence) -> None:\n    return os.path.join(x)\n"
+    )
+    assert _unused_imports(source) == ["j", "Iterable"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_only_what_it_uses(name):
+    path = Path(qwalk.__file__).parent / f"{name}.py"
+    assert _unused_imports(path.read_text()) == []
 
 
 def test_importing_the_package_loads_no_submodule():
