@@ -94,62 +94,55 @@ class _Parser(argparse.ArgumentParser):
 
 # ===== Spec-string parsing =====
 
+# The head of each family string and the keys it takes; every family needs n
+_SPEC_KEYS = {"cycle": ("n",), "complete": ("n",), "path": ("n",), "edgeless": ("n",),
+              "join": ("n",), "diamond": ("n", "loops")}
+
 
 def parse_graph_spec(text: str) -> Graph:
     """Build a graph from a family string or a JSON file path.
 
     Family strings look like "cycle n=6", "join k2c n=5", or
-    "diamond n=3 loops=ends".  Anything else is treated as a path to a
-    graph JSON file.
+    "diamond n=3 loops=ends", each key one the family takes, given once.
+    Anything else is treated as a path to a graph JSON file.
     """
     text = text.strip()
     tokens = text.split()
     if not tokens:
         raise ConfigError("empty graph spec")
-    head = tokens[0].lower()
+    head, words = tokens[0].lower(), tokens[1:]
+    if head not in _SPEC_KEYS:
+        if os.path.exists(text):
+            return graph_from_json(_read_text(text, "graph file"))
+        raise ConfigError(f"unknown graph spec {text!r} (not a family string or file)")
+    kind = words.pop(0).lower() if head == "join" and words else None
+    if head == "join" and kind not in JOIN_FAMILIES:
+        raise ConfigError(f"join spec {text!r} must name k2c, k2k, or k2p before n=<int>")
     kv = {}
-    extras = []
-    for tok in tokens[1:]:
-        if "=" in tok:
-            k, v = tok.split("=", 1)
-            kv[k.lower()] = v
-        else:
-            extras.append(tok.lower())
-
-    def need_n() -> int:
-        if "n" not in kv:
-            raise ConfigError(f"graph spec {text!r} needs n=<int>")
-        try:
-            return int(kv["n"])
-        except ValueError as exc:
-            raise ConfigError(f"graph spec n must be an integer, got {kv['n']!r}") from exc
-
-    plain = {"cycle": Cycle, "complete": Complete, "path": Path, "edgeless": Edgeless}
-    if head in plain or head == "diamond":
-        if extras:
-            raise ConfigError(f"unexpected token {extras[0]!r} in graph spec {text!r}")
-    if head in plain:
-        return build(plain[head](need_n()))
+    for tok in words:
+        key, eq, value = tok.partition("=")
+        key = key.lower()
+        if not eq:
+            raise ConfigError(f"unexpected token {tok.lower()!r} in graph spec {text!r}")
+        if key not in _SPEC_KEYS[head] or key in kv:
+            why = "twice" if key in kv else f"but {head} takes only {' and '.join(_SPEC_KEYS[head])}"
+            raise ConfigError(f"graph spec {text!r} gives {key}= {why}")
+        kv[key] = value
+    loops = kv.get("loops", "none")
+    if loops not in ("none", "ends"):
+        raise ConfigError(f"diamond loops must be 'none' or 'ends', got {loops!r}")
+    if "n" not in kv:
+        raise ConfigError(f"graph spec {text!r} needs n=<int>")
+    try:
+        n = int(kv["n"])
+    except ValueError as exc:
+        raise ConfigError(f"graph spec n must be an integer, got {kv['n']!r}") from exc
     if head == "join":
-        kind = extras[0] if extras else None
-        if kind not in JOIN_FAMILIES:
-            raise ConfigError(
-                f"join spec {text!r} must name k2c, k2k, or k2p before n=<int>"
-            )
-        return build(Join(Edgeless(2), JOIN_FAMILIES[kind](need_n())))
+        return build(Join(Edgeless(2), JOIN_FAMILIES[kind](n)))
     if head == "diamond":
-        loops = kv.get("loops", "none")
-        if loops not in ("none", "ends"):
-            raise ConfigError(f"diamond loops must be 'none' or 'ends', got {loops!r}")
-        return build(DiamondChain(need_n(), loop_ends=loops == "ends"))
-    if os.path.exists(text):
-        try:
-            with open(text, encoding="utf-8") as fh:
-                data = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read graph file {text}: {exc}") from exc
-        return graph_from_json(data)
-    raise ConfigError(f"unknown graph spec {text!r} (not a family string or file)")
+        return build(DiamondChain(n, loop_ends=loops == "ends"))
+    plain = {"cycle": Cycle, "complete": Complete, "path": Path, "edgeless": Edgeless}
+    return build(plain[head](n))
 
 
 def _parse_complex(token: str) -> complex:
@@ -227,14 +220,18 @@ def _check_source_ports(g: Graph, source: int, issues: list[str]) -> None:
         issues.append(f"vertex {source} has no ports")
 
 
-def _parse_list(text: str, kind: type, label: str, issues: list[str]) -> list:
-    """Comma-separated values of kind (int or float); blank items are skipped."""
+def _parse_list(text: str, kind: type, label: str, issues: list[str], noun: str = "") -> list:
+    """Comma-separated values of kind (int or float); blank items are skipped.
+    With a noun, an empty list is an issue too: "need at least one <noun>"."""
     try:
-        return [kind(x) for x in text.split(",") if x.strip()]
+        values = [kind(x) for x in text.split(",") if x.strip()]
     except ValueError:
         what = "integers" if kind is int else "numbers"
         issues.append(f"{label} must be comma-separated {what}, got {text!r}")
-        return []
+        values = []
+    if noun and not values:
+        issues.append(f"need at least one {noun} in --{label}")
+    return values
 
 
 def _parse_track(text: str | None, pair: tuple[int, int], n: int, issues: list[str]) -> list[int]:
@@ -249,14 +246,17 @@ def _parse_track(text: str | None, pair: tuple[int, int], n: int, issues: list[s
 # ===== Config merging and output helpers =====
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_config_file(path: str | None) -> dict:
+    try:
+        data = json.loads(_read_text(path, "config file")) if path else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -451,9 +451,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
         issues.append(f"basis must be coin, position, or both, got {basis!r}")
     rates = None
     if args.rates is not None:
-        rates = _parse_list(args.rates, float, "rates", issues)
-        if not rates:
-            issues.append("need at least one rate in --rates")
+        rates = _parse_list(args.rates, float, "rates", issues, "rate")
         if args.rate is not None:
             issues.append("give either --rate or --rates, not both")
     rate = args.rate if args.rate is not None else 0.0
@@ -572,9 +570,7 @@ def cmd_robust(args: argparse.Namespace) -> int:
     unread = ("magnitudes",) if kind == "random" else ("runs", "seed")
     issues.extend(f"--{k} is not read by --kind {kind}" for k in unread
                   if getattr(args, k) is not None)
-    n_values = _parse_list(args.n, int, "n", issues)
-    if not n_values:
-        issues.append("need at least one cycle size in --n")
+    n_values = _parse_list(args.n, int, "n", issues, "cycle size")
     mags = None
     if args.magnitudes is not None:
         mags = _parse_list(args.magnitudes, float, "magnitudes", issues)
@@ -605,15 +601,11 @@ def cmd_robust(args: argparse.Namespace) -> int:
 def cmd_interp(args: argparse.Namespace) -> int:
     issues: list[str] = []
     cfg = _resolve(args, ["step", "c_points"], issues)
-    n_values = _parse_list(args.n, int, "n", issues)
-    if not n_values:
-        issues.append("need at least one size in --n")
+    n_values = _parse_list(args.n, int, "n", issues, "size")
     if args.c_grid is not None:
         if args.c_points is not None:
             issues.append("--c-points is not read by interp with --c-grid")
-        c_grid = _parse_list(args.c_grid, float, "c-grid", issues)
-        if not c_grid:
-            issues.append("need at least one coupling in --c-grid")
+        c_grid = _parse_list(args.c_grid, float, "c-grid", issues, "coupling")
         issues.extend(f"coupling c must lie in [0, 1], got {c}" for c in c_grid
                       if not 0.0 <= c <= 1.0)
     _raise_issues(issues)
@@ -648,12 +640,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # flags shared by several subcommands, each declared once on a parent
-    walk, track, config, seed, out = (_Parser(add_help=False) for _ in range(5))
+    walk, track, config, seed, lam, step, out = (_Parser(add_help=False) for _ in range(7))
     walk.add_argument("--graph", required=True, help="graph spec string or file")
     walk.add_argument("--pair", default="0,1", help="source,target vertices")
     track.add_argument("--track", help="comma list of vertices for the CSV columns")
     config.add_argument("--config", help="JSON file with default option values")
     _option(seed, "seed", "master seed, else from the config file, then QWALK_SEED")
+    _option(lam, "lam", "high-amplitude threshold")
+    _option(step, "step", "readout step")
     out.add_argument("--out", help="output path stem; writes <out>.json, and <out>.csv for a series")
 
     p = sub.add_parser("graph", help="build a graph and print its JSON form")
@@ -662,18 +656,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("dtqw", help="run a coined walk and report transfer",
-                       parents=[walk, track, config, seed, out])
+                       parents=[walk, track, config, seed, lam, out])
     p.add_argument("--policy", default="O2", help="O1, O2, O3, table1:<row>, or JSON map")
     p.add_argument("--init", default="equal", help='"equal", "haar:<count>[:<seed>]", or amplitudes')
     _option(p, "steps", "number of steps")
-    _option(p, "lam", "high-amplitude threshold")
     p.set_defaults(func=cmd_dtqw)
 
     p = sub.add_parser("ctqw", help="run a continuous walk and report transfer",
-                       parents=[walk, track, config, out])
+                       parents=[walk, track, config, lam, out])
     _option(p, "tmax", "scan horizon")
     _option(p, "dt", "scan grid spacing, at most tmax")
-    _option(p, "lam", "high-amplitude threshold")
     p.set_defaults(func=cmd_ctqw)
 
     p = sub.add_parser("decohere", help="evolve a dephasing walk",
@@ -691,13 +683,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decohere)
 
     p = sub.add_parser("search", help="enumerate cycle variants and survey transfer",
-                       parents=[config, seed])
+                       parents=[config, seed, lam])
     p.add_argument("--base", type=int, default=4, help="even base cycle size")
     p.add_argument("--max-new", type=int, default=2, dest="max_new")
     p.add_argument("--policies", default="O1,O2,O3")
     _option(p, "samples", "Haar samples per cell")
     _option(p, "steps", "steps per cell")
-    _option(p, "lam", "high-amplitude threshold")
     p.add_argument("--workers", type=int, help="parallel cells (default: all cores)")
     p.add_argument("--pst-only", action="store_true", help="print only exact-transfer records")
     p.add_argument("--min-p", type=float, default=0.0,
@@ -706,20 +697,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("robust", help="perturbed-start transfer sweeps on hub cycles",
-                       parents=[config, seed, out])
+                       parents=[config, seed, step, out])
     p.add_argument("--kind", required=True, choices=("defect", "phase", "random"))
     p.add_argument("--n", required=True, help="comma list of cycle sizes")
     p.add_argument("--magnitudes", help="comma list of delta or theta values")
     _option(p, "runs", "samples for kind=random")
-    _option(p, "step", "readout step")
     p.set_defaults(func=cmd_robust)
 
-    p = sub.add_parser("interp", help="transfer vs coupling along a graph chain", parents=[out])
+    p = sub.add_parser("interp", help="transfer vs coupling along a graph chain", parents=[step, out])
     p.add_argument("--chain", default="k2kn-k2cn", choices=INTERP_CHAINS)
     p.add_argument("--n", required=True, help="comma list of sizes")
     p.add_argument("--c-grid", dest="c_grid", help="explicit comma list of couplings")
     _option(p, "c_points", "uniform grid size on [0, 1] when --c-grid is absent")
-    _option(p, "step", "readout step")
     p.set_defaults(func=cmd_interp)
 
     return parser

@@ -126,10 +126,13 @@ def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
     """U = S C from one coin block per vertex, in arc order.
 
     Since S is a permutation, U^H U = C^H C, so unitarity is checked on
-    the blocks: max |B^H B - I| per run, and a NaN fails the check.  An
-    explicit coin map is first checked against the graph: a key that
-    names no vertex raises, since no walk would ever read its coin.
+    the blocks: max |B^H B - I| per run, and a NaN fails the check.  The
+    graph is first checked: the arcs read only which edges exist, so a
+    weighted graph raises rather than walk as if unweighted.  So does an
+    explicit coin map key that names no vertex, whose coin no walk reads.
     """
+    if not g.is_unweighted():
+        raise ConfigError("coined walks need an unweighted graph: every edge and loop weight 1")
     if isinstance(policy, ExplicitMap):
         stray = sorted(v for v in policy.coins if not 0 <= v < g.n)
         if stray:

@@ -506,33 +506,26 @@ def robustness_sweep(
     if kind not in ("defect", "phase", "random"):
         raise ConfigError(f"unknown robustness kind {kind!r}")
     n_values = tuple(int(n) for n in n_values)
-    if kind == "random":
-        means = np.empty(len(n_values))
-        for i, n in enumerate(n_values):
-            check_table("random robustness runs", runs, n)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-            block = _hub_cycle_block(n, step)
-            deltas = rng.uniform(0.0, 1.0, size=(runs, n))
-            states = 1.0 - deltas
-            states = states / np.linalg.norm(states, axis=1, keepdims=True)
-            probs = np.minimum(np.sum(np.abs(states @ block.T) ** 2, axis=1), 1.0)
-            means[i] = probs.mean()
-        return means
-
     mags = np.asarray(list(magnitudes if magnitudes is not None else []), dtype=float)
-    if mags.size == 0:
+    if kind != "random" and mags.size == 0:
         raise ConfigError(f"robustness kind {kind!r} needs a magnitude grid")
     last = 1.0 - mags if kind == "defect" else np.exp(1j * mags)
-    out = np.empty((len(n_values), mags.size))
+    rows = runs if kind == "random" else mags.size
+    out = np.empty((len(n_values), 1 if kind == "random" else rows))
     for i, n in enumerate(n_values):
-        check_table(f"{kind} robustness start states", mags.size, n)
-        states = np.ones((mags.size, n), dtype=complex)
-        states[:, -1] = last
-        states = np.array([unit_vector(s) for s in states])
+        check_table(f"{kind} robustness {'runs' if kind == 'random' else 'start states'}", rows, n)
+        block = _hub_cycle_block(n, step)
+        if kind == "random":
+            rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+            states = 1.0 - rng.uniform(0.0, 1.0, size=(runs, n))
+            states = states / np.linalg.norm(states, axis=1, keepdims=True)
+        else:
+            states = np.array([unit_vector(s) for s in np.c_[np.ones((rows, n - 1)), last]])
         # a stacked product gives each row the bits of block @ row; states @ block.T does not
-        amps = np.matmul(_hub_cycle_block(n, step), states[..., None])[..., 0]
-        out[i] = np.minimum(np.sum(np.abs(amps) ** 2, axis=1), 1.0)
-    return out
+        amps = np.matmul(block, states[..., None])[..., 0]
+        probs = np.minimum(np.sum(np.abs(amps) ** 2, axis=1), 1.0)
+        out[i] = probs.mean() if kind == "random" else probs
+    return out[:, 0] if kind == "random" else out
 
 
 # ===== Interpolation sweep =====

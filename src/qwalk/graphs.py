@@ -495,7 +495,7 @@ def graph_from_json(text: str) -> Graph:
         raise ConfigError(f"graph JSON field 'edges' must be a list, got {edges!r}")
     if not isinstance(loops, list):
         raise ConfigError(f"graph JSON field 'loops' must be a list, got {loops!r}")
-    adj = _zeros(n)
+    adj, seen = _zeros(n), set()
     for entry in edges:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ConfigError(f"graph JSON field 'edges': entry must be [i, j, weight]: {entry!r}")
@@ -507,6 +507,10 @@ def graph_from_json(text: str) -> Graph:
             )
         if not isinstance(w, (int, float)) or isinstance(w, bool):
             raise ConfigError(f"graph JSON field 'edges': weight must be a number: {entry!r}")
+        edge = (min(i, j), max(i, j))
+        if edge in seen:
+            raise ConfigError(f"graph JSON field 'edges': edge {i}-{j} is listed twice: {entry!r}")
+        seen.add(edge)
         adj[i, j] = adj[j, i] = float(w)
     for v in loops:
         if not vertex(v):

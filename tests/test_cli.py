@@ -974,14 +974,26 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
     (["robust", "--kind", "defect", "--n", "3"], "kind 'defect' needs --magnitudes"),
     (["interp", "--n", ""], "need at least one size in --n"),
     (["interp", "--n", "3", "--c-grid", "0,1.5"], "coupling c must lie in [0, 1], got 1.5"),
+    (["graph", "{dir}/twice.json"], "graph JSON field 'edges': edge 1-0 is listed twice"),
+    (["graph", "cycle n=6 foo=3"], "graph spec 'cycle n=6 foo=3' gives foo= but cycle takes only n"),
+    (["graph", "complete n=3 loops=ends"], "gives loops= but complete takes only n"),
+    (["graph", "cycle n=4 n=6"], "graph spec 'cycle n=4 n=6' gives n= twice"),
+    (["graph", "join k2c k2p n=5"], "unexpected token 'k2p' in graph spec 'join k2c k2p n=5'"),
+    (["graph", "join n=5 k2c"], "join spec 'join n=5 k2c' must name k2c, k2k, or k2p before n=<int>"),
+    # the hub-cycle walk is built before any draw, so a bad size never reaches the seed
+    (["robust", "--kind", "random", "--n", "3,-1", "--runs", "5"], "cycle requires n ≥ 3"),
+    (["robust", "--kind", "defect", "--n", "-1", "--magnitudes", "0.5"], "cycle requires n ≥ 3"),
 ], ids=["empty-graph", "n-not-int", "bad-loops", "zero-amplitudes", "haar-not-int",
         "pair-malformed", "pair-equal", "list-malformed", "config-unreadable",
         "config-not-json", "config-not-object", "config-not-utf8", "graph-not-utf8",
         "graph-directory", "dt-over-tmax", "rate-range", "ct-no-time",
         "no-policies", "no-workers", "robust-no-n", "defect-no-magnitudes", "interp-no-n",
-        "coupling-range"])
+        "coupling-range", "edge-twice", "unknown-key", "key-of-another-family", "key-twice",
+        "join-two-kinds", "join-kind-last", "random-negative-n", "defect-negative-n"])
 def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys):
     (tmp_path / "torn.json").write_text('{"steps": ')
+    (tmp_path / "twice.json").write_text('{"n": 3, "edges": [[0, 1, 1], [1, 0, 2.5], [1, 2, 1]], '
+                                         '"loops": []}')
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
@@ -990,6 +1002,35 @@ def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys)
     assert captured.err.startswith("config error:")
     assert message.replace("{dir}", str(tmp_path)) in captured.err
     assert captured.out == ""
+
+
+WEIGHTED_C4 = '{"n": 4, "edges": [[0, 1, 2.5], [1, 2, 1], [2, 3, 1], [0, 3, 1]], "loops": []}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["dtqw"], ["dtqw", "--init", "haar:5"], ["decohere", "--rate", "0.1"],
+    ["decohere", "--rates", "0,0.1"],
+], ids=["dtqw", "dtqw-scan", "decohere-rate", "decohere-rates"])
+def test_coined_walks_refuse_a_weighted_graph_before_writing(argv, tmp_path, capsys):
+    (tmp_path / "w.json").write_text(WEIGHTED_C4)
+    argv += ["--graph", str(tmp_path / "w.json"), "--pair", "0,2", "--steps", "3",
+             "--out", str(tmp_path / "r")]
+    assert main(argv) == 1
+    assert "config error: coined walks need an unweighted graph" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctqw", "--tmax", "2"], ["decohere", "--model", "ct", "--rate", "0.1", "--time", "1"],
+], ids=["ctqw", "decohere-ct"])
+def test_continuous_walks_take_the_edge_weights_as_their_hamiltonian(argv, tmp_path, capsys):
+    (tmp_path / "w.json").write_text(WEIGHTED_C4)
+    reports = []
+    for graph in (str(tmp_path / "w.json"), "cycle n=4"):
+        assert main(argv + ["--graph", graph, "--pair", "0,2"]) == 0
+        reports.append({k: v for k, v in json.loads(capsys.readouterr().out).items()
+                        if k != "graph"})
+    assert reports[0] != reports[1]
 
 
 def _readme_commands() -> list[str]:

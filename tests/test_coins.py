@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,24 @@ def test_parse_policy_rejects_unknown():
         parse_policy("table1:7")
     with pytest.raises(ConfigError):
         parse_policy("table1:x")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: grover(0), "grover coin requires d >= 1"),
+    (lambda: dft(0), "dft coin requires d >= 1"),
+    # vertex 2 of K2 + C4 has its two cycle neighbours and both hubs
+    (lambda: PresetRow(2).coin_for(build(Join(Edgeless(2), Cycle(4))), 2, 4),
+     "vertex 2: preset row 2 expects degree 2, got 4"),
+    (lambda: PresetRow(4).coin_for(build(Join(Edgeless(2), Cycle(4))), 2, 4),
+     "vertex 2: preset row 4 expects degree 2, got 4"),
+    (lambda: PresetRow(4).coin_for(build(Join(Edgeless(2), Edgeless(3))), 2, 2),
+     "preset row 4 needs an even number of degree-2 vertices"),
+    (lambda: PresetRow(5).coin_for(build(Cycle(4)), 0, 2), "unknown preset row 5"),
+    (lambda: parse_policy("{bad"), "bad JSON coin map: "),
+], ids=["grover-0", "dft-0", "row2-degree", "row4-degree", "row4-odd", "row5", "bad-json"])
+def test_each_coin_refusal_names_its_rule(make, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make()
 
 
 @pytest.mark.parametrize("text, key", [

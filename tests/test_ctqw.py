@@ -14,6 +14,7 @@ from qwalk.ctqw import (
     evolve_ct,
     evolve_ct_many,
 )
+from qwalk.errors import ConfigError
 from qwalk.graphs import Complete, Cycle, Edgeless, Graph, Join, Path, build
 
 
@@ -53,6 +54,20 @@ def test_evolution_is_linear():
     lhs = evolve_ct(g, 0.3 * a + 0.6j * b, t)
     rhs = 0.3 * evolve_ct(g, a, t) + 0.6j * evolve_ct(g, b, t)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_evolve_ct_refuses_a_state_of_the_wrong_length():
+    with pytest.raises(ConfigError, match=r"state has \(3,\) entries, graph has 4 vertices"):
+        evolve_ct(build(Cycle(4)), np.ones(3) / np.sqrt(3), 1.0)
+
+
+def test_analytic_pair_hub_state_without_bulk_stays_home_and_refuses_negative_n():
+    # with no bulk vertex the hubs share no edge, so the walker never moves
+    for t in (0.0, 1.3):
+        assert np.array_equal(analytic_pair_hub_state(0, t), [1.0, 0.0])
+        assert np.array_equal(evolve_ct(build(Edgeless(2)), [1.0, 0.0], t), [1.0, 0.0])
+    with pytest.raises(ConfigError, match="analytic_pair_hub_state requires n >= 0"):
+        analytic_pair_hub_state(-1, 1.0)
 
 
 def test_evolve_many_matches_single_times():

@@ -248,6 +248,14 @@ def test_ct_rejects_negative_time():
         decohere_ct(g, np.eye(4, dtype=complex) / 4, rate=0.1, t=-1.0)
 
 
+def test_noise_model_refuses_an_unknown_basis_and_a_rate_outside_0_1():
+    with pytest.raises(ConfigError, match=r"noise basis must be one of \('position', 'coin', "
+                                          r"'both'\), got 'spin'"):
+        NoiseModel("spin", 0.1)
+    with pytest.raises(ConfigError, match=r"noise rate must lie in \[0, 1\], got 1.5"):
+        NoiseModel("coin", 1.5)
+
+
 def test_ct_result_must_be_a_density():
     # trace one but a negative eigenvalue, which unitary evolution keeps
     rho0 = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)

@@ -166,6 +166,17 @@ def test_non_unitary_coin_is_rejected():
             build_step_operator(g, policy)
 
 
+def test_coined_walks_refuse_a_weighted_graph():
+    # the arc space reads only which edges exist, so a weight would be dropped
+    edge = build(Cycle(4)).adjacency.copy()
+    edge[0, 1] = edge[1, 0] = 2.5
+    loop = build(DiamondChain(1, loop_ends=True)).adjacency.copy()
+    loop[0, 0] = 0.5
+    for g in (Graph(edge), Graph(loop)):
+        with pytest.raises(ConfigError, match="coined walks need an unweighted graph"):
+            build_step_operator(g, Uniform(grover))
+
+
 @given(st.integers(0, 1000))
 @settings(max_examples=25, deadline=None)
 def test_norm_conserved_over_many_steps(seed):

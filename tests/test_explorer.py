@@ -457,6 +457,17 @@ def test_sweep_equals_one_product_per_start_state(kind):
             assert res[i, j] == min(float(np.sum(np.abs(block @ unit_vector(amps)) ** 2)), 1.0)
 
 
+def test_random_sweep_is_the_mean_of_one_product_per_draw():
+    res = robustness_sweep("random", [3, 8], runs=200, seed=4)
+    for i, n in enumerate([3, 8]):
+        block = explorer._hub_cycle_block(n, 6)
+        rng = np.random.default_rng(np.random.SeedSequence([4, n]))
+        states = 1.0 - rng.uniform(0.0, 1.0, size=(200, n))
+        states = states / np.linalg.norm(states, axis=1, keepdims=True)
+        probs = [min(float(np.sum(np.abs(block @ s) ** 2)), 1.0) for s in states]
+        assert res[i] == np.mean(probs)
+
+
 def test_phase_sweep_worst_case_at_pi():
     res = robustness_sweep("phase", [3], magnitudes=[np.pi / 2, np.pi])
     assert res[0, 1] < res[0, 0]

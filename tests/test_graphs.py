@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import networkx as nx
 import numpy as np
@@ -113,6 +114,31 @@ def test_bad_adjacency_rejected():
         Graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ConfigError):
         Graph(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Graph(np.zeros((2, 3))), "adjacency must be a square matrix"),
+    (lambda: Graph(np.zeros((0, 0))), "graph needs at least one vertex"),
+    (lambda: Graph(np.array([[0.0, np.inf], [np.inf, 0.0]])), "edge weights must be finite"),
+    (lambda: build(Complete(0)), "complete graph requires n ≥ 1"),
+    (lambda: build(Edgeless(0)), "edgeless graph requires n ≥ 1"),
+    (lambda: build(DiamondChain(0)), "diamond chain requires n ≥ 1"),
+    (lambda: graphs.adjacency("cycle"), "unknown family spec: 'cycle'"),
+    (lambda: complement(Graph(np.array([[0.0, 2.0], [2.0, 0.0]]))),
+     "complement is defined for unweighted graphs only"),
+    (lambda: complement(build(DiamondChain(1, loop_ends=True))),
+     "complement is defined for loop-free graphs only"),
+    (lambda: graph_from_json("[1]"), "graph JSON must be an object"),
+    (lambda: graph_from_json('{"n": 3, "edges": [[0, 1, 1], [1, 0, 2.5]], "loops": []}'),
+     "graph JSON field 'edges': edge 1-0 is listed twice: [1, 0, 2.5]"),
+    (lambda: graph_from_json('{"n": 3, "edges": [[0, 2, 0], [0, 2, 0]], "loops": []}'),
+     "graph JSON field 'edges': edge 0-2 is listed twice: [0, 2, 0]"),
+], ids=["not-square", "empty", "infinite", "complete-0", "edgeless-0", "diamond-0",
+        "unknown-spec", "complement-weighted", "complement-looped", "json-not-object",
+        "json-edge-twice", "json-zero-edge-twice"])
+def test_each_graph_refusal_names_its_rule(make, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make()
 
 
 # ----- complement -----
