@@ -236,7 +236,7 @@ def _parse_list(text: str, kind: type, label: str, issues: list[str], noun: str 
 
 def _parse_track(text: str | None, pair: tuple[int, int], n: int, issues: list[str]) -> list[int]:
     """Vertices of the CSV columns: the --track list, or the pair."""
-    track = _parse_list(text, int, "track", issues) if text else list(pair)
+    track = _parse_list(text, int, "track", issues, "vertex") if text else list(pair)
     for v in track:
         if not 0 <= v < n:
             issues.append(f"tracked vertex {v} outside 0..{n - 1}")
@@ -334,7 +334,8 @@ def _check_out(args: argparse.Namespace) -> None:
     """Refuse an --out that cannot be written, before the command runs.
 
     Its directory must exist, and no file it names may be a directory:
-    X itself for graph and search, X.json and X.csv for the others.
+    X itself for graph, X and its side file X.config.json for search,
+    X.json and X.csv for the others.
     """
     out = args.out
     if not out:
@@ -342,7 +343,8 @@ def _check_out(args: argparse.Namespace) -> None:
     folder = os.path.dirname(out) or "."
     if not os.path.isdir(folder):
         raise ConfigError(f"cannot write {out}: no directory {folder}")
-    files = [out] if args.command in ("graph", "search") else [out + ".json", out + ".csv"]
+    files = {"graph": [out], "search": [out, out + ".config.json"]}.get(
+        args.command, [out + ".json", out + ".csv"])
     for path in files:
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: it is a directory")
@@ -384,9 +386,10 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
             "command": "dtqw-scan",
             "graph": args.graph,
             "policy": args.policy,
+            "init": args.init,
             "pair": list(pair),
             "seed": seed,
-            **report_json(scan, ("pst_steps", "top_gram")),
+            **report_json(scan, ("top_gram",)),
             "lam": lam,
             "samples": samples,
             "t_max": steps,
@@ -470,6 +473,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
         payload = {
             "command": "decohere-ct",
             "graph": args.graph,
+            "pair": list(pair),
             "rate": rate,
             "time": args.time,
             "vertex_probabilities": probs,
@@ -484,6 +488,9 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     init = "equal" if args.init is None else args.init
     psi0 = parse_init_spec(init, space, pair[0], cfg["seed"])
     steps = cfg["steps"]
+    # what both dt reports record of the run
+    run = {"graph": args.graph, "policy": policy_text, "init": init, "pair": list(pair),
+           "seed": cfg["seed"], "basis": basis}
 
     if rates is not None:
         probs = target_probability_vs_rate(
@@ -491,9 +498,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
         )
         payload = {
             "command": "decohere-rates",
-            "graph": args.graph,
-            "policy": policy_text,
-            "basis": basis,
+            **run,
             "step": steps,
             "rates": rates,
             "target_probabilities": probs,
@@ -511,9 +516,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     ]), 1.0)
     payload = {
         "command": "decohere",
-        "graph": args.graph,
-        "policy": policy_text,
-        "basis": basis,
+        **run,
         "rate": rate,
         "steps": steps,
         "final_distribution": marginals[-1],
@@ -550,7 +553,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     for rec in records:
         if args.pst_only and not rec.pst:
             continue
-        if rec.best_p < args.min_p:
+        if rec.max_probability < args.min_p:
             continue
         sys.stdout.write(rec.to_json() + "\n")
         shown += 1

@@ -121,18 +121,17 @@ def density_steps(
     """Yield the density matrices rho_0 ... rho_steps of a noisy walk.
 
     Each step is ``op.conjugate`` followed by an in-place product with
-    the dephasing weight (1 - p) + p mask, skipped at p = 0.  Each matrix
-    is yielded as soon as it is computed and not kept; the last one is
-    first checked with ``validate_density``.
+    the dephasing weight (1 - p) + p mask, which is exactly 1 at p = 0.
+    Each matrix is yielded as soon as it is computed and not kept; the
+    last one is first checked with ``validate_density``.
     """
     p = noise.rate
-    weight = None if p == 0.0 else (1.0 - p) + p * dephasing_mask(op.space, noise.basis)
+    weight = (1.0 - p) + p * dephasing_mask(op.space, noise.basis)
     rho = np.asarray(rho0, dtype=complex)
     for _ in range(steps):
         yield rho
         rho = op.conjugate(rho)
-        if weight is not None:
-            rho *= weight
+        rho *= weight
     validate_density(rho)
     yield rho
 

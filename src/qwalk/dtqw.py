@@ -355,7 +355,7 @@ class ScanResult:
     """``block_scan``'s best sampled transfer and exact certificate for one pair."""
 
     max_probability: float          # best sampled probability over steps 1..t_max
-    best_step: int                  # earliest step within TIE_TOL of max_probability
+    max_step: int                   # earliest step within TIE_TOL of max_probability
     fraction_over_lam: float        # share of samples whose best step beats lam
     pst_steps: tuple[int, ...]      # steps with top_gram >= (1 - PST_SINGULAR_TOL)^2
     top_gram: np.ndarray = field(compare=False, repr=False)  # top eigenvalue of G_t
@@ -463,7 +463,7 @@ def max_transfer_scan(
     """Haar-sample source coin states and track the target probability.
 
     Works on the Gram matrices of the source-to-target blocks through
-    ``block_scan``.  ``best_step`` is the earliest step whose best
+    ``block_scan``.  ``max_step`` is the earliest step whose best
     probability is within ``TIE_TOL`` of ``max_probability``.
     """
     op = build_step_operator(g, policy)

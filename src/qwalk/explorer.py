@@ -40,6 +40,7 @@ from qwalk.dtqw import (
     build_step_operator,
     equal_superposition,
     haar_states,
+    report_json,
     target_block_powers,
     trajectory,
     unit_vector,
@@ -247,22 +248,23 @@ class SearchRecord:
 
     Transfer metrics cover the better of the two directions across the
     marked pair, since one representative stands for a variant and its
-    mirror image.  The fields after ``policy`` come from that
-    direction's ``dtqw.ScanResult``: ``best_p`` is its
-    ``max_probability``, ``best_step`` its ``best_step``, ``pst_steps``
-    the steps ``block_scan`` certified, ``pst`` whether there are any
-    (an exact-transfer initial state exists even when no Haar sample
-    comes close), and ``frac_over_lambda`` its ``fraction_over_lam``.
+    mirror image.  The fields after ``policy`` are that direction's
+    ``dtqw.ScanResult`` fields under the same names, less ``top_gram``.
+    ``pst`` says whether any step is certified: an exact-transfer initial
+    state exists even when no Haar sample comes close.
     """
 
     key: str
     descriptor: dict
     policy: str
-    best_p: float
-    best_step: int
-    pst: bool
+    max_probability: float
+    max_step: int
+    fraction_over_lam: float
     pst_steps: tuple[int, ...]
-    frac_over_lambda: float
+
+    @property
+    def pst(self) -> bool:
+        return bool(self.pst_steps)
 
     def to_json(self) -> str:
         # the instance dict holds exactly the fields, in order; asdict
@@ -295,11 +297,10 @@ _RECORD_FIELDS = {
     "key": lambda x: isinstance(x, str),
     "descriptor": lambda x: isinstance(x, dict),
     "policy": lambda x: isinstance(x, str),
-    "best_p": _is_finite,
-    "best_step": _is_int,
-    "pst": lambda x: isinstance(x, bool),
+    "max_probability": _is_finite,
+    "max_step": _is_int,
+    "fraction_over_lam": _is_finite,
     "pst_steps": lambda x: isinstance(x, list) and all(map(_is_int, x)),
-    "frac_over_lambda": _is_finite,
 }
 
 
@@ -356,10 +357,12 @@ def pst_search(
     finish, in variant order, so a kill loses at most the finished cells
     of one variant and a rerun skips every cell already present.  A torn
     last line, left by a kill in the middle of a write, is cut from the
-    file and its cell runs again.  Per-cell seeds derive from the master
+    file and its cell runs again.  The sink's configuration is kept
+    beside it (see ``_read_sink``), so a rerun under another one is
+    refused.  Per-cell seeds derive from the master
     seed, the variant's position and the policy, which keeps results
     identical however many workers run; the pool has min(workers, tasks,
-    CPU count) processes.  Records of equal ``best_p``
+    CPU count) processes.  Records of equal ``max_probability``
     sort by key, then policy, so a resumed run returns the same order.
     """
     parsed: dict[str, CoinPolicy] = {}
@@ -371,7 +374,10 @@ def pst_search(
     # a source port count of 2 + max_new occurs: every new node on vertex 0
     check_table("Haar states", samples, 2 + max_new)
     check_table("scan steps", t_max, 2)
-    records = _read_sink(sink_path) if sink_path and os.path.exists(sink_path) else []
+    # record format 2 names the fields as ScanResult does; format 1 wrote no side file
+    config = {"format": 2, "base": base, "max_new": max_new, "policies": list(policies),
+              "samples": samples, "steps": t_max, "lam": lam, "seed": seed}
+    records = _read_sink(sink_path, config) if sink_path else []
     done = {(rec.key, rec.policy) for rec in records}
 
     tasks = []
@@ -399,21 +405,34 @@ def pst_search(
                 sink.writelines(rec.to_json() + "\n" for rec in variant_records)
                 sink.flush()
             records.extend(variant_records)
-    records.sort(key=lambda r: (-r.best_p, r.key, r.policy))
+    records.sort(key=lambda r: (-r.max_probability, r.key, r.policy))
     return records
 
 
-def _read_sink(path: str) -> list[SearchRecord]:
-    """Records of a sink file, whose torn last line is then cut off.
+def _read_sink(path: str, config: dict) -> list[SearchRecord]:
+    """Records of a sink file, created if absent, whose torn last line is
+    then cut off.
 
-    A complete line that is no record raises ConfigError before the
-    file is touched.
+    The side file ``<path>.config.json`` holds the ``config`` that the
+    sink's records were made under; a sink with no complete line gets a
+    fresh one.  ConfigError is raised before either file is touched when
+    the sink has a complete line and the side file is unreadable, is no
+    JSON object or differs from ``config`` (naming every differing key),
+    or when a complete line is no record.
     """
-    with open(path, "rb+") as fh:
+    side = path + ".config.json"
+    with open(path, "ab+") as fh:
+        fh.seek(0)
         data = fh.read()
         end = data.rfind(b"\n") + 1
+        lines = data[:end].split(b"\n")
+        if any(line.strip() for line in lines):
+            _check_sink_config(path, side, config)
+        else:
+            with open(side, "w") as out:
+                out.write(json.dumps(config, indent=2, sort_keys=True) + "\n")
         records = []
-        for num, line in enumerate(data[:end].split(b"\n"), 1):
+        for num, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
@@ -425,6 +444,25 @@ def _read_sink(path: str) -> list[SearchRecord]:
         if end < len(data):
             fh.truncate(end)
     return records
+
+
+def _check_sink_config(path: str, side: str, config: dict) -> None:
+    try:
+        with open(side, encoding="utf-8") as fh:
+            found = json.load(fh)
+    except (OSError, ValueError) as exc:  # a JSON or UTF-8 error is a ValueError
+        raise ConfigError(f"search sink {path} holds records; cannot read {side}: {exc}") from exc
+    if not isinstance(found, dict):
+        raise ConfigError(f"search sink config {side} must hold a JSON object")
+    differ = [
+        f"{k} {json.dumps(found.get(k))} in the file, {json.dumps(config.get(k))} in this run"
+        for k in {**config, **found} if found.get(k) != config.get(k)
+    ]
+    if differ:
+        raise ConfigError(
+            f"search sink {path} was made under another configuration ({side}): "
+            + "; ".join(differ)
+        )
 
 
 def _policy_index(name: str) -> int:
@@ -440,16 +478,7 @@ def _run_variant(task, pair, samples, t_max, lam, seed) -> list[SearchRecord]:
         cell_seed = np.random.SeedSequence([seed, idx, _policy_index(name)])
         seeds = tuple(int(child.generate_state(1)[0]) for child in cell_seed.spawn(2))
         scan = _search_cell(g, policy, pair, samples, t_max, seeds, lam)
-        out.append(SearchRecord(
-            key=key,
-            descriptor=desc.to_json_dict(),
-            policy=name,
-            best_p=scan.max_probability,
-            best_step=scan.best_step,
-            pst=bool(scan.pst_steps),
-            pst_steps=scan.pst_steps,
-            frac_over_lambda=scan.fraction_over_lam,
-        ))
+        out.append(SearchRecord(key, desc.to_json_dict(), name, **report_json(scan, ("top_gram",))))
     return out
 
 

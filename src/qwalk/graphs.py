@@ -59,12 +59,12 @@ class Graph:
             raise ConfigError("adjacency must be a square matrix")
         if adj.shape[0] == 0:
             raise ConfigError("graph needs at least one vertex")
+        if not np.all(np.isfinite(adj)):
+            raise ConfigError("edge weights must be finite")
         if not np.array_equal(adj, adj.T):
             raise ConfigError("adjacency must be symmetric")
         if np.any(adj < 0):
             raise ConfigError("edge weights must be non-negative")
-        if not np.all(np.isfinite(adj)):
-            raise ConfigError("edge weights must be finite")
         adj = adj.copy()
         adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)

@@ -201,7 +201,7 @@ def test_dtqw_haar_scan_mode(tmp_path):
     assert data["command"] == "dtqw-scan"
     assert data["max_probability"] >= 1.0 - 1e-9
     # transfer recurs every 4 steps, so ties can land on any of 2, 6, 10
-    assert data["best_step"] % 4 == 2
+    assert data["max_step"] % 4 == 2
 
 
 def test_dtqw_haar_scan_draws_states_once(tmp_path, monkeypatch):
@@ -666,8 +666,8 @@ def test_search_cli_schema(tmp_path, capsys):
     assert len(lines) == 24
     for line in lines:
         rec = json.loads(line)
-        assert set(rec) == {"key", "descriptor", "policy", "best_p",
-                            "best_step", "pst", "pst_steps", "frac_over_lambda"}
+        assert set(rec) == {"key", "descriptor", "policy", "max_probability",
+                            "max_step", "fraction_over_lam", "pst_steps"}
     # a second run must not duplicate finished cells
     assert main(argv) == 0
     capsys.readouterr()
@@ -675,7 +675,7 @@ def test_search_cli_schema(tmp_path, capsys):
 
 
 def test_resumed_search_prints_tied_records_in_the_same_order(tmp_path, capsys):
-    # at these settings two records share best_p exactly; the earlier one
+    # at these settings two records share max_probability exactly; the earlier one
     # in the sink is dropped, so the resume appends it after the other
     sink = tmp_path / "s.jsonl"
     argv = ["search", "--base", "4", "--max-new", "1", "--samples", "50",
@@ -683,7 +683,7 @@ def test_resumed_search_prints_tied_records_in_the_same_order(tmp_path, capsys):
     assert main(argv) == 0
     full = capsys.readouterr().out
     lines = sink.read_text().splitlines()
-    best = [json.loads(line)["best_p"] for line in lines]
+    best = [json.loads(line)["max_probability"] for line in lines]
     tied = [i for i, p in enumerate(best) if best.count(p) > 1]
     assert len(tied) == 2
     sink.write_text("".join(line + "\n" for i, line in enumerate(lines) if i != tied[0]))
@@ -737,6 +737,56 @@ def test_search_killed_mid_run_resumes_to_the_uninterrupted_bytes(workers, tmp_p
     assert sink.read_bytes() == whole.read_bytes()
 
 
+_SEARCH_SINK = ["search", "--base", "4", "--max-new", "1", "--samples", "20", "--steps", "10",
+                "--workers", "1"]
+
+
+@pytest.mark.parametrize("change, message", [
+    (["--steps", "40"], "steps 10 in the file, 40 in this run"),
+    (["--seed", "3"], "seed 0 in the file, 3 in this run"),
+    (["--base", "6"], "base 4 in the file, 6 in this run"),
+    (["--steps", "40", "--seed", "3"],
+     "steps 10 in the file, 40 in this run; seed 0 in the file, 3 in this run"),
+    (["--policies", "O2"], 'policies ["O1", "O2", "O3"] in the file, ["O2"] in this run'),
+], ids=["steps", "seed", "base", "steps-and-seed", "policies"])
+def test_search_refuses_to_resume_a_sink_under_another_configuration(
+    change, message, tmp_path, capsys
+):
+    sink, side = tmp_path / "s.jsonl", tmp_path / "s.jsonl.config.json"
+    assert main(_SEARCH_SINK + ["--out", str(sink)]) == 0
+    capsys.readouterr()
+    before = sink.read_bytes(), side.read_bytes()
+    assert main(_SEARCH_SINK + change + ["--out", str(sink)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: search sink {sink} was made under another "
+                            f"configuration ({side}): {message}\n")
+    assert captured.out == ""
+    assert (sink.read_bytes(), side.read_bytes()) == before
+
+
+# a line of the first sink format: best_p, best_step, pst and frac_over_lambda
+_FORMAT_1_LINE = ('{"key": "05000000000100000101000101000000", "descriptor": {"base": 4, '
+                  '"attachments": [[0]], "links": []}, "policy": "O1", "best_p": 0.8166598168884344, '
+                  '"best_step": 10, "pst": false, "pst_steps": [], "frac_over_lambda": 0.0}\n')
+
+
+def test_search_refuses_a_sink_of_the_first_record_format(tmp_path, capsys):
+    sink, side = tmp_path / "s.jsonl", tmp_path / "s.jsonl.config.json"
+    sink.write_text(_FORMAT_1_LINE)
+    assert main(_SEARCH_SINK + ["--out", str(sink)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: search sink {sink} holds records; cannot read {side}: [Errno 2]")
+    assert sink.read_text() == _FORMAT_1_LINE
+    assert not side.exists()
+    # beside the side file of this very run, the line is still no record
+    assert main(_SEARCH_SINK + ["--out", str(tmp_path / "fresh.jsonl")]) == 0
+    side.write_bytes((tmp_path / "fresh.jsonl.config.json").read_bytes())
+    capsys.readouterr()
+    assert main(_SEARCH_SINK + ["--out", str(sink)]) == 1
+    assert f"search sink {sink}: line 1 is no search record" in capsys.readouterr().err
+    assert sink.read_text() == _FORMAT_1_LINE
+
+
 @pytest.mark.parametrize("policies, message", [
     ("O2,table1:9", "preset row must be 1..4, got 9"),
     ("O2,O2", "policy 'O2' listed twice"),
@@ -759,7 +809,7 @@ def test_search_stdout_filters(tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     for line in out.splitlines():
-        assert json.loads(line)["pst"] is True
+        assert json.loads(line)["pst_steps"]
 
 
 def test_search_min_p_prints_only_records_at_or_above_it(capsys):
@@ -770,7 +820,7 @@ def test_search_min_p_prints_only_records_at_or_above_it(capsys):
     assert main(argv + ["--min-p", "0.99"]) == 0
     captured = capsys.readouterr()
     shown = captured.out.splitlines()
-    assert shown == [line for line in every if json.loads(line)["best_p"] >= 0.99]
+    assert shown == [line for line in every if json.loads(line)["max_probability"] >= 0.99]
     assert 0 < len(shown) < len(every)
     assert f"({len(shown)} shown)" in captured.err
 
@@ -859,7 +909,9 @@ def test_search_checks_its_enumeration_before_the_sink(args, message, tmp_path, 
      "missing/s.jsonl", "cannot write {dir}/missing/s.jsonl: no directory {dir}/missing"),
     (_SEARCH_SMALL + ["--base", "4", "--max-new", "1"],
      "", "cannot write {dir}: it is a directory"),
-], ids=["ctqw", "graph", "search-missing-dir", "search-directory"])
+    (_SEARCH_SMALL + ["--base", "4", "--max-new", "1"],
+     "side", "cannot write {dir}/side.config.json: it is a directory"),
+], ids=["ctqw", "graph", "search-missing-dir", "search-directory", "search-side-file-directory"])
 def test_an_out_that_cannot_be_written_exits_1_before_the_run(
     argv, out, message, tmp_path, monkeypatch, capsys
 ):
@@ -868,6 +920,7 @@ def test_an_out_that_cannot_be_written_exits_1_before_the_run(
 
     for name in ("detect_transfer_ct", "parse_graph_spec", "pst_search"):
         monkeypatch.setattr(qwalk.cli, name, no_run)
+    (tmp_path / "side.config.json").mkdir()
     path = os.path.join(tmp_path, out) if out else str(tmp_path)
     assert main(argv + ["--out", path]) == 1
     captured = capsys.readouterr()
@@ -983,13 +1036,16 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
     # the hub-cycle walk is built before any draw, so a bad size never reaches the seed
     (["robust", "--kind", "random", "--n", "3,-1", "--runs", "5"], "cycle requires n ≥ 3"),
     (["robust", "--kind", "defect", "--n", "-1", "--magnitudes", "0.5"], "cycle requires n ≥ 3"),
+    (["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "2", "--track", ",",
+      "--out", "{dir}/tr"], "need at least one vertex in --track"),
 ], ids=["empty-graph", "n-not-int", "bad-loops", "zero-amplitudes", "haar-not-int",
         "pair-malformed", "pair-equal", "list-malformed", "config-unreadable",
         "config-not-json", "config-not-object", "config-not-utf8", "graph-not-utf8",
         "graph-directory", "dt-over-tmax", "rate-range", "ct-no-time",
         "no-policies", "no-workers", "robust-no-n", "defect-no-magnitudes", "interp-no-n",
         "coupling-range", "edge-twice", "unknown-key", "key-of-another-family", "key-twice",
-        "join-two-kinds", "join-kind-last", "random-negative-n", "defect-negative-n"])
+        "join-two-kinds", "join-kind-last", "random-negative-n", "defect-negative-n",
+        "track-empty"])
 def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys):
     (tmp_path / "torn.json").write_text('{"steps": ')
     (tmp_path / "twice.json").write_text('{"n": 3, "edges": [[0, 1, 1], [1, 0, 2.5], [1, 2, 1]], '
@@ -1002,6 +1058,43 @@ def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys)
     assert captured.err.startswith("config error:")
     assert message.replace("{dir}", str(tmp_path)) in captured.err
     assert captured.out == ""
+
+
+def _rerun_argv(report: dict) -> list[str]:
+    """The command line of a report, read from the report alone."""
+    pair = ",".join(map(str, report["pair"]))
+    if report["command"] == "decohere-ct":
+        return ["decohere", "--model", "ct", "--graph", report["graph"], "--pair", pair,
+                "--rate", repr(report["rate"]), "--time", repr(report["time"])]
+    argv = ["--graph", report["graph"], "--policy", report["policy"], "--init", report["init"],
+            "--pair", pair, "--seed", str(report["seed"])]
+    if report["command"] == "dtqw-scan":
+        return ["dtqw", *argv, "--steps", str(report["t_max"]), "--lam", repr(report["lam"])]
+    argv = ["decohere", *argv, "--basis", report["basis"]]
+    if report["command"] == "decohere":
+        return argv + ["--rate", repr(report["rate"]), "--steps", str(report["steps"])]
+    return argv + ["--rates", ",".join(map(repr, report["rates"])), "--steps", str(report["step"])]
+
+
+@pytest.mark.parametrize("argv", [
+    # the scan draws its 50 states from seed 7, not from the master seed
+    ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--init", "haar:50:7", "--steps", "8",
+     "--lam", "1"],
+    ["decohere", "--graph", "join k2c n=3", "--pair", "1,0", "--init", "haar:1", "--seed", "5",
+     "--policy", "O1", "--basis", "position", "--rate", "0.2", "--steps", "6"],
+    ["decohere", "--graph", "join k2c n=3", "--pair", "1,0", "--init", "haar:1", "--seed", "5",
+     "--rates", "0,0.3", "--steps", "6"],
+    ["decohere", "--model", "ct", "--graph", "cycle n=4", "--pair", "1,3", "--rate", "0.1",
+     "--time", "1"],
+], ids=["dtqw-scan", "decohere", "decohere-rates", "decohere-ct"])
+def test_a_report_reruns_to_its_own_bytes_from_its_recorded_fields(argv, tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(argv + ["--out", str(first)]) == 0
+    report = json.loads(first.with_suffix(".json").read_text())
+    assert main(_rerun_argv(report) + ["--out", str(again)]) == 0
+    for suffix in (".json", ".csv"):
+        if first.with_suffix(suffix).exists():
+            assert again.with_suffix(suffix).read_bytes() == first.with_suffix(suffix).read_bytes()
 
 
 WEIGHTED_C4 = '{"n": 4, "edges": [[0, 1, 2.5], [1, 2, 1], [2, 3, 1], [0, 3, 1]], "loops": []}'

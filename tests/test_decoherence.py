@@ -142,6 +142,15 @@ def test_density_steps_match_dense_steps_on_mixed_runs(basis, rate):
     assert t == 12
 
 
+@pytest.mark.parametrize("basis", ["coin", "position", "both"])
+def test_rate_zero_steps_are_the_bare_conjugations_bit_for_bit(basis):
+    op = build_step_operator(build(Join(Edgeless(2), Cycle(5))), parse_policy("O2"))
+    rho = density_from_state(equal_superposition(op.space, 0))
+    for t, got in enumerate(density_steps(rho, op, NoiseModel(basis, 0.0), 9)):
+        assert np.array_equal(got, rho), t
+        rho = op.conjugate(rho)
+
+
 # ----- limits -----
 
 def test_rate_zero_matches_unitary_walk():

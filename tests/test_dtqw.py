@@ -294,7 +294,7 @@ def test_scan_finds_guaranteed_transfer():
     g = build(Join(Edgeless(2), Edgeless(4)))
     scan = max_transfer_scan(g, parse_policy("O2"), (0, 1), samples=40, t_max=10, seed=0)
     assert scan.max_probability >= 1.0 - 1e-9
-    assert scan.best_step == 2
+    assert scan.max_step == 2
     assert scan.fraction_over_lam == 1.0
 
 
@@ -380,7 +380,7 @@ def test_block_scan_matches_direct_probabilities():
     for lam in (0.3, 0.9):
         [scan] = block_scan(op, [(0, 1)], [states], 25, lam)
         assert abs(scan.max_probability - probs.max()) <= 1e-12
-        assert scan.best_step == peak_step(probs.max(axis=1))
+        assert scan.max_step == peak_step(probs.max(axis=1))
         assert scan.fraction_over_lam == np.mean(probs.max(axis=0) > lam)
         tops = [np.linalg.svd(block, compute_uv=False)[0] ** 2 for block in blocks]
         assert np.max(np.abs(scan.top_gram - tops)) <= 1e-12
@@ -407,7 +407,7 @@ def test_block_scan_chunks_agree_with_one_pass(monkeypatch):
     chunked = block_scan(op, pairs, states, 33, 0.5)
     for a, b in zip(whole, chunked):
         assert abs(a.max_probability - b.max_probability) <= 1e-12
-        assert (a.best_step, a.fraction_over_lam) == (b.best_step, b.fraction_over_lam)
+        assert (a.max_step, a.fraction_over_lam) == (b.max_step, b.fraction_over_lam)
         assert a.top_gram.shape == b.top_gram.shape == (33,)
         assert np.max(np.abs(a.top_gram - b.top_gram)) <= 1e-12
 
@@ -436,8 +436,8 @@ def _scan_with_and_without_pruning(monkeypatch, op, pairs, states, t_max, lam):
 
 def _assert_same_scans(pruned, full):
     for a, b in zip(pruned, full):
-        assert (a.max_probability, a.best_step, a.fraction_over_lam) == (
-            b.max_probability, b.best_step, b.fraction_over_lam
+        assert (a.max_probability, a.max_step, a.fraction_over_lam) == (
+            b.max_probability, b.max_step, b.fraction_over_lam
         )
         assert np.array_equal(a.top_gram, b.top_gram)
 
@@ -473,7 +473,7 @@ def test_pruned_scan_keeps_steps_only_the_best_holds_open(monkeypatch):
             monkeypatch, op, [(0, 2)], [states], 30, 0.999
         )
         _assert_same_scans([pruned], [full])
-        assert (pruned.best_step, int(np.argmax(pruned.top_gram)) + 1) == (want_step, top_step)
+        assert (pruned.max_step, int(np.argmax(pruned.top_gram)) + 1) == (want_step, top_step)
         assert pruned.top_gram.max() < 0.999
         assert 1 < folds[0] < folds[1]
 

@@ -181,7 +181,7 @@ def test_search_records_schema_and_determinism(tmp_path):
     assert len(a) == 24
     rec = a[0]
     assert set(rec.to_json().count(k) for k in ("key", "descriptor")) == {1}
-    assert rec.best_p >= a[-1].best_p
+    assert rec.max_probability >= a[-1].max_probability
 
 
 def test_search_record_json_is_the_dataclass_dict():
@@ -266,8 +266,8 @@ def test_search_sink_refuses_a_foreign_line_and_keeps_its_bytes(tmp_path, foreig
 
 
 @pytest.mark.parametrize("field, value", [
-    ("best_p", "high"), ("best_step", True), ("pst_steps", [2.0]),
-    ("frac_over_lambda", float("nan")), ("descriptor", []),
+    ("max_probability", "high"), ("max_step", True), ("pst_steps", [2.0]),
+    ("fraction_over_lam", float("nan")), ("descriptor", []),
 ])
 def test_search_sink_refuses_a_field_of_the_wrong_type_and_keeps_its_bytes(tmp_path, field, value):
     sink = tmp_path / "records.jsonl"
@@ -280,6 +280,42 @@ def test_search_sink_refuses_a_field_of_the_wrong_type_and_keeps_its_bytes(tmp_p
     with pytest.raises(ConfigError, match=f"line 2 is no search record: .*{field}"):
         pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
     assert sink.read_bytes() == data
+
+
+@pytest.mark.parametrize("side_text, message", [
+    (None, "holds records; cannot read {side}: [Errno 2]"),
+    ("{", "holds records; cannot read {side}: Expecting property name"),
+    ("[1]", "search sink config {side} must hold a JSON object"),
+    ('{"format": 1}', "format 1 in the file, 2 in this run; base null in the file, 4 in this run"),
+], ids=["missing", "not-json", "not-object", "first-format"])
+def test_search_sink_without_its_config_is_refused_and_keeps_its_bytes(tmp_path, side_text, message):
+    sink, side = tmp_path / "records.jsonl", tmp_path / "records.jsonl.config.json"
+    pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    side.unlink()
+    if side_text is not None:
+        side.write_text(side_text)
+    data = sink.read_bytes()[:-40]  # the torn last line must survive the refusal too
+    sink.write_bytes(data)
+    with pytest.raises(ConfigError) as info:
+        pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    assert message.format(side=side) in str(info.value)
+    assert sink.read_bytes() == data
+    assert (side.read_text() if side.exists() else None) == side_text
+
+
+def test_search_sink_with_no_complete_line_gets_a_fresh_config(tmp_path):
+    sink, side = tmp_path / "records.jsonl", tmp_path / "records.jsonl.config.json"
+    pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    assert json.loads(side.read_text()) == {
+        "format": 2, "base": 4, "max_new": 1, "policies": ["O1", "O2", "O3"], "samples": 60,
+        "steps": 12, "lam": 0.9, "seed": 1,
+    }
+    full, fresh = sink.read_bytes(), side.read_bytes()
+    # a kill before the first newline leaves a torn line and maybe a stale side file
+    sink.write_bytes(full[:40])
+    side.write_text('{"steps": 99}')
+    pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+    assert (sink.read_bytes(), side.read_bytes()) == (full, fresh)
 
 
 def test_search_sink_streams_finished_cells(tmp_path, monkeypatch):
@@ -376,7 +412,7 @@ def test_search_cell_matches_per_step_reference():
             old = _old_search_cell(g, policy, (0, 2), 300, 40, seeds, 0.9)
             assert abs(new.max_probability - old[0]) <= 1e-12, (desc, policy_name)
             assert (
-                new.best_step, bool(new.pst_steps), new.pst_steps, new.fraction_over_lam
+                new.max_step, bool(new.pst_steps), new.pst_steps, new.fraction_over_lam
             ) == old[1:], (desc, policy_name)
             checked += 1
     assert checked == 24

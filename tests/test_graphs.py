@@ -112,7 +112,7 @@ def test_bad_adjacency_rejected():
         Graph(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ConfigError):
         Graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="edge weights must be finite"):
         Graph(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
