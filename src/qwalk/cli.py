@@ -7,7 +7,10 @@ the range each value must lie in.  The commands that draw random numbers
 (dtqw, decohere, search, robust) take --seed, falling back to the config
 file and then the QWALK_SEED environment variable.  Each report is a
 JSON file, next to a CSV series where the command has one; reruns with
-the same inputs produce byte-identical files.
+the same inputs produce byte-identical files.  Each mode of a command
+names the flags it reads once: any other flag given is refused, and the
+report's provenance block records what was read (options as resolved),
+with the qwalk and numpy versions, so the report reruns from it alone.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 when a
 numerical tolerance is breached during the run.
@@ -19,10 +22,12 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
+from qwalk import __version__
 from qwalk.arcs import ArcSpace
 from qwalk.coins import parse_policy
 from qwalk.ctqw import detect_transfer_ct
@@ -222,13 +227,15 @@ def _check_source_ports(g: Graph, source: int, issues: list[str]) -> None:
 
 def _parse_list(text: str, kind: type, label: str, issues: list[str], noun: str = "") -> list:
     """Comma-separated values of kind (int or float); blank items are skipped.
-    With a noun, an empty list is an issue too: "need at least one <noun>"."""
+    A value listed more than once is an issue.  With a noun, an empty list
+    is an issue too: "need at least one <noun>"."""
     try:
         values = [kind(x) for x in text.split(",") if x.strip()]
     except ValueError:
         what = "integers" if kind is int else "numbers"
         issues.append(f"{label} must be comma-separated {what}, got {text!r}")
         values = []
+    issues.extend(f"--{label} lists {v} more than once" for v, k in Counter(values).items() if k > 1)
     if noun and not values:
         issues.append(f"need at least one {noun} in --{label}")
     return values
@@ -264,22 +271,37 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, keys: Sequence[str], issues: list[str]) -> dict:
-    """Resolve, convert and check the OPTIONS a command reads.
+# Dests that no mode refuses: the subcommand wiring, where the report goes,
+# the config file (its values are recorded as resolved), and decohere's
+# --dt, accepted for old command lines (ctqw reads its own --dt)
+_NOT_REFUSED = ("command", "func", "out", "config", "dt")
 
-    Each value comes from the command line, then the config file (read
-    once), then QWALK_SEED for the seed, then the table's default.  A
-    value that fails its conversion or condition is appended to issues
-    and reads the default, so later checks can go on.  So is every
-    config key that names no option in the table.  A boolean is no
-    number, and an integer option takes no fractional number.
+
+def _read(args: argparse.Namespace, reads: Sequence[str], issues: list[str], mode: str,
+          **defaults) -> dict:
+    """The provenance of a run of one mode: what it reads of args, checked.
+
+    Every given flag of the command outside reads is an issue, "--<flag>
+    is not read by <mode>".  An OPTIONS key in reads comes from the command
+    line, then the config file (read once), then QWALK_SEED for the seed,
+    then the table's default.  A value that fails its conversion or
+    condition is appended to issues and reads the default, so later checks
+    can go on.  So is every config key that names no option in the table.
+    A boolean is no number, and an integer option takes no fractional
+    number.  Every other name in reads keeps its value as given, else its
+    code default from defaults.  The qwalk and numpy versions go beside them.
     """
+    issues.extend(f"--{k.replace('_', '-')} is not read by {mode}" for k, v in vars(args).items()
+                  if v is not None and k not in reads and k not in _NOT_REFUSED)
     file_cfg = _load_config_file(getattr(args, "config", None))
     issues.extend(f"config key {k!r} names no option" for k in file_cfg if k not in OPTIONS)
-    out = {}
-    for key in keys:
+    run = {"versions": {"numpy": np.__version__, "qwalk": __version__}}
+    for key in reads:
+        val = getattr(args, key)
+        if key not in OPTIONS:
+            run[key] = defaults.get(key) if val is None else val
+            continue
         default, ok, rule = OPTIONS[key]
-        val = getattr(args, key, None)
         if val is None:
             env = os.environ.get("QWALK_SEED") if key == "seed" else None
             val = file_cfg.get(key, default if env is None else env)
@@ -296,8 +318,8 @@ def _resolve(args: argparse.Namespace, keys: Sequence[str], issues: list[str]) -
         if not ok(val):
             issues.append(f"{key} must {rule}, got {val}")
             val = default
-        out[key] = val
-    return out
+        run[key] = val
+    return run
 
 
 def _write(path: str | None, text: str) -> None:
@@ -366,194 +388,143 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_dtqw(args: argparse.Namespace) -> int:
     issues: list[str] = []
-    cfg = _resolve(args, ["steps", "lam", "seed"], issues)
-    steps, lam, seed = cfg["steps"], cfg["lam"], cfg["seed"]
-    g = parse_graph_spec(args.graph)
-    pair = _parse_pair(args.pair, g.n, issues)
-    track = _parse_track(args.track, pair, g.n, issues)
+    # a haar:K spec with K > 1 scans K states and writes no series to track
+    scan = (_parse_haar_spec(args.init, 0) or (1,))[0] > 1
+    run = _read(args, ("graph", "pair", "policy", "init", "steps", "lam", "seed")
+                + (() if scan else ("track",)), issues, f"dtqw with --init {args.init}")
+    steps, lam, seed = run["steps"], run["lam"], run["seed"]
+    g = parse_graph_spec(run["graph"])
+    pair = _parse_pair(run["pair"], g.n, issues)
+    track = _parse_track(run.get("track"), pair, g.n, issues)
     _check_source_ports(g, pair[0], issues)
     _raise_issues(issues)
 
-    policy = parse_policy(args.policy)
-    haar = _parse_haar_spec(args.init, seed)
-
-    if haar is not None and haar[0] > 1:
-        samples, scan_seed = haar
-        scan = max_transfer_scan(
+    policy = parse_policy(run["policy"])
+    if scan:
+        samples, scan_seed = _parse_haar_spec(run["init"], seed)
+        best = max_transfer_scan(
             g, policy, pair, samples=samples, t_max=steps, seed=scan_seed, lam=lam
         )
-        payload = {
-            "command": "dtqw-scan",
-            "graph": args.graph,
-            "policy": args.policy,
-            "init": args.init,
-            "pair": list(pair),
-            "seed": seed,
-            **report_json(scan, ("top_gram",)),
-            "lam": lam,
-            "samples": samples,
-            "t_max": steps,
-        }
-        _emit(args, payload)
+        _emit(args, {"command": "dtqw-scan", "provenance": run,
+                     **report_json(best, ("top_gram",)), "samples": samples})
         return 0
 
-    psi0 = parse_init_spec(args.init, ArcSpace.from_graph(g), pair[0], seed)
+    psi0 = parse_init_spec(run["init"], ArcSpace.from_graph(g), pair[0], seed)
     report = detect_transfer(g, policy, psi0, pair, t_max=steps, lam=lam)
-    payload = {
-        "command": "dtqw",
-        "graph": args.graph,
-        "policy": args.policy,
-        "init": args.init,
-        "pair": list(pair),
-        "seed": seed,
-        "report": report.to_json_dict(),
-    }
-    _emit(args, payload, ["step"] + [f"v{v}" for v in track],
-          range(steps + 1), report.vertex_series[:, track])
+    _emit(args, {"command": "dtqw", "provenance": run, "report": report.to_json_dict()},
+          ["step"] + [f"v{v}" for v in track], range(steps + 1), report.vertex_series[:, track])
     return 0
 
 
 def cmd_ctqw(args: argparse.Namespace) -> int:
     issues: list[str] = []
-    cfg = _resolve(args, ["tmax", "dt", "lam"], issues)
-    tmax, dt, lam = cfg["tmax"], cfg["dt"], cfg["lam"]
+    run = _read(args, ("graph", "pair", "track", "tmax", "dt", "lam"), issues, "ctqw")
+    tmax, dt = run["tmax"], run["dt"]
     if dt > tmax:
         issues.append(f"dt must not exceed tmax ({tmax}), got {dt}")
-    g = parse_graph_spec(args.graph)
-    pair = _parse_pair(args.pair, g.n, issues)
-    track = _parse_track(args.track, pair, g.n, issues)
+    g = parse_graph_spec(run["graph"])
+    pair = _parse_pair(run["pair"], g.n, issues)
+    track = _parse_track(run["track"], pair, g.n, issues)
     _raise_issues(issues)
 
-    report = detect_transfer_ct(g, pair, t_max=tmax, dt=dt, lam=lam)
-    payload = {
-        "command": "ctqw",
-        "graph": args.graph,
-        "pair": list(pair),
-        "tmax": tmax,
-        "dt": dt,
-        "report": report.to_json_dict(),
-    }
-    _emit(args, payload, ["t"] + [f"v{v}" for v in track],
-          report.times, report.vertex_series[:, track])
+    report = detect_transfer_ct(g, pair, t_max=tmax, dt=dt, lam=run["lam"])
+    _emit(args, {"command": "ctqw", "provenance": run, "report": report.to_json_dict()},
+          ["t"] + [f"v{v}" for v in track], report.times, report.vertex_series[:, track])
     return 0
 
 
 def cmd_decohere(args: argparse.Namespace) -> int:
     issues: list[str] = []
     model = args.model
-    unread = ("rates", "policy", "init", "basis", "steps") if model == "ct" else ("time",)
-    issues.extend(f"--{k} is not read by --model {model}" for k in unread
-                  if getattr(args, k) is not None)
-    cfg = _resolve(args, ["steps", "seed"] if model == "dt" else [], issues)
-    g = parse_graph_spec(args.graph)
-    pair = _parse_pair(args.pair, g.n, issues)
+    reads = ("graph", "pair", "model", "rate") + (
+        ("policy", "init", "basis", "rates", "steps", "seed") if model == "dt" else ("time",))
+    run = _read(args, reads, issues, f"--model {model}", policy="O2", init="equal",
+                basis="coin", rate=0.0 if args.rates is None else None)
+    g = parse_graph_spec(run["graph"])
+    pair = _parse_pair(run["pair"], g.n, issues)
     if model == "dt":
         _check_source_ports(g, pair[0], issues)
-    basis = "coin" if args.basis is None else args.basis
-    if basis not in ("coin", "position", "both"):
-        issues.append(f"basis must be coin, position, or both, got {basis!r}")
+        if run["basis"] not in ("coin", "position", "both"):
+            issues.append(f"basis must be coin, position, or both, got {run['basis']!r}")
     rates = None
     if args.rates is not None:
         rates = _parse_list(args.rates, float, "rates", issues, "rate")
         if args.rate is not None:
             issues.append("give either --rate or --rates, not both")
-    rate = args.rate if args.rate is not None else 0.0
-    for r in [rate] if rates is None else rates:
+    for r in [run["rate"]] if rates is None else rates:
         if not 0.0 <= r <= 1.0:
             issues.append(f"noise rate must lie in [0, 1], got {r}")
-    if model == "ct" and args.time is None:
+    if model == "ct" and run["time"] is None:
         issues.append("continuous model needs --time")
-    elif model == "ct" and not args.time >= 0.0:
-        issues.append(f"time must be non-negative, got {args.time}")
+    elif model == "ct" and not run["time"] >= 0.0:
+        issues.append(f"time must be non-negative, got {run['time']}")
     _raise_issues(issues)
 
     if model == "ct":
-        rho = decohere_ct(g, density_from_state(np.eye(g.n)[pair[0]]), rate, args.time)
+        rho = decohere_ct(g, density_from_state(np.eye(g.n)[pair[0]]), run["rate"], run["time"])
         probs = np.minimum(np.real(np.diag(rho)), 1.0)
-        payload = {
-            "command": "decohere-ct",
-            "graph": args.graph,
-            "pair": list(pair),
-            "rate": rate,
-            "time": args.time,
-            "vertex_probabilities": probs,
-            "target_probability": probs[pair[1]],
-        }
-        _emit(args, payload)
+        _emit(args, {"command": "decohere-ct", "provenance": run,
+                     "vertex_probabilities": probs, "target_probability": probs[pair[1]]})
         return 0
 
-    policy_text = "O2" if args.policy is None else args.policy
-    policy = parse_policy(policy_text)
+    policy = parse_policy(run["policy"])
     space = ArcSpace.from_graph(g)
-    init = "equal" if args.init is None else args.init
-    psi0 = parse_init_spec(init, space, pair[0], cfg["seed"])
-    steps = cfg["steps"]
-    # what both dt reports record of the run
-    run = {"graph": args.graph, "policy": policy_text, "init": init, "pair": list(pair),
-           "seed": cfg["seed"], "basis": basis}
+    psi0 = parse_init_spec(run["init"], space, pair[0], run["seed"])
+    steps, basis = run["steps"], run["basis"]
 
     if rates is not None:
         probs = target_probability_vs_rate(
             g, policy, psi0, pair, np.asarray(rates), step=steps, basis=basis
         )
-        payload = {
-            "command": "decohere-rates",
-            **run,
-            "step": steps,
-            "rates": rates,
-            "target_probabilities": probs,
-        }
-        _emit(args, payload, ["rate", "p_target"], rates, probs[:, None])
+        _emit(args, {"command": "decohere-rates", "provenance": run, "rates": rates,
+                     "target_probabilities": probs}, ["rate", "p_target"], rates, probs[:, None])
         return 0
 
     op = build_step_operator(g, policy)
-    noise = NoiseModel(basis=basis, rate=rate)
+    noise = NoiseModel(basis=basis, rate=run["rate"])
     check_table("decohere marginals", steps + 1, g.n)
     # a block sum of a density's diagonal can round a few ulps above 1
     marginals = np.minimum(np.stack([
         vertex_marginal(space, rho)
         for rho in density_steps(density_from_state(psi0), op, noise, steps)
     ]), 1.0)
-    payload = {
-        "command": "decohere",
-        **run,
-        "rate": rate,
-        "steps": steps,
-        "final_distribution": marginals[-1],
-        "target_probability": marginals[-1][pair[1]],
-    }
-    _emit(args, payload, ["step"] + [f"v{v}" for v in range(g.n)], range(steps + 1), marginals)
+    _emit(args, {"command": "decohere", "provenance": run, "final_distribution": marginals[-1],
+                 "target_probability": marginals[-1][pair[1]]},
+          ["step"] + [f"v{v}" for v in range(g.n)], range(steps + 1), marginals)
     return 0
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     issues: list[str] = []
-    cfg = _resolve(args, ["samples", "steps", "lam", "seed"], issues)
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    run = _read(args, ("base", "max_new", "policies", "samples", "steps", "lam", "seed",
+                       "workers", "pst_only", "min_p"), issues, "search",
+                workers=os.cpu_count() or 1)
+    policies = [p.strip() for p in run["policies"].split(",") if p.strip()]
     if not policies:
         issues.append("policies list is empty")
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        issues.append(f"workers must be positive, got {workers}")
+    if run["workers"] < 1:
+        issues.append(f"workers must be positive, got {run['workers']}")
+    if not 0.0 <= run["min_p"] <= 1.0:
+        issues.append(f"min_p must lie in [0, 1], got {run['min_p']}")
     _raise_issues(issues)
 
     sink = args.out
     records = pst_search(
-        args.base,
-        args.max_new,
+        run["base"],
+        run["max_new"],
         policies=policies,
-        samples=cfg["samples"],
-        t_max=cfg["steps"],
-        lam=cfg["lam"],
-        seed=cfg["seed"],
+        samples=run["samples"],
+        t_max=run["steps"],
+        lam=run["lam"],
+        seed=run["seed"],
         sink_path=sink,
-        workers=workers,
+        workers=run["workers"],
     )
     shown = 0
     for rec in records:
-        if args.pst_only and not rec.pst:
+        if run["pst_only"] and not rec.pst:
             continue
-        if rec.max_probability < args.min_p:
+        if rec.max_probability < run["min_p"]:
             continue
         sys.stdout.write(rec.to_json() + "\n")
         shown += 1
@@ -567,13 +538,12 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_robust(args: argparse.Namespace) -> int:
     issues: list[str] = []
-    cfg = _resolve(args, ["runs", "step", "seed"], issues)
-    runs, seed = cfg["runs"], cfg["seed"]
     kind = args.kind
-    unread = ("magnitudes",) if kind == "random" else ("runs", "seed")
-    issues.extend(f"--{k} is not read by --kind {kind}" for k in unread
-                  if getattr(args, k) is not None)
-    n_values = _parse_list(args.n, int, "n", issues, "cycle size")
+    # only the random kind draws, so only it reads --runs and --seed
+    run = _read(args, ("kind", "n", "step")
+                + (("runs", "seed") if kind == "random" else ("magnitudes",)),
+                issues, f"--kind {kind}")
+    n_values = _parse_list(run["n"], int, "n", issues, "cycle size")
     mags = None
     if args.magnitudes is not None:
         mags = _parse_list(args.magnitudes, float, "magnitudes", issues)
@@ -582,19 +552,14 @@ def cmd_robust(args: argparse.Namespace) -> int:
         issues.append(f"kind {kind!r} needs --magnitudes")
     _raise_issues(issues)
 
-    probs = robustness_sweep(kind, n_values, mags, runs=runs, seed=seed, step=cfg["step"])
-    payload = {
-        "command": "robust",
-        "kind": kind,
-        "n_values": n_values,
-        "step": cfg["step"],
-        "seed": seed,
-    }
+    payload = {"command": "robust", "provenance": run, "n_values": n_values}
     if kind == "random":
-        payload["runs"] = runs
+        probs = robustness_sweep(kind, n_values, runs=run["runs"], seed=run["seed"],
+                                 step=run["step"])
         payload["mean_probabilities"] = probs
         _emit(args, payload, ["n", "mean_p"], n_values, probs[:, None])
     else:
+        probs = robustness_sweep(kind, n_values, mags, step=run["step"])
         payload["magnitudes"] = mags
         payload["probabilities"] = dict(zip((f"n{n}" for n in n_values), probs))
         _emit(args, payload, ["magnitude"] + [f"p_n{n}" for n in n_values], mags, probs.T)
@@ -603,29 +568,23 @@ def cmd_robust(args: argparse.Namespace) -> int:
 
 def cmd_interp(args: argparse.Namespace) -> int:
     issues: list[str] = []
-    cfg = _resolve(args, ["step", "c_points"], issues)
-    n_values = _parse_list(args.n, int, "n", issues, "size")
-    if args.c_grid is not None:
-        if args.c_points is not None:
-            issues.append("--c-points is not read by interp with --c-grid")
-        c_grid = _parse_list(args.c_grid, float, "c-grid", issues, "coupling")
+    grid = args.c_grid is not None
+    run = _read(args, ("chain", "n", "step", "c_grid" if grid else "c_points"), issues,
+                "interp with --c-grid")
+    n_values = _parse_list(run["n"], int, "n", issues, "size")
+    if grid:
+        c_grid = _parse_list(run["c_grid"], float, "c-grid", issues, "coupling")
         issues.extend(f"coupling c must lie in [0, 1], got {c}" for c in c_grid
                       if not 0.0 <= c <= 1.0)
     _raise_issues(issues)
-    if args.c_grid is None:
-        check_table("interp table", len(n_values), cfg["c_points"])
-        c_grid = list(np.linspace(0.0, 1.0, cfg["c_points"]))
+    if not grid:
+        check_table("interp table", len(n_values), run["c_points"])
+        c_grid = list(np.linspace(0.0, 1.0, run["c_points"]))
 
-    probs = interpolation_sweep(args.chain, n_values, c_grid, step=cfg["step"])
-    payload = {
-        "command": "interp",
-        "chain": args.chain,
-        "n_values": n_values,
-        "step": cfg["step"],
-        "c_grid": c_grid,
-        "probabilities": dict(zip((f"n{n}" for n in n_values), probs)),
-    }
-    _emit(args, payload, ["c"] + [f"p_n{n}" for n in n_values], c_grid, probs.T)
+    probs = interpolation_sweep(run["chain"], n_values, c_grid, step=run["step"])
+    _emit(args, {"command": "interp", "provenance": run, "n_values": n_values, "c_grid": c_grid,
+                 "probabilities": dict(zip((f"n{n}" for n in n_values), probs))},
+          ["c"] + [f"p_n{n}" for n in n_values], c_grid, probs.T)
     return 0
 
 

@@ -241,9 +241,9 @@ def test_config_seed_reaches_scan_and_flag_overrides_it(tmp_path, monkeypatch, c
     argv = ["dtqw", "--graph", "join k2k n=3", "--init", "haar:20", "--steps", "4",
             "--config", str(cfg)]
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == 5
     assert main(argv + ["--seed", "8"]) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 8
+    assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == 8
     cfg.write_text('{"seed": "x"}')
     assert main(argv) == 1
     assert "seed must be an integer" in capsys.readouterr().err
@@ -278,7 +278,7 @@ def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
     main(["dtqw", "--graph", "join k2k n=3", "--pair", "0,1",
           "--init", "haar:1", "--steps", "4", "--out", str(base)])
     data = json.loads(base.with_suffix(".json").read_text())
-    assert data["seed"] == 77
+    assert data["provenance"]["seed"] == 77
 
 
 # ----- other commands -----
@@ -418,7 +418,8 @@ def test_robust_reads_runs_and_step_from_config(tmp_path, capsys):
     assert main(argv + ["--config", str(cfg)]) == 0
     by_config = capsys.readouterr().out
     assert by_config == by_flag
-    assert json.loads(by_config)["runs"] == 7 and json.loads(by_config)["step"] == 4
+    run = json.loads(by_config)["provenance"]
+    assert run["runs"] == 7 and run["step"] == 4
 
 
 DECOHERE_CT = ["decohere", "--model", "ct", "--graph", "cycle n=4", "--time", "1"]
@@ -848,9 +849,10 @@ def test_interp_cli(tmp_path):
 def test_interp_c_points_writes_what_the_same_c_grid_writes(tmp_path):
     assert main(["interp", "--n", "3,5", "--c-points", "3", "--out", str(tmp_path / "pts")]) == 0
     assert main(["interp", "--n", "3,5", "--c-grid", "0,0.5,1", "--out", str(tmp_path / "grid")]) == 0
-    for suffix in (".json", ".csv"):
-        pts, grid = (tmp_path / (stem + suffix) for stem in ("pts", "grid"))
-        assert pts.read_bytes() == grid.read_bytes()
+    pts, grid = ({k: v for k, v in json.loads((tmp_path / f"{stem}.json").read_text()).items()
+                  if k != "provenance"} for stem in ("pts", "grid"))
+    assert pts == grid
+    assert (tmp_path / "pts.csv").read_bytes() == (tmp_path / "grid.csv").read_bytes()
 
 
 def test_interp_chain_choices_are_the_sweep_chains():
@@ -1038,6 +1040,22 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
     (["robust", "--kind", "defect", "--n", "-1", "--magnitudes", "0.5"], "cycle requires n ≥ 3"),
     (["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "2", "--track", ",",
       "--out", "{dir}/tr"], "need at least one vertex in --track"),
+    (["interp", "--n", "3,3"], "--n lists 3 more than once"),
+    (["robust", "--kind", "defect", "--n", "3,3", "--magnitudes", "0.5"],
+     "--n lists 3 more than once"),
+    (["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--track", "0,0,2"],
+     "--track lists 0 more than once"),
+    (["robust", "--kind", "phase", "--n", "3", "--magnitudes", "0.5,0.50"],
+     "--magnitudes lists 0.5 more than once"),
+    (["decohere", "--graph", "cycle n=4", "--rates", "0,0.1,0"], "--rates lists 0.0 more than once"),
+    (["interp", "--n", "3", "--c-grid", "0,1,1.0"], "--c-grid lists 1.0 more than once"),
+    (["search", "--min-p", "nan"], "min_p must lie in [0, 1], got nan"),
+    (["search", "--min-p", "7"], "min_p must lie in [0, 1], got 7.0"),
+    (["search", "--min-p", "-0.5"], "min_p must lie in [0, 1], got -0.5"),
+    (["decohere", "--model", "ct", "--graph", "cycle n=4", "--time", "1", "--seed", "-5"],
+     "--seed is not read by --model ct"),
+    (["dtqw", "--graph", "cycle n=4", "--init", "haar:20", "--track", "1,3"],
+     "--track is not read by dtqw with --init haar:20"),
 ], ids=["empty-graph", "n-not-int", "bad-loops", "zero-amplitudes", "haar-not-int",
         "pair-malformed", "pair-equal", "list-malformed", "config-unreadable",
         "config-not-json", "config-not-object", "config-not-utf8", "graph-not-utf8",
@@ -1045,7 +1063,9 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
         "no-policies", "no-workers", "robust-no-n", "defect-no-magnitudes", "interp-no-n",
         "coupling-range", "edge-twice", "unknown-key", "key-of-another-family", "key-twice",
         "join-two-kinds", "join-kind-last", "random-negative-n", "defect-negative-n",
-        "track-empty"])
+        "track-empty", "interp-n-twice", "defect-n-twice", "track-twice", "magnitudes-twice",
+        "rates-twice", "c-grid-twice", "min-p-nan", "min-p-over-1", "min-p-negative",
+        "ct-seed", "scan-track"])
 def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys):
     (tmp_path / "torn.json").write_text('{"steps": ')
     (tmp_path / "twice.json").write_text('{"n": 3, "edges": [[0, 1, 1], [1, 0, 2.5], [1, 2, 1]], '
@@ -1061,19 +1081,12 @@ def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys)
 
 
 def _rerun_argv(report: dict) -> list[str]:
-    """The command line of a report, read from the report alone."""
-    pair = ",".join(map(str, report["pair"]))
-    if report["command"] == "decohere-ct":
-        return ["decohere", "--model", "ct", "--graph", report["graph"], "--pair", pair,
-                "--rate", repr(report["rate"]), "--time", repr(report["time"])]
-    argv = ["--graph", report["graph"], "--policy", report["policy"], "--init", report["init"],
-            "--pair", pair, "--seed", str(report["seed"])]
-    if report["command"] == "dtqw-scan":
-        return ["dtqw", *argv, "--steps", str(report["t_max"]), "--lam", repr(report["lam"])]
-    argv = ["decohere", *argv, "--basis", report["basis"]]
-    if report["command"] == "decohere":
-        return argv + ["--rate", repr(report["rate"]), "--steps", str(report["steps"])]
-    return argv + ["--rates", ",".join(map(repr, report["rates"])), "--steps", str(report["step"])]
+    """The command line of a report, read from its command and provenance alone."""
+    argv = [report["command"].split("-")[0]]
+    for key, value in report["provenance"].items():
+        if key != "versions" and value is not None:
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -1086,15 +1099,75 @@ def _rerun_argv(report: dict) -> list[str]:
      "--rates", "0,0.3", "--steps", "6"],
     ["decohere", "--model", "ct", "--graph", "cycle n=4", "--pair", "1,3", "--rate", "0.1",
      "--time", "1"],
-], ids=["dtqw-scan", "decohere", "decohere-rates", "decohere-ct"])
-def test_a_report_reruns_to_its_own_bytes_from_its_recorded_fields(argv, tmp_path):
+    ["dtqw", "--graph", "join k2c n=4", "--pair", "1,0", "--init", "haar:1", "--seed", "3",
+     "--policy", "O3", "--steps", "9", "--lam", "0.7", "--track", "3,1,5"],
+    ["ctqw", "--graph", "join k2k n=3", "--pair", "0,1", "--tmax", "3", "--dt", "0.25",
+     "--lam", "0.8", "--track", "4,0"],
+    ["robust", "--kind", "random", "--n", "3,5", "--runs", "7", "--seed", "4", "--step", "5"],
+    ["robust", "--kind", "defect", "--n", "4,3", "--magnitudes", "0.5,0.25", "--step", "7"],
+    ["interp", "--chain", "k2kn-k2pn", "--n", "4,3", "--c-points", "4", "--step", "5"],
+    ["interp", "--n", "3", "--c-grid", "0.25,0,1"],
+], ids=["dtqw-scan", "decohere", "decohere-rates", "decohere-ct", "dtqw", "ctqw",
+        "robust-random", "robust-defect", "interp-c-points", "interp-c-grid"])
+def test_a_report_reruns_to_its_own_bytes_from_its_recorded_fields(argv, tmp_path, monkeypatch):
+    # the first run reads its seed from the environment, the rerun from its provenance
+    monkeypatch.setenv("QWALK_SEED", "9")
     first, again = tmp_path / "first", tmp_path / "again"
     assert main(argv + ["--out", str(first)]) == 0
     report = json.loads(first.with_suffix(".json").read_text())
+    monkeypatch.delenv("QWALK_SEED")
     assert main(_rerun_argv(report) + ["--out", str(again)]) == 0
     for suffix in (".json", ".csv"):
         if first.with_suffix(suffix).exists():
             assert again.with_suffix(suffix).read_bytes() == first.with_suffix(suffix).read_bytes()
+
+
+# Each mode of a command that writes a report, as a command line it runs
+READ_MODES = {
+    "dtqw-walk": ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "4"],
+    "dtqw-scan": ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--init", "haar:5:1",
+                  "--steps", "4"],
+    "ctqw": ["ctqw", "--graph", "cycle n=4", "--pair", "0,2", "--tmax", "2", "--dt", "0.1"],
+    "decohere-dt": ["decohere", "--model", "dt", "--graph", "cycle n=4", "--pair", "0,2",
+                    "--steps", "4"],
+    "decohere-ct": ["decohere", "--model", "ct", "--graph", "cycle n=4", "--pair", "0,2",
+                    "--time", "1"],
+    "robust-random": ["robust", "--kind", "random", "--n", "3", "--runs", "5"],
+    "robust-defect": ["robust", "--kind", "defect", "--n", "3", "--magnitudes", "0.5"],
+    "interp-points": ["interp", "--n", "3"],
+    "interp-grid": ["interp", "--n", "3", "--c-grid", "0,1"],
+}
+# a valid value for each flag that a mode's command line does not give
+READ_VALUES = {"track": "1,2", "seed": "2", "lam": "0.5", "policy": "O1", "init": "1,0",
+               "steps": "3", "basis": "position", "rate": "0.1", "rates": "0,0.1", "time": "2",
+               "magnitudes": "0.25", "runs": "4", "step": "5", "c_points": "4", "c_grid": "0,0.5",
+               "chain": "k2kn-k2pn"}
+
+
+def _mode_flags():
+    sub = next(a for a in qwalk.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for mode, argv in READ_MODES.items():
+        for action in sub.choices[argv[0]]._actions:
+            flag = next((f for f in action.option_strings if f.startswith("--")), None)
+            # decohere's --dt is accepted for old command lines and read by no model
+            skip = ("--help", "--out", "--config") + (("--dt",) if argv[0] == "decohere" else ())
+            if flag is None or flag in skip:
+                continue
+            yield pytest.param(mode, flag, action.dest, id=f"{mode}{flag}")
+
+
+@pytest.mark.parametrize("mode, flag, dest", _mode_flags())
+def test_every_flag_is_read_into_the_provenance_or_refused(mode, flag, dest, capsys):
+    argv = READ_MODES[mode]
+    value = argv[argv.index(flag) + 1] if flag in argv else READ_VALUES[dest]
+    code = main(_without(argv, flag) + [flag, value])
+    captured = capsys.readouterr()
+    if code == 1:
+        assert f"{flag} is not read by" in captured.err
+    else:
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["provenance"][dest] is not None
 
 
 WEIGHTED_C4 = '{"n": 4, "edges": [[0, 1, 2.5], [1, 2, 1], [2, 3, 1], [0, 3, 1]], "loops": []}'
@@ -1122,7 +1195,7 @@ def test_continuous_walks_take_the_edge_weights_as_their_hamiltonian(argv, tmp_p
     for graph in (str(tmp_path / "w.json"), "cycle n=4"):
         assert main(argv + ["--graph", graph, "--pair", "0,2"]) == 0
         reports.append({k: v for k, v in json.loads(capsys.readouterr().out).items()
-                        if k != "graph"})
+                        if k != "provenance"})
     assert reports[0] != reports[1]
 
 
