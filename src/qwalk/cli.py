@@ -1,16 +1,16 @@
 """Command-line entry point exposing every workflow in the package.
 
 Subcommands: graph, dtqw, ctqw, decohere, search, robust, interp.
-Numeric options resolve from the command line, then an optional JSON
-config file, then the defaults of the OPTIONS table, which also holds
-the range each value must lie in.  The commands that draw random numbers
-(dtqw, decohere, search, robust) take --seed, falling back to the config
-file and then the QWALK_SEED environment variable.  Each report is a
-JSON file, next to a CSV series where the command has one; reruns with
-the same inputs produce byte-identical files.  Each mode of a command
-names the flags it reads once: any other flag given is refused, and the
-report's provenance block records what was read (options as resolved),
-with the qwalk and numpy versions, so the report reruns from it alone.
+Numeric options resolve from their flags, else from the defaults of
+the OPTIONS table, which also holds the range each value must lie in.
+The commands that draw random numbers (dtqw, decohere, search, robust)
+take --seed, else seed 0, so the command line is a run's whole input.
+Each report is a JSON file, next to a CSV series where the command has
+one; reruns with the same inputs produce byte-identical files.  Each
+mode of a command names the flags it reads once: any other flag given
+is refused, and the report's provenance block records what was read
+(options as resolved), with the qwalk and numpy versions, so the report
+reruns from it alone.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 when a
 numerical tolerance is breached during the run.
@@ -199,6 +199,8 @@ def _parse_haar_spec(text: str, seed: int) -> tuple[int, int] | None:
         count, haar_seed = int(parts[1]), int(parts[2]) if len(parts) == 3 else seed
     except ValueError as exc:
         raise ConfigError(f"haar spec {text!r} has non-integer fields") from exc
+    if count < 1:
+        raise ConfigError(f"haar spec {text!r}: count must be positive, got {count}")
     _, ok, rule = OPTIONS["seed"]
     if not ok(haar_seed):
         raise ConfigError(f"haar spec {text!r}: seed must {rule}, got {haar_seed}")
@@ -250,7 +252,7 @@ def _parse_track(text: str | None, pair: tuple[int, int], n: int, issues: list[s
     return track
 
 
-# ===== Config merging and output helpers =====
+# ===== Option reading and output helpers =====
 
 
 def _read_text(path: str, what: str) -> str:
@@ -261,20 +263,9 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_config_file(path: str | None) -> dict:
-    try:
-        data = json.loads(_read_text(path, "config file")) if path else {}
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return data
-
-
 # Dests that no mode refuses: the subcommand wiring, where the report goes,
-# the config file (its values are recorded as resolved), and decohere's
-# --dt, accepted for old command lines (ctqw reads its own --dt)
-_NOT_REFUSED = ("command", "func", "out", "config", "dt")
+# and decohere's --dt, accepted for old command lines (ctqw reads its own --dt)
+_NOT_REFUSED = ("command", "func", "out", "dt")
 
 
 def _read(args: argparse.Namespace, reads: Sequence[str], issues: list[str], mode: str,
@@ -282,43 +273,26 @@ def _read(args: argparse.Namespace, reads: Sequence[str], issues: list[str], mod
     """The provenance of a run of one mode: what it reads of args, checked.
 
     Every given flag of the command outside reads is an issue, "--<flag>
-    is not read by <mode>".  An OPTIONS key in reads comes from the command
-    line, then the config file (read once), then QWALK_SEED for the seed,
-    then the table's default.  A value that fails its conversion or
-    condition is appended to issues and reads the default, so later checks
-    can go on.  So is every config key that names no option in the table.
-    A boolean is no number, and an integer option takes no fractional
-    number.  Every other name in reads keeps its value as given, else its
-    code default from defaults.  The qwalk and numpy versions go beside them.
+    is not read by <mode>".  An OPTIONS key in reads comes from its flag,
+    which argparse has converted to the type of the key's default, else
+    from the table's default.  A flag value that fails its condition is
+    appended to issues and reads the default, so later checks can go on.
+    Every other name in reads keeps its value as given, else its code
+    default from defaults.  The qwalk and numpy versions go beside them.
     """
     issues.extend(f"--{k.replace('_', '-')} is not read by {mode}" for k, v in vars(args).items()
                   if v is not None and k not in reads and k not in _NOT_REFUSED)
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    issues.extend(f"config key {k!r} names no option" for k in file_cfg if k not in OPTIONS)
     run = {"versions": {"numpy": np.__version__, "qwalk": __version__}}
     for key in reads:
         val = getattr(args, key)
-        if key not in OPTIONS:
-            run[key] = defaults.get(key) if val is None else val
-            continue
-        default, ok, rule = OPTIONS[key]
-        if val is None:
-            env = os.environ.get("QWALK_SEED") if key == "seed" else None
-            val = file_cfg.get(key, default if env is None else env)
-        try:
-            if isinstance(val, bool) or (
-                isinstance(default, int) and isinstance(val, float) and not val.is_integer()
-            ):
-                raise TypeError
-            val = type(default)(val)
-        except (TypeError, ValueError):
-            what = "an integer" if isinstance(default, int) else "a number"
-            issues.append(f"{key} must be {what}, got {val!r}")
-            val = default
-        if not ok(val):
-            issues.append(f"{key} must {rule}, got {val}")
-            val = default
-        run[key] = val
+        if key in OPTIONS:
+            default, ok, rule = OPTIONS[key]
+            if val is not None and not ok(val):
+                issues.append(f"{key} must {rule}, got {val}")
+                val = None
+        else:
+            default = defaults.get(key)
+        run[key] = default if val is None else val
     return run
 
 
@@ -602,12 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # flags shared by several subcommands, each declared once on a parent
-    walk, track, config, seed, lam, step, out = (_Parser(add_help=False) for _ in range(7))
+    walk, track, seed, lam, step, out = (_Parser(add_help=False) for _ in range(6))
     walk.add_argument("--graph", required=True, help="graph spec string or file")
     walk.add_argument("--pair", default="0,1", help="source,target vertices")
     track.add_argument("--track", help="comma list of vertices for the CSV columns")
-    config.add_argument("--config", help="JSON file with default option values")
-    _option(seed, "seed", "master seed, else from the config file, then QWALK_SEED")
+    _option(seed, "seed", "master seed")
     _option(lam, "lam", "high-amplitude threshold")
     _option(step, "step", "readout step")
     out.add_argument("--out", help="output path stem; writes <out>.json, and <out>.csv for a series")
@@ -618,20 +591,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("dtqw", help="run a coined walk and report transfer",
-                       parents=[walk, track, config, seed, lam, out])
+                       parents=[walk, track, seed, lam, out])
     p.add_argument("--policy", default="O2", help="O1, O2, O3, table1:<row>, or JSON map")
     p.add_argument("--init", default="equal", help='"equal", "haar:<count>[:<seed>]", or amplitudes')
     _option(p, "steps", "number of steps")
     p.set_defaults(func=cmd_dtqw)
 
     p = sub.add_parser("ctqw", help="run a continuous walk and report transfer",
-                       parents=[walk, track, config, lam, out])
+                       parents=[walk, track, lam, out])
     _option(p, "tmax", "scan horizon")
     _option(p, "dt", "scan grid spacing, at most tmax")
     p.set_defaults(func=cmd_ctqw)
 
     p = sub.add_parser("decohere", help="evolve a dephasing walk",
-                       parents=[walk, config, seed, out])
+                       parents=[walk, seed, out])
     p.add_argument("--model", choices=("dt", "ct"), default="dt")
     p.add_argument("--policy", help="dt model: coin policy as for dtqw (default O2)")
     p.add_argument("--init", help="dt model: initial state as for dtqw, one state (default equal)")
@@ -645,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decohere)
 
     p = sub.add_parser("search", help="enumerate cycle variants and survey transfer",
-                       parents=[config, seed, lam])
+                       parents=[seed, lam])
     p.add_argument("--base", type=int, default=4, help="even base cycle size")
     p.add_argument("--max-new", type=int, default=2, dest="max_new")
     p.add_argument("--policies", default="O1,O2,O3")
@@ -659,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("robust", help="perturbed-start transfer sweeps on hub cycles",
-                       parents=[config, seed, step, out])
+                       parents=[seed, step, out])
     p.add_argument("--kind", required=True, choices=("defect", "phase", "random"))
     p.add_argument("--n", required=True, help="comma list of cycle sizes")
     p.add_argument("--magnitudes", help="comma list of delta or theta values")

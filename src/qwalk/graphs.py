@@ -34,7 +34,6 @@ __all__ = [
     "JOIN_FAMILIES",
     "adjacency",
     "build",
-    "complement",
     "canonical_key",
     "graph_to_json",
     "graph_from_json",
@@ -217,16 +216,6 @@ def adjacency(spec: FamilySpec) -> np.ndarray:
 def build(spec: FamilySpec) -> Graph:
     """Construct the graph a family dataclass describes."""
     return Graph(adjacency(spec))
-
-
-def complement(g: Graph) -> Graph:
-    """Complement of an unweighted, loop-free graph."""
-    if not g.is_unweighted():
-        raise ConfigError("complement is defined for unweighted graphs only")
-    if any(g.has_loop(v) for v in range(g.n)):
-        raise ConfigError("complement is defined for loop-free graphs only")
-    adj = 1.0 - g.adjacency - np.eye(g.n)
-    return Graph(adj)
 
 
 # ===== Canonical keys =====

@@ -221,73 +221,20 @@ def test_dtqw_haar_scan_draws_states_once(tmp_path, monkeypatch):
     assert calls == [(3, 40, 9)]
 
 
-def test_config_file_and_cli_precedence(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"steps": 12}')
-    base = tmp_path / "a"
-    main(["dtqw", "--graph", "cycle n=4", "--pair", "0,2",
-          "--config", str(cfg), "--out", str(base)])
-    assert base.with_suffix(".csv").read_text().strip().splitlines()[-1].startswith("12,")
-    base2 = tmp_path / "b"
-    main(["dtqw", "--graph", "cycle n=4", "--pair", "0,2",
-          "--config", str(cfg), "--steps", "5", "--out", str(base2)])
-    assert base2.with_suffix(".csv").read_text().strip().splitlines()[-1].startswith("5,")
-
-
-def test_config_seed_reaches_scan_and_flag_overrides_it(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QWALK_SEED", "77")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"seed": 5}')
-    argv = ["dtqw", "--graph", "join k2k n=3", "--init", "haar:20", "--steps", "4",
-            "--config", str(cfg)]
-    assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == 5
-    assert main(argv + ["--seed", "8"]) == 0
-    assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == 8
-    cfg.write_text('{"seed": "x"}')
-    assert main(argv) == 1
-    assert "seed must be an integer" in capsys.readouterr().err
-    cfg.write_text('{"lam": "x"}')
-    assert main(argv) == 1
-    assert "lam must be a number, got 'x'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["dtqw", "--graph", "join k2k n=3", "--init", "haar:20", "--steps", "4"],
-    ["decohere", "--graph", "cycle n=4", "--rate", "0.1"],
-    ["search", "--base", "4", "--max-new", "1", "--samples", "5", "--workers", "1"],
-], ids=["dtqw", "decohere", "search"])
-def test_config_file_is_read_once(argv, tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"steps": 4, "seed": 3}')
-    reads = []
-
-    def counted(path):
-        reads.append(path)
-        return load(path)
-
-    load = qwalk.cli._load_config_file
-    monkeypatch.setattr(qwalk.cli, "_load_config_file", counted)
-    assert main(argv + ["--config", str(cfg)]) == 0
-    assert reads == [str(cfg)]
-
-
-def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QWALK_SEED", "77")
-    base = tmp_path / "env"
-    main(["dtqw", "--graph", "join k2k n=3", "--pair", "0,1",
-          "--init", "haar:1", "--steps", "4", "--out", str(base)])
-    data = json.loads(base.with_suffix(".json").read_text())
-    assert data["provenance"]["seed"] == 77
-
-
 # ----- other commands -----
 
 @pytest.mark.parametrize("argv", [
     ["ctqw", "--graph", "cycle n=4", "--seed", "1"],
     ["interp", "--n", "3", "--c-grid", "0,1", "--seed", "1"],
     ["interp", "--n", "3", "--c-grid", "0,1", "--config", "absent.json"],
-], ids=["ctqw-seed", "interp-seed", "interp-config"])
+    # no command takes a config file: each option comes from its flag
+    ["dtqw", "--graph", "cycle n=4", "--config", "x.json"],
+    ["ctqw", "--graph", "cycle n=4", "--config", "x.json"],
+    ["decohere", "--graph", "cycle n=4", "--config", "x.json"],
+    ["search", "--config", "x.json"],
+    ["robust", "--kind", "random", "--n", "3", "--config", "x.json"],
+], ids=["ctqw-seed", "interp-seed", "interp-config", "dtqw-config", "ctqw-config",
+        "decohere-config", "search-config", "robust-config"])
 def test_unused_seed_and_config_flags_are_rejected(argv, capsys):
     assert main(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -341,39 +288,6 @@ def test_table_option_out_of_range_by_flag(key, capsys):
     assert f"{key} must {rule}, got {bad}" in capsys.readouterr().err
 
 
-# interp takes no --config, so c_points is checked from the command line only
-@pytest.mark.parametrize("key", [k for k in BAD_OPTIONS if k != "c_points"])
-def test_table_option_out_of_range_by_config(key, tmp_path, capsys):
-    argv, bad, rule = BAD_OPTIONS[key]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: bad}))
-    flag = "--" + key.replace("_", "-")
-    assert main(_without(argv, flag) + ["--config", str(cfg)]) == 1
-    assert f"{key} must {rule}, got {bad}" in capsys.readouterr().err
-
-
-INT_OPTIONS = [k for k in BAD_OPTIONS if isinstance(qwalk.cli.OPTIONS[k][0], int)
-               and k != "c_points"]
-
-
-@pytest.mark.parametrize("bad, shown", [(3.7, "3.7"), (True, "True")], ids=["fraction", "bool"])
-@pytest.mark.parametrize("key", INT_OPTIONS)
-def test_integer_option_from_config_must_be_an_integer(key, bad, shown, tmp_path, capsys):
-    argv, _, _ = BAD_OPTIONS[key]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: bad}))
-    flag = "--" + key.replace("_", "-")
-    assert main(_without(argv, flag) + ["--config", str(cfg)]) == 1
-    assert f"{key} must be an integer, got {shown}" in capsys.readouterr().err
-
-
-def test_integral_config_number_reads_as_an_integer(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"steps": 3.0}')
-    assert main(_without(DTQW, "--steps") + ["--config", str(cfg)]) == 0
-    assert len(json.loads(capsys.readouterr().out)["report"]["target_series"]) == 4
-
-
 @pytest.mark.parametrize("spec", ["haar:1:-3", "haar:5:-3"], ids=["one-state", "scan"])
 def test_haar_spec_seed_must_be_non_negative(spec, capsys):
     assert main(_without(DTQW, "--init") + ["--init", spec]) == 1
@@ -400,28 +314,6 @@ def test_lam_is_checked_by_every_command(argv, capsys):
     assert "lam must lie in (0, 1]" in capsys.readouterr().err
 
 
-def test_unknown_config_key_is_a_problem(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"stpes": 3, "c_points": 5}')
-    assert main(DTQW + ["--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert "config key 'stpes' names no option" in err
-    assert "c_points" not in err
-
-
-def test_robust_reads_runs_and_step_from_config(tmp_path, capsys):
-    argv = ["robust", "--kind", "random", "--n", "3,4", "--seed", "2"]
-    assert main(argv + ["--runs", "7", "--step", "4"]) == 0
-    by_flag = capsys.readouterr().out
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"runs": 7, "step": 4}')
-    assert main(argv + ["--config", str(cfg)]) == 0
-    by_config = capsys.readouterr().out
-    assert by_config == by_flag
-    run = json.loads(by_config)["provenance"]
-    assert run["runs"] == 7 and run["step"] == 4
-
-
 DECOHERE_CT = ["decohere", "--model", "ct", "--graph", "cycle n=4", "--time", "1"]
 DECOHERE_DT = ["decohere", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "3"]
 
@@ -439,17 +331,29 @@ def test_decohere_rejects_flags_its_model_does_not_read(argv, flag, capsys):
     assert f"{flag} is not read by --model" in capsys.readouterr().err
 
 
-def test_decohere_ct_shares_a_config_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"steps": 5, "seed": 3}')
-    assert main(DECOHERE_CT + ["--config", str(cfg)]) == 0
-
-
 def test_decohere_takes_one_haar_state(capsys):
     assert main(DECOHERE_DT + ["--init", "haar:1:3"]) == 0
     capsys.readouterr()
     assert main(DECOHERE_DT + ["--init", "haar:2:3"]) == 1
     assert "must draw one state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dtqw", "--graph", "join k2k n=3", "--init", "haar:1", "--steps", "4"],
+    ["dtqw", "--graph", "join k2k n=3", "--init", "haar:5", "--steps", "4"],
+    DECOHERE_DT + ["--init", "haar:1"],
+    ROBUST,
+    SEARCH,
+], ids=["dtqw", "dtqw-scan", "decohere", "robust-random", "search"])
+def test_a_seed_in_the_environment_is_not_read(argv, tmp_path, monkeypatch, capsys):
+    def written(stem):
+        assert main(argv + ["--out", str(tmp_path / stem)]) == 0
+        return {f.name[len(stem):]: f.read_bytes() for f in tmp_path.glob(stem + "*")}
+
+    monkeypatch.delenv("QWALK_SEED", raising=False)
+    unset = written("unset")
+    monkeypatch.setenv("QWALK_SEED", "77")
+    assert written("env") == unset
 
 
 # Each command's report files under --out; "" is the bare --out path.
@@ -972,13 +876,17 @@ def test_search_refuses_a_base_of_40_without_listing_its_subsets(tmp_path):
      "Haar states needs 1,000,000,000 x 4 entries"),
     (["search", "--max-new", "1", "--steps", "1000000000", "--workers", "1"],
      "scan steps needs 1,000,000,000 x 2 entries"),
+    # a dimension above 10^15 is named in scientific form, not in 302 digits
+    (["ctqw", "--graph", "cycle n=4", "--pair", "0,2", "--tmax", "10", "--dt", "1e-300"],
+     "ctqw time grid needs 1e+301 x 4 entries"),
 ], ids=["ctqw-grid", "dtqw-steps", "robust-runs", "robust-start-states", "interp-c-points",
-        "search-samples", "search-steps"])
+        "search-samples", "search-steps", "ctqw-grid-1e301"])
 def test_tables_over_the_limit_are_refused_before_allocation(argv, table, tmp_path):
     done = _run_in_1_5_gb(argv + ["--out", str(tmp_path / "r")])
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("config error:")
     assert f"{table}, over the limit of 16,777,216" in done.stderr
+    assert len(done.stderr) < 160
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1011,11 +919,6 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
     (["dtqw", "--graph", "cycle n=4", "--pair", "1,1"], "pair vertices must differ"),
     (["dtqw", "--graph", "cycle n=4", "--track", "0,x"],
      "track must be comma-separated integers, got '0,x'"),
-    (["dtqw", "--graph", "cycle n=4", "--config", "{dir}/absent.json"], "cannot read config file"),
-    (["dtqw", "--graph", "cycle n=4", "--config", "{dir}/torn.json"], "is not valid JSON"),
-    (["dtqw", "--graph", "cycle n=4", "--config", "{dir}/list.json"], "must hold a JSON object"),
-    (["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--config", "{dir}/bytes.json"],
-     "cannot read config file {dir}/bytes.json: 'utf-8' codec can't decode"),
     (["graph", "{dir}/bytes.json"], "cannot read graph file {dir}/bytes.json: 'utf-8' codec"),
     (["graph", "{dir}"], "cannot read graph file {dir}: "),
     (["ctqw", "--graph", "cycle n=4", "--tmax", "1", "--dt", "2"],
@@ -1056,21 +959,24 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
      "--seed is not read by --model ct"),
     (["dtqw", "--graph", "cycle n=4", "--init", "haar:20", "--track", "1,3"],
      "--track is not read by dtqw with --init haar:20"),
+    (["dtqw", "--graph", "cycle n=4", "--init", "haar:0"],
+     "haar spec 'haar:0': count must be positive, got 0"),
+    (["dtqw", "--graph", "cycle n=4", "--init", "haar:-3:5"],
+     "haar spec 'haar:-3:5': count must be positive, got -3"),
+    (["decohere", "--graph", "cycle n=4", "--init", "haar:0"],
+     "haar spec 'haar:0': count must be positive, got 0"),
 ], ids=["empty-graph", "n-not-int", "bad-loops", "zero-amplitudes", "haar-not-int",
-        "pair-malformed", "pair-equal", "list-malformed", "config-unreadable",
-        "config-not-json", "config-not-object", "config-not-utf8", "graph-not-utf8",
+        "pair-malformed", "pair-equal", "list-malformed", "graph-not-utf8",
         "graph-directory", "dt-over-tmax", "rate-range", "ct-no-time",
         "no-policies", "no-workers", "robust-no-n", "defect-no-magnitudes", "interp-no-n",
         "coupling-range", "edge-twice", "unknown-key", "key-of-another-family", "key-twice",
         "join-two-kinds", "join-kind-last", "random-negative-n", "defect-negative-n",
         "track-empty", "interp-n-twice", "defect-n-twice", "track-twice", "magnitudes-twice",
         "rates-twice", "c-grid-twice", "min-p-nan", "min-p-over-1", "min-p-negative",
-        "ct-seed", "scan-track"])
+        "ct-seed", "scan-track", "haar-zero", "haar-negative", "decohere-haar-zero"])
 def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys):
-    (tmp_path / "torn.json").write_text('{"steps": ')
     (tmp_path / "twice.json").write_text('{"n": 3, "edges": [[0, 1, 1], [1, 0, 2.5], [1, 2, 1]], '
                                          '"loops": []}')
-    (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert main(argv) == 1
@@ -1110,7 +1016,7 @@ def _rerun_argv(report: dict) -> list[str]:
 ], ids=["dtqw-scan", "decohere", "decohere-rates", "decohere-ct", "dtqw", "ctqw",
         "robust-random", "robust-defect", "interp-c-points", "interp-c-grid"])
 def test_a_report_reruns_to_its_own_bytes_from_its_recorded_fields(argv, tmp_path, monkeypatch):
-    # the first run reads its seed from the environment, the rerun from its provenance
+    # a seed left in the environment is not read: both runs take theirs from the command line
     monkeypatch.setenv("QWALK_SEED", "9")
     first, again = tmp_path / "first", tmp_path / "again"
     assert main(argv + ["--out", str(first)]) == 0
@@ -1151,7 +1057,7 @@ def _mode_flags():
         for action in sub.choices[argv[0]]._actions:
             flag = next((f for f in action.option_strings if f.startswith("--")), None)
             # decohere's --dt is accepted for old command lines and read by no model
-            skip = ("--help", "--out", "--config") + (("--dt",) if argv[0] == "decohere" else ())
+            skip = ("--help", "--out") + (("--dt",) if argv[0] == "decohere" else ())
             if flag is None or flag in skip:
                 continue
             yield pytest.param(mode, flag, action.dest, id=f"{mode}{flag}")

@@ -21,7 +21,6 @@ from qwalk.graphs import (
     Path,
     build,
     canonical_key,
-    complement,
     graph_from_json,
     graph_to_json,
 )
@@ -124,43 +123,24 @@ def test_bad_adjacency_rejected():
     (lambda: build(Edgeless(0)), "edgeless graph requires n ≥ 1"),
     (lambda: build(DiamondChain(0)), "diamond chain requires n ≥ 1"),
     (lambda: graphs.adjacency("cycle"), "unknown family spec: 'cycle'"),
-    (lambda: complement(Graph(np.array([[0.0, 2.0], [2.0, 0.0]]))),
-     "complement is defined for unweighted graphs only"),
-    (lambda: complement(build(DiamondChain(1, loop_ends=True))),
-     "complement is defined for loop-free graphs only"),
     (lambda: graph_from_json("[1]"), "graph JSON must be an object"),
     (lambda: graph_from_json('{"n": 3, "edges": [[0, 1, 1], [1, 0, 2.5]], "loops": []}'),
      "graph JSON field 'edges': edge 1-0 is listed twice: [1, 0, 2.5]"),
     (lambda: graph_from_json('{"n": 3, "edges": [[0, 2, 0], [0, 2, 0]], "loops": []}'),
      "graph JSON field 'edges': edge 0-2 is listed twice: [0, 2, 0]"),
 ], ids=["not-square", "empty", "infinite", "complete-0", "edgeless-0", "diamond-0",
-        "unknown-spec", "complement-weighted", "complement-looped", "json-not-object",
-        "json-edge-twice", "json-zero-edge-twice"])
+        "unknown-spec", "json-not-object", "json-edge-twice", "json-zero-edge-twice"])
 def test_each_graph_refusal_names_its_rule(make, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         make()
 
 
-# ----- complement -----
-
-def test_complement_of_complete_is_edgeless():
-    g = complement(build(Complete(4)))
-    assert g.edge_set() == set()
-
+# ----- canonical keys -----
 
 def test_cycle5_self_complementary():
     g = build(Cycle(5))
-    assert canonical_key(complement(g)) == canonical_key(g)
+    assert canonical_key(Graph(1.0 - g.adjacency - np.eye(5))) == canonical_key(g)
 
-
-@given(st.integers(0, 500), st.integers(2, 7))
-@settings(max_examples=40, deadline=None)
-def test_complement_involution(seed, n):
-    g = random_graph(seed, n)
-    assert np.array_equal(complement(complement(g)).adjacency, g.adjacency)
-
-
-# ----- canonical keys -----
 
 @given(st.integers(0, 500), st.integers(2, 7), st.permutations(list(range(7))))
 @settings(max_examples=60, deadline=None)
