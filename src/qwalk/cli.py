@@ -45,7 +45,6 @@ from qwalk.dtqw import (
     equal_superposition,
     haar_states,
     max_transfer_scan,
-    report_json,
     state_at_vertex,
     unit_vector,
 )
@@ -380,7 +379,7 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
             g, policy, pair, samples=samples, t_max=steps, seed=scan_seed, lam=lam
         )
         _emit(args, {"command": "dtqw-scan", "provenance": run,
-                     **report_json(best, ("top_gram",)), "samples": samples})
+                     **best.to_json_dict(), "samples": samples})
         return 0
 
     psi0 = parse_init_spec(run["init"], ArcSpace.from_graph(g), pair[0], seed)

@@ -51,7 +51,7 @@ import numpy as np
 
 from qwalk.arcs import ArcSpace
 from qwalk.dtqw import StepOperator, build_step_operator
-from qwalk.errors import ConfigError, ToleranceError
+from qwalk.errors import ConfigError, ToleranceError, check_work
 from qwalk.graphs import Graph
 
 __all__ = [
@@ -152,11 +152,12 @@ def decohere_ct(g: Graph, rho0: np.ndarray, rate: float, t: float) -> np.ndarray
     each piece the Taylor series of exp(hL) is summed, term by term,
     until a term's largest entry falls below 2**-53 times the partial
     sum's (after Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  L
-    acts on the n x n matrix directly, so memory stays O(n^2).
+    acts on the n x n matrix directly, so memory stays O(n^2), and the
+    work is about s n^3.
 
-    Raises ConfigError for a negative or non-finite t or a density of
-    the wrong shape, and ToleranceError when the result is not a
-    density matrix (see ``validate_density``).
+    Raises ConfigError for a negative or non-finite t, a density of the
+    wrong shape or work over ``check_work``'s limit, and ToleranceError
+    when the result is not a density matrix (see ``validate_density``).
     """
     a = g.adjacency.astype(complex)
     rho = np.asarray(rho0, dtype=complex)
@@ -171,6 +172,7 @@ def decohere_ct(g: Graph, rho0: np.ndarray, rate: float, t: float) -> np.ndarray
         return -1j * (a @ x - x @ a) - rate * off
 
     norm = 2.0 * float(np.abs(a).sum(axis=0).max()) + 2.0 * abs(rate)
+    check_work("decohere_ct's Taylor pieces x n^3", max(1.0, t * norm) * g.n**3)
     pieces = max(1, math.ceil(t * norm))
     h = t / pieces
     for _ in range(pieces):
@@ -238,8 +240,14 @@ def target_probability_vs_rate(
     step: int,
     basis: str = "coin",
 ) -> np.ndarray:
-    """Target marginal, capped at 1, at a fixed step, one value per rate, in rate order."""
+    """Target marginal, capped at 1, at a fixed step, one value per rate, in rate order.
+
+    The work is rates x step x m^2 d for m arcs and largest degree d: a
+    density step is a product of d x d coin blocks with m x m matrices.
+    """
     op = build_step_operator(g, policy)
+    m, d = op.space.n_arcs, int(np.diff(op.space.offsets).max())
+    check_work("the rate sweep's rates x steps x arcs^2 x degree", len(rates) * step * m * m * d)
     rho0 = density_from_state(init)
     probs = np.empty(len(rates))
     for i, p in enumerate(np.asarray(rates, dtype=float)):

@@ -287,7 +287,9 @@ def detect_transfer(
     """Evolve for t_max steps and summarize transfer between the pair.
 
     ``max_step`` is the earliest step whose target probability is within
-    ``TIE_TOL`` of ``max_probability``.
+    ``TIE_TOL`` of ``max_probability``.  An initial state whose norm is
+    off 1 by more than 1e-9 raises ConfigError before the first step; one
+    holding NaN walks on and fails the norm drift check (ToleranceError).
     """
     op = build_step_operator(g, policy)
     source, target = pair
@@ -296,6 +298,9 @@ def detect_transfer(
         raise ConfigError(
             f"initial state has {psi0.shape} entries, arc space has {op.space.n_arcs}"
         )
+    norm = np.linalg.norm(psi0)
+    if abs(norm - 1.0) > 1e-9:
+        raise ConfigError(f"initial state must be unit norm, got {norm}")
     check_table("dtqw step table", t_max + 1, g.n)
     probs = np.empty((t_max + 1, g.n))
     fidelity_series = np.empty(t_max + 1)
@@ -350,15 +355,34 @@ def target_block_powers(
     return trajectory(op, cols, t_max)[1:, op.space.vertex_slice(target)]
 
 
+# The JSON type a reported field must have, by its annotation; a bool is no number
+_JSON_TYPES = {
+    "str": lambda x: type(x) is str,
+    "dict": lambda x: type(x) is dict,
+    "int": lambda x: type(x) is int,
+    "float": lambda x: type(x) is int or type(x) is float and np.isfinite(x),
+    "tuple[int, ...]": lambda x: type(x) is list and all(type(i) is int for i in x),
+}
+
+
 @dataclass(frozen=True)
-class ScanResult:
-    """``block_scan``'s best sampled transfer and exact certificate for one pair."""
+class _Verdict:
+    """The fields a scan verdict reports, in order, typed for ``_JSON_TYPES``."""
 
     max_probability: float          # best sampled probability over steps 1..t_max
     max_step: int                   # earliest step within TIE_TOL of max_probability
     fraction_over_lam: float        # share of samples whose best step beats lam
     pst_steps: tuple[int, ...]      # steps with top_gram >= (1 - PST_SINGULAR_TOL)^2
-    top_gram: np.ndarray = field(compare=False, repr=False)  # top eigenvalue of G_t
+
+
+@dataclass(frozen=True)
+class ScanResult(_Verdict):
+    """``block_scan``'s verdict for one pair, and the table it was read from."""
+
+    top_gram: np.ndarray = field(compare=False, repr=False, kw_only=True)  # top eigenvalue of G_t
+
+    def to_json_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(_Verdict)}
 
 
 def block_scan(
@@ -428,7 +452,7 @@ def block_scan(
             peak_step(sb),
             float(np.mean(ov)),
             tuple((np.flatnonzero(tg >= (1.0 - PST_SINGULAR_TOL) ** 2) + 1).tolist()),
-            tg,
+            top_gram=tg,
         )
         for sb, ov, tg in zip(step_best, over, top_gram)
     ]

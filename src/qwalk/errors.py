@@ -1,8 +1,9 @@
-"""Shared exception types and the size limit on tables built from input."""
+"""Shared exception types and the limits on what one run may build or do."""
 
 import math
 
 TABLE_LIMIT = 1 << 24  # entries of one table: 128 MiB of float64
+WORK_LIMIT = 10**10  # work units of one run; README gives their cost in seconds
 
 
 class ConfigError(ValueError):
@@ -13,11 +14,27 @@ class ToleranceError(RuntimeError):
     """A numerical invariant (unitarity, norm, trace) drifted past its bound."""
 
 
+def _count(x: float) -> str:
+    """x with thousands separators, or above 10^15 in scientific form
+    (1e+301, not 302 digits), an int past the float range included."""
+    if x <= 1e15:
+        return f"{x:,.0f}"
+    if isinstance(x, int) and x > 1e308:
+        e = int(math.log10(x))
+        return f"{x / 10**e:.3g}e+{e}"
+    return f"{x:.3g}"
+
+
 def check_table(what: str, *shape: float) -> None:
     """Refuse, before it is allocated, a table of more than TABLE_LIMIT entries."""
     if math.prod(shape) > TABLE_LIMIT:
-        # a dimension above 10^15 in scientific form (1e+301), not in 302 digits
-        dims = " x ".join(f"{s:.3g}" if s > 1e15 else f"{s:,.0f}" for s in shape)
         raise ConfigError(
-            f"{what} needs {dims} entries, over the limit of {TABLE_LIMIT:,} (128 MiB of float64)"
+            f"{what} needs {' x '.join(map(_count, shape))} entries, "
+            f"over the limit of {TABLE_LIMIT:,} (128 MiB of float64)"
         )
+
+
+def check_work(what: str, units: float) -> None:
+    """Refuse, before its first step, a run of more than WORK_LIMIT work units."""
+    if units > WORK_LIMIT:
+        raise ConfigError(f"{what} needs {_count(units)} work units, over the limit of {WORK_LIMIT:,}")

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,11 +36,12 @@ import numpy as np
 from qwalk.coins import CoinPolicy, ExplicitMap, Uniform, grover, interp_grover, parse_policy
 from qwalk.dtqw import (
     ScanResult,
+    _JSON_TYPES,
+    _Verdict,
     block_scan,
     build_step_operator,
     equal_superposition,
     haar_states,
-    report_json,
     target_block_powers,
     trajectory,
     unit_vector,
@@ -243,24 +244,23 @@ def _relabel_links(
 
 
 @dataclass(frozen=True)
-class SearchRecord:
+class _Cell:
+    key: str
+    descriptor: dict
+    policy: str
+
+
+@dataclass(frozen=True)
+class SearchRecord(_Verdict, _Cell):
     """One (variant, policy) survey result.
 
     Transfer metrics cover the better of the two directions across the
     marked pair, since one representative stands for a variant and its
-    mirror image.  The fields after ``policy`` are that direction's
-    ``dtqw.ScanResult`` fields under the same names, less ``top_gram``.
+    mirror image.  After ``_Cell``'s fields (a dataclass collects them in
+    reverse MRO order) come that direction's ``dtqw.ScanResult`` verdict.
     ``pst`` says whether any step is certified: an exact-transfer initial
     state exists even when no Haar sample comes close.
     """
-
-    key: str
-    descriptor: dict
-    policy: str
-    max_probability: float
-    max_step: int
-    fraction_over_lam: float
-    pst_steps: tuple[int, ...]
 
     @property
     def pst(self) -> bool:
@@ -273,35 +273,16 @@ class SearchRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "SearchRecord":
-        """Parse one sink line; ValueError names a field of the wrong type."""
+        """Parse one sink line, each JSON list back into a tuple; ValueError
+        names a field of the wrong type."""
+        types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
         data = json.loads(line)
-        if not isinstance(data, dict) or data.keys() != _RECORD_FIELDS.keys():
-            raise ValueError(f"a search record has exactly the fields {', '.join(_RECORD_FIELDS)}")
-        bad = [name for name, ok in _RECORD_FIELDS.items() if not ok(data[name])]
+        if not isinstance(data, dict) or data.keys() != types.keys():
+            raise ValueError(f"a search record has exactly the fields {', '.join(types)}")
+        bad = [name for name, ok in types.items() if not ok(data[name])]
         if bad:
             raise ValueError(f"search record fields of the wrong type: {', '.join(bad)}")
-        data["pst_steps"] = tuple(data["pst_steps"])
-        return cls(**data)
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite(x: object) -> bool:
-    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
-
-
-# The JSON type each SearchRecord field must have; a bool is no number
-_RECORD_FIELDS = {
-    "key": lambda x: isinstance(x, str),
-    "descriptor": lambda x: isinstance(x, dict),
-    "policy": lambda x: isinstance(x, str),
-    "max_probability": _is_finite,
-    "max_step": _is_int,
-    "fraction_over_lam": _is_finite,
-    "pst_steps": lambda x: isinstance(x, list) and all(map(_is_int, x)),
-}
+        return cls(**{k: tuple(v) if type(v) is list else v for k, v in data.items()})
 
 
 def _search_cell(
@@ -478,7 +459,7 @@ def _run_variant(task, pair, samples, t_max, lam, seed) -> list[SearchRecord]:
         cell_seed = np.random.SeedSequence([seed, idx, _policy_index(name)])
         seeds = tuple(int(child.generate_state(1)[0]) for child in cell_seed.spawn(2))
         scan = _search_cell(g, policy, pair, samples, t_max, seeds, lam)
-        out.append(SearchRecord(key, desc.to_json_dict(), name, **report_json(scan, ("top_gram",))))
+        out.append(SearchRecord(key, desc.to_json_dict(), name, **scan.to_json_dict()))
     return out
 
 

@@ -879,14 +879,38 @@ def test_search_refuses_a_base_of_40_without_listing_its_subsets(tmp_path):
     # a dimension above 10^15 is named in scientific form, not in 302 digits
     (["ctqw", "--graph", "cycle n=4", "--pair", "0,2", "--tmax", "10", "--dt", "1e-300"],
      "ctqw time grid needs 1e+301 x 4 entries"),
+    # so is an integer past the float range
+    (["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "1" + "0" * 400],
+     "dtqw step table needs 1e+400 x 4 entries"),
 ], ids=["ctqw-grid", "dtqw-steps", "robust-runs", "robust-start-states", "interp-c-points",
-        "search-samples", "search-steps", "ctqw-grid-1e301"])
+        "search-samples", "search-steps", "ctqw-grid-1e301", "dtqw-steps-1e400"])
 def test_tables_over_the_limit_are_refused_before_allocation(argv, table, tmp_path):
     done = _run_in_1_5_gb(argv + ["--out", str(tmp_path / "r")])
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("config error:")
     assert f"{table}, over the limit of 16,777,216" in done.stderr
     assert len(done.stderr) < 160
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, work", [
+    # 1e9 x 4.2 Taylor pieces of a 4 x 4 density: days of work
+    (["decohere", "--model", "ct", "--graph", "cycle n=4", "--pair", "0,2", "--rate", "0.1",
+      "--time", "1e9"], "decohere_ct's Taylor pieces x n^3 needs 268,800,000,000 work units"),
+    # 1e9 density steps on 8 arcs of degree 2: hours of work
+    (["decohere", "--graph", "cycle n=4", "--pair", "0,2", "--rates", "0.1",
+      "--steps", "1000000000"],
+     "the rate sweep's rates x steps x arcs^2 x degree needs 128,000,000,000 work units"),
+    (["decohere", "--graph", "cycle n=4", "--pair", "0,2", "--rates", "0.1,0.2",
+      "--steps", "1" + "0" * 400],
+     "the rate sweep's rates x steps x arcs^2 x degree needs 2.56e+402 work units"),
+], ids=["decohere-ct-time", "decohere-rates-steps", "decohere-rates-steps-1e400"])
+def test_work_over_the_budget_is_refused_at_once(argv, work, tmp_path):
+    started = time.monotonic()
+    done = _run_in_1_5_gb(argv + ["--out", str(tmp_path / "r")])
+    assert time.monotonic() - started < 30
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == f"config error: {work}, over the limit of 10,000,000,000\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -257,6 +257,24 @@ def test_ct_rejects_negative_time():
         decohere_ct(g, np.eye(4, dtype=complex) / 4, rate=0.1, t=-1.0)
 
 
+def test_work_at_the_budget_runs_and_more_is_refused(monkeypatch):
+    import qwalk.errors as errors
+
+    g = build(Cycle(4))
+    rho0 = np.eye(4, dtype=complex) / 4
+    # ct: ||A||_1 = 2 cuts t = 1 into 4 pieces of 4^3 units, t = 1.25 into 5
+    monkeypatch.setattr(errors, "WORK_LIMIT", 4 * 4**3)
+    decohere_ct(g, rho0, rate=0.0, t=1.0)
+    with pytest.raises(ConfigError, match="needs 320 work units, over the limit of 256"):
+        decohere_ct(g, rho0, rate=0.0, t=1.25)
+    # rate sweep: 8 arcs of degree 2 cost 8^2 x 2 units per density step
+    init = equal_superposition(ArcSpace.from_graph(g), 0)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 2 * 3 * 8**2 * 2)
+    target_probability_vs_rate(g, parse_policy("O2"), init, (0, 2), np.array([0.0, 0.5]), 3)
+    with pytest.raises(ConfigError, match="needs 1,024 work units, over the limit of 768"):
+        target_probability_vs_rate(g, parse_policy("O2"), init, (0, 2), np.array([0.0, 0.5]), 4)
+
+
 def test_noise_model_refuses_an_unknown_basis_and_a_rate_outside_0_1():
     with pytest.raises(ConfigError, match=r"noise basis must be one of \('position', 'coin', "
                                           r"'both'\), got 'spin'"):

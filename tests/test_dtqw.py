@@ -219,6 +219,19 @@ def test_detect_transfer_rejects_bad_init():
         detect_transfer(g, parse_policy("O2"), np.full(8, np.nan), (0, 2), t_max=3)
 
 
+def test_detect_transfer_refuses_a_start_off_unit_norm_before_the_first_step(monkeypatch):
+    import qwalk.dtqw as dtqw
+
+    g = build(Cycle(4))
+    psi = equal_superposition(ArcSpace.from_graph(g), 0)
+    # within 1e-9 of unit norm the walk runs as before
+    assert detect_transfer(g, parse_policy("O2"), psi * (1 + 5e-10), (0, 2), t_max=5).pst_steps
+    monkeypatch.setattr(dtqw, "trajectory", lambda *a: pytest.fail("the walk took a step"))
+    for bad, norm in ((2 * psi, "1.99999"), (np.zeros(8), "0.0"), (np.full(8, np.inf), "inf")):
+        with pytest.raises(ConfigError, match=f"initial state must be unit norm, got {norm}"):
+            detect_transfer(g, parse_policy("O2"), bad, (0, 2), t_max=5)
+
+
 # ----- transfer physics -----
 
 def test_hub_cycle_pst_and_period():

@@ -2,7 +2,7 @@ import concurrent.futures
 import itertools
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -188,6 +188,19 @@ def test_search_record_json_is_the_dataclass_dict():
     for rec in pst_search(4, 1, samples=40, t_max=12, seed=3):
         assert rec.to_json() == json.dumps(asdict(rec))
         assert SearchRecord.from_json(rec.to_json()) == rec
+
+
+def test_a_record_field_whose_annotation_has_no_json_type_fails_to_read():
+    # every field's JSON check comes from its annotation, so a field typed
+    # outside that table is caught when a sink is read, never misread
+    @dataclass(frozen=True)
+    class Extended(SearchRecord):
+        phase: "complex" = 0j
+
+    rec = pst_search(4, 1, samples=5, t_max=4)[0]
+    line = json.dumps(asdict(rec) | {"phase": 0})
+    with pytest.raises(KeyError, match="complex"):
+        Extended.from_json(line)
 
 
 def test_search_worker_count_does_not_change_results():

@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,3 +143,12 @@ def test_benchmark_metric_names_resolve_to_traced_code(monkeypatch):
         if not live:
             unresolved.append(name)
     assert sorted(unresolved) == sorted(DEAD_METRICS)
+
+
+def test_readme_sink_fields_are_the_search_record_fields():
+    # a verdict field added to dtqw.ScanResult reaches every sink line; README must list it too
+    from qwalk.explorer import SearchRecord
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("Each record is one line:", 1)[1].split("}`", 1)[0]
+    assert re.findall(r'"(\w+)"', listed) == [f.name for f in dataclasses.fields(SearchRecord)]
