@@ -3,8 +3,8 @@
 Subcommands: graph, dtqw, ctqw, decohere, search, robust, interp.
 Numeric options resolve from their flags, else from the defaults of
 the OPTIONS table, which also holds the range each value must lie in.
-The commands that draw random numbers (dtqw, decohere, search, robust)
-take --seed, else seed 0, so the command line is a run's whole input.
+search and robust --kind random take --seed, else seed 0; a Haar start
+(dtqw, decohere) takes its seed from its haar:K[:SEED] spec, else 0.
 Each report is a JSON file, next to a CSV series where the command has
 one; reruns with the same inputs produce byte-identical files.  Each
 mode of a command names the flags it reads once: any other flag given
@@ -78,6 +78,7 @@ OPTIONS = {
     "runs": (1000, lambda v: v >= 1, "be positive"),
     "step": (6, lambda v: v >= 1, "be positive"),
     "c_points": (11, lambda v: v >= 2, "be at least 2"),
+    "min_p": (0.0, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
 }
 
 
@@ -156,11 +157,11 @@ def _parse_complex(token: str) -> complex:
         raise ConfigError(f"bad amplitude {token!r}") from exc
 
 
-def parse_init_spec(text: str, space: ArcSpace, source: int, seed: int) -> np.ndarray:
+def parse_init_spec(text: str, space: ArcSpace, source: int) -> np.ndarray:
     """Initial arc state of shape (n_arcs,) from a spec string.
 
-    "equal" spreads the walker over the source ports, "haar:1" or
-    "haar:1:<seed>" draws one Haar-random source coin state, and a
+    "equal" spreads the walker over the source ports, "haar:1:<seed>"
+    draws one Haar-random source coin state ("haar:1" from seed 0), and a
     comma-separated amplitude list (normalized here) places explicit
     port amplitudes at the source.  Only the dtqw scan takes haar specs
     of more than one state, and it reads them with _parse_haar_spec.
@@ -168,7 +169,7 @@ def parse_init_spec(text: str, space: ArcSpace, source: int, seed: int) -> np.nd
     text = text.strip()
     if text == "equal":
         return equal_superposition(space, source)
-    haar = _parse_haar_spec(text, seed)
+    haar = _parse_haar_spec(text)
     if haar is not None:
         if haar[0] != 1:
             raise ConfigError(f"haar spec {text!r} must draw one state; only the dtqw scan takes more")
@@ -186,8 +187,8 @@ def parse_init_spec(text: str, space: ArcSpace, source: int, seed: int) -> np.nd
     return state_at_vertex(space, source, unit_vector(amps))
 
 
-def _parse_haar_spec(text: str, seed: int) -> tuple[int, int] | None:
-    """(count, seed) of a "haar:<count>[:<seed>]" spec, None for other specs."""
+def _parse_haar_spec(text: str) -> tuple[int, int] | None:
+    """(count, seed) of a "haar:<count>[:<seed>]" spec (seed 0 if not given), else None."""
     text = text.strip()
     if not text.startswith("haar:"):
         return None
@@ -195,7 +196,7 @@ def _parse_haar_spec(text: str, seed: int) -> tuple[int, int] | None:
     if len(parts) not in (2, 3):
         raise ConfigError(f"haar spec {text!r} must be haar:<count>[:<seed>]")
     try:
-        count, haar_seed = int(parts[1]), int(parts[2]) if len(parts) == 3 else seed
+        count, haar_seed = int(parts[1]), int(parts[2]) if len(parts) == 3 else 0
     except ValueError as exc:
         raise ConfigError(f"haar spec {text!r} has non-integer fields") from exc
     if count < 1:
@@ -362,10 +363,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
 def cmd_dtqw(args: argparse.Namespace) -> int:
     issues: list[str] = []
     # a haar:K spec with K > 1 scans K states and writes no series to track
-    scan = (_parse_haar_spec(args.init, 0) or (1,))[0] > 1
-    run = _read(args, ("graph", "pair", "policy", "init", "steps", "lam", "seed")
+    haar = _parse_haar_spec(args.init)
+    scan = haar is not None and haar[0] > 1
+    run = _read(args, ("graph", "pair", "policy", "init", "steps", "lam")
                 + (() if scan else ("track",)), issues, f"dtqw with --init {args.init}")
-    steps, lam, seed = run["steps"], run["lam"], run["seed"]
+    steps, lam = run["steps"], run["lam"]
     g = parse_graph_spec(run["graph"])
     pair = _parse_pair(run["pair"], g.n, issues)
     track = _parse_track(run.get("track"), pair, g.n, issues)
@@ -374,15 +376,13 @@ def cmd_dtqw(args: argparse.Namespace) -> int:
 
     policy = parse_policy(run["policy"])
     if scan:
-        samples, scan_seed = _parse_haar_spec(run["init"], seed)
-        best = max_transfer_scan(
-            g, policy, pair, samples=samples, t_max=steps, seed=scan_seed, lam=lam
-        )
+        samples, seed = haar
+        best = max_transfer_scan(g, policy, pair, samples=samples, t_max=steps, seed=seed, lam=lam)
         _emit(args, {"command": "dtqw-scan", "provenance": run,
                      **best.to_json_dict(), "samples": samples})
         return 0
 
-    psi0 = parse_init_spec(run["init"], ArcSpace.from_graph(g), pair[0], seed)
+    psi0 = parse_init_spec(run["init"], ArcSpace.from_graph(g), pair[0])
     report = detect_transfer(g, policy, psi0, pair, t_max=steps, lam=lam)
     _emit(args, {"command": "dtqw", "provenance": run, "report": report.to_json_dict()},
           ["step"] + [f"v{v}" for v in track], range(steps + 1), report.vertex_series[:, track])
@@ -410,7 +410,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     issues: list[str] = []
     model = args.model
     reads = ("graph", "pair", "model", "rate") + (
-        ("policy", "init", "basis", "rates", "steps", "seed") if model == "dt" else ("time",))
+        ("policy", "init", "basis", "rates", "steps") if model == "dt" else ("time",))
     run = _read(args, reads, issues, f"--model {model}", policy="O2", init="equal",
                 basis="coin", rate=0.0 if args.rates is None else None)
     g = parse_graph_spec(run["graph"])
@@ -442,7 +442,7 @@ def cmd_decohere(args: argparse.Namespace) -> int:
 
     policy = parse_policy(run["policy"])
     space = ArcSpace.from_graph(g)
-    psi0 = parse_init_spec(run["init"], space, pair[0], run["seed"])
+    psi0 = parse_init_spec(run["init"], space, pair[0])
     steps, basis = run["steps"], run["basis"]
 
     if rates is not None:
@@ -477,8 +477,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         issues.append("policies list is empty")
     if run["workers"] < 1:
         issues.append(f"workers must be positive, got {run['workers']}")
-    if not 0.0 <= run["min_p"] <= 1.0:
-        issues.append(f"min_p must lie in [0, 1], got {run['min_p']}")
     _raise_issues(issues)
 
     sink = args.out
@@ -579,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--graph", required=True, help="graph spec string or file")
     walk.add_argument("--pair", default="0,1", help="source,target vertices")
     track.add_argument("--track", help="comma list of vertices for the CSV columns")
-    _option(seed, "seed", "master seed")
+    _option(seed, "seed", "master seed of the Haar samples or random starts")
     _option(lam, "lam", "high-amplitude threshold")
     _option(step, "step", "readout step")
     out.add_argument("--out", help="output path stem; writes <out>.json, and <out>.csv for a series")
@@ -590,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("dtqw", help="run a coined walk and report transfer",
-                       parents=[walk, track, seed, lam, out])
+                       parents=[walk, track, lam, out])
     p.add_argument("--policy", default="O2", help="O1, O2, O3, table1:<row>, or JSON map")
     p.add_argument("--init", default="equal", help='"equal", "haar:<count>[:<seed>]", or amplitudes')
     _option(p, "steps", "number of steps")
@@ -602,8 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "dt", "scan grid spacing, at most tmax")
     p.set_defaults(func=cmd_ctqw)
 
-    p = sub.add_parser("decohere", help="evolve a dephasing walk",
-                       parents=[walk, seed, out])
+    p = sub.add_parser("decohere", help="evolve a dephasing walk", parents=[walk, out])
     p.add_argument("--model", choices=("dt", "ct"), default="dt")
     p.add_argument("--policy", help="dt model: coin policy as for dtqw (default O2)")
     p.add_argument("--init", help="dt model: initial state as for dtqw, one state (default equal)")
@@ -625,8 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "steps", "steps per cell")
     p.add_argument("--workers", type=int, help="parallel cells (default: all cores)")
     p.add_argument("--pst-only", action="store_true", help="print only exact-transfer records")
-    p.add_argument("--min-p", type=float, default=0.0,
-                   help="print only records at or above this probability")
+    _option(p, "min_p", "print only records at or above this probability")
     p.add_argument("--out", help="JSON-lines sink; existing records are not recomputed")
     p.set_defaults(func=cmd_search)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwalk.dtqw import PST_TOL, peak_step, report_json
-from qwalk.errors import ConfigError, ToleranceError, check_table
+from qwalk.errors import ConfigError, ToleranceError, check_table, check_vertices
 from qwalk.graphs import Graph
 
 __all__ = [
@@ -134,6 +134,7 @@ def detect_transfer_ct(
     lam: float = 0.9,
 ) -> CtTransferReport:
     """Scan [0, t_max] for transfer and periodicity of the continuous walk."""
+    check_vertices(g.n, pair)
     source, target = pair
     spec = Spectrum.from_graph(g)
     psi0 = np.zeros(g.n, dtype=complex)

@@ -51,7 +51,7 @@ import numpy as np
 
 from qwalk.arcs import ArcSpace
 from qwalk.dtqw import StepOperator, build_step_operator
-from qwalk.errors import ConfigError, ToleranceError, check_work
+from qwalk.errors import ConfigError, ToleranceError, check_vertices, check_work
 from qwalk.graphs import Graph
 
 __all__ = [
@@ -115,6 +115,11 @@ def validate_density(rho: np.ndarray) -> None:
         raise ToleranceError(f"density matrix lost positivity (min eigenvalue {lo:.3e})")
 
 
+def _step_work(op: StepOperator) -> int:
+    """Work units of one density step, m^2 d for m arcs and largest degree d."""
+    return op.space.n_arcs**2 * int(np.diff(op.space.offsets).max())
+
+
 def density_steps(
     rho0: np.ndarray, op: StepOperator, noise: NoiseModel, steps: int
 ) -> Iterator[np.ndarray]:
@@ -123,8 +128,11 @@ def density_steps(
     Each step is ``op.conjugate`` followed by an in-place product with
     the dephasing weight (1 - p) + p mask, which is exactly 1 at p = 0.
     Each matrix is yielded as soon as it is computed and not kept; the
-    last one is first checked with ``validate_density``.
+    last one is first checked with ``validate_density``.  Before the
+    first step, a walk of more than ``check_work``'s limit in steps x
+    m^2 d (see ``target_probability_vs_rate``) raises ConfigError.
     """
+    check_work("the density walk's steps x arcs^2 x degree", steps * _step_work(op))
     p = noise.rate
     weight = (1.0 - p) + p * dephasing_mask(op.space, noise.basis)
     rho = np.asarray(rho0, dtype=complex)
@@ -208,6 +216,7 @@ def classical_walk(g: Graph, start, steps: int) -> np.ndarray:
     the vertices (non-negative, summing to one).
     """
     if np.isscalar(start):
+        check_vertices(g.n, [start], "start vertex")
         dist = np.zeros(g.n)
         dist[int(start)] = 1.0
     else:
@@ -245,9 +254,9 @@ def target_probability_vs_rate(
     The work is rates x step x m^2 d for m arcs and largest degree d: a
     density step is a product of d x d coin blocks with m x m matrices.
     """
+    check_vertices(g.n, pair)
     op = build_step_operator(g, policy)
-    m, d = op.space.n_arcs, int(np.diff(op.space.offsets).max())
-    check_work("the rate sweep's rates x steps x arcs^2 x degree", len(rates) * step * m * m * d)
+    check_work("the rate sweep's rates x steps x arcs^2 x degree", len(rates) * step * _step_work(op))
     rho0 = density_from_state(init)
     probs = np.empty(len(rates))
     for i, p in enumerate(np.asarray(rates, dtype=float)):

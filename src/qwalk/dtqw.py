@@ -37,7 +37,7 @@ import numpy as np
 
 from qwalk.arcs import ArcSpace
 from qwalk.coins import CoinPolicy, ExplicitMap
-from qwalk.errors import ConfigError, ToleranceError, check_table
+from qwalk.errors import ConfigError, ToleranceError, check_table, check_vertices
 from qwalk.graphs import Graph
 
 __all__ = [
@@ -291,6 +291,7 @@ def detect_transfer(
     off 1 by more than 1e-9 raises ConfigError before the first step; one
     holding NaN walks on and fails the norm drift check (ToleranceError).
     """
+    check_vertices(g.n, pair)
     op = build_step_operator(g, policy)
     source, target = pair
     psi0 = np.asarray(init, dtype=complex)
@@ -350,6 +351,7 @@ def target_block_powers(
     amplitudes at the target; its largest singular value reaching one
     certifies a perfectly transferring initial coin state at that step.
     """
+    check_vertices(len(op.space.offsets) - 1, pair)
     source, target = pair
     cols = _port_columns(op.space, [source])
     return trajectory(op, cols, t_max)[1:, op.space.vertex_slice(target)]
@@ -424,6 +426,7 @@ def block_scan(
     eigvalsh adds an error of order d u.
     """
     space = op.space
+    check_vertices(len(space.offsets) - 1, [v for pair in pairs for v in pair])
     check_table("scan steps", t_max, len(pairs))
     offsets = np.cumsum([0] + [space.degree(src) for src, _ in pairs])
     # a step never folded keeps -inf: it cannot be the best or tie with it
@@ -490,6 +493,7 @@ def max_transfer_scan(
     ``block_scan``.  ``max_step`` is the earliest step whose best
     probability is within ``TIE_TOL`` of ``max_probability``.
     """
+    check_vertices(g.n, pair)
     op = build_step_operator(g, policy)
     states = haar_states(op.space.degree(pair[0]), samples, seed)
     return block_scan(op, [pair], [states], t_max, lam)[0]

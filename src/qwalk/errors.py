@@ -1,4 +1,5 @@
-"""Shared exception types and the limits on what one run may build or do."""
+"""Shared exception types, the limits on what one run may build or do,
+and the vertex-range check of every entry point that takes a vertex."""
 
 import math
 
@@ -38,3 +39,11 @@ def check_work(what: str, units: float) -> None:
     """Refuse, before its first step, a run of more than WORK_LIMIT work units."""
     if units > WORK_LIMIT:
         raise ConfigError(f"{what} needs {_count(units)} work units, over the limit of {WORK_LIMIT:,}")
+
+
+def check_vertices(n: int, vertices, what: str = "pair vertex") -> None:
+    """Refuse a vertex outside 0..n-1: numpy would read a negative index as
+    vertex n + v without a word, and end in IndexError on one of n or more."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ConfigError(f"{what} {v} outside 0..{n - 1}")

@@ -519,6 +519,8 @@ def robustness_sweep(
     mags = np.asarray(list(magnitudes if magnitudes is not None else []), dtype=float)
     if kind != "random" and mags.size == 0:
         raise ConfigError(f"robustness kind {kind!r} needs a magnitude grid")
+    if kind == "random" and runs < 1:
+        raise ConfigError(f"runs must be positive, got {runs}")
     last = 1.0 - mags if kind == "defect" else np.exp(1j * mags)
     rows = runs if kind == "random" else mags.size
     out = np.empty((len(n_values), 1 if kind == "random" else rows))

@@ -19,6 +19,7 @@ import qwalk.cli
 import qwalk.dtqw
 from qwalk.cli import main, parse_graph_spec, parse_init_spec
 from qwalk.arcs import ArcSpace
+from qwalk.coins import parse_policy
 from qwalk.errors import ConfigError
 from qwalk.explorer import INTERP_CHAINS, interpolation_sweep
 from qwalk.graphs import Cycle, Edgeless, Join, build, graph_from_json
@@ -92,21 +93,21 @@ def test_hub_join_of_300_still_builds(capsys):
 def test_parse_init_specs():
     g = build(Cycle(4))
     space = ArcSpace.from_graph(g)
-    eq = parse_init_spec("equal", space, 0, seed=0)
+    eq = parse_init_spec("equal", space, 0)
     assert eq.shape == (space.n_arcs,)
-    haar = parse_init_spec("haar:1:3", space, 0, seed=0)
+    haar = parse_init_spec("haar:1:3", space, 0)
     assert haar.shape == (space.n_arcs,)
     assert np.isclose(np.linalg.norm(haar), 1.0)
     with pytest.raises(ConfigError, match="must draw one state"):
-        parse_init_spec("haar:5:3", space, 0, seed=0)
-    amps = parse_init_spec("1,1", space, 0, seed=0)
+        parse_init_spec("haar:5:3", space, 0)
+    amps = parse_init_spec("1,1", space, 0)
     assert np.allclose(np.linalg.norm(amps), 1.0)
     with pytest.raises(ConfigError, match="2 ports but 3"):
-        parse_init_spec("1,0,0", space, 0, seed=0)
+        parse_init_spec("1,0,0", space, 0)
     with pytest.raises(ConfigError, match="bad amplitude"):
-        parse_init_spec("1,spam", space, 0, seed=0)
+        parse_init_spec("1,spam", space, 0)
     with pytest.raises(ConfigError, match="haar spec"):
-        parse_init_spec("haar:2:3:4:5", space, 0, seed=0)
+        parse_init_spec("haar:2:3:4:5", space, 0)
 
 
 # ----- exit codes -----
@@ -221,6 +222,28 @@ def test_dtqw_haar_scan_draws_states_once(tmp_path, monkeypatch):
     assert calls == [(3, 40, 9)]
 
 
+@pytest.mark.parametrize("spec, seed", [("haar:300", 0), ("haar:300:7", 7)])
+def test_a_haar_scan_takes_its_seed_from_its_spec_alone(spec, seed, capsys):
+    argv = ["dtqw", "--graph", "cycle n=6", "--pair", "0,2", "--init", spec, "--steps", "12"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    scan = qwalk.dtqw.max_transfer_scan(build(Cycle(6)), parse_policy("O2"), (0, 2),
+                                        samples=300, t_max=12, seed=seed)
+    assert {k: report[k] for k in scan.to_json_dict()} == json.loads(json.dumps(scan.to_json_dict()))
+
+
+@pytest.mark.parametrize("argv", [
+    ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--init", "haar:1:5", "--steps", "4"],
+    ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--init", "haar:20:5", "--steps", "4"],
+    ["decohere", "--graph", "cycle n=4", "--pair", "0,2", "--init", "haar:1:5", "--steps", "4"],
+], ids=["dtqw", "dtqw-scan", "decohere"])
+def test_a_haar_start_records_its_seed_in_its_init_alone(argv, capsys):
+    assert main(argv) == 0
+    provenance = json.loads(capsys.readouterr().out)["provenance"]
+    assert "seed" not in provenance
+    assert provenance["init"].endswith(":5")
+
+
 # ----- other commands -----
 
 @pytest.mark.parametrize("argv", [
@@ -265,10 +288,11 @@ BAD_OPTIONS = {
     "lam": (DTQW, 1.5, "lie in (0, 1]"),
     "tmax": (CTQW, -1.0, "be positive and finite"),
     "dt": (CTQW, 0.0, "be positive"),
-    "seed": (DTQW, -1, "be non-negative"),
+    "seed": (ROBUST, -1, "be non-negative"),
     "runs": (ROBUST, 0, "be positive"),
     "step": (ROBUST, 0, "be positive"),
     "c_points": (INTERP, 1, "be at least 2"),
+    "min_p": (SEARCH, 2.0, "lie in [0, 1]"),
 }
 
 
@@ -904,7 +928,11 @@ def test_tables_over_the_limit_are_refused_before_allocation(argv, table, tmp_pa
     (["decohere", "--graph", "cycle n=4", "--pair", "0,2", "--rates", "0.1,0.2",
       "--steps", "1" + "0" * 400],
      "the rate sweep's rates x steps x arcs^2 x degree needs 2.56e+402 work units"),
-], ids=["decohere-ct-time", "decohere-rates-steps", "decohere-rates-steps-1e400"])
+    # one rate: 6000 density steps on 216 arcs of degree 36, seconds over the budget
+    (["decohere", "--graph", "join k2c n=36", "--pair", "0,1", "--rate", "0.1", "--steps", "6000"],
+     "the density walk's steps x arcs^2 x degree needs 10,077,696,000 work units"),
+], ids=["decohere-ct-time", "decohere-rates-steps", "decohere-rates-steps-1e400",
+        "decohere-rate-steps"])
 def test_work_over_the_budget_is_refused_at_once(argv, work, tmp_path):
     started = time.monotonic()
     done = _run_in_1_5_gb(argv + ["--out", str(tmp_path / "r")])
@@ -979,8 +1007,13 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
     (["search", "--min-p", "nan"], "min_p must lie in [0, 1], got nan"),
     (["search", "--min-p", "7"], "min_p must lie in [0, 1], got 7.0"),
     (["search", "--min-p", "-0.5"], "min_p must lie in [0, 1], got -0.5"),
-    (["decohere", "--model", "ct", "--graph", "cycle n=4", "--time", "1", "--seed", "-5"],
-     "--seed is not read by --model ct"),
+    # a Haar start takes its seed from its spec, so no walk command takes --seed
+    (["decohere", "--model", "ct", "--graph", "cycle n=4", "--time", "1", "--seed", "5"],
+     "unrecognized arguments: --seed 5"),
+    (["decohere", "--graph", "cycle n=4", "--init", "haar:1", "--seed", "5"],
+     "unrecognized arguments: --seed 5"),
+    (["dtqw", "--graph", "cycle n=4", "--init", "haar:1", "--seed", "5"],
+     "unrecognized arguments: --seed 5"),
     (["dtqw", "--graph", "cycle n=4", "--init", "haar:20", "--track", "1,3"],
      "--track is not read by dtqw with --init haar:20"),
     (["dtqw", "--graph", "cycle n=4", "--init", "haar:0"],
@@ -997,7 +1030,8 @@ def test_dtqw_scan_caps_probabilities_at_one(capsys):
         "join-two-kinds", "join-kind-last", "random-negative-n", "defect-negative-n",
         "track-empty", "interp-n-twice", "defect-n-twice", "track-twice", "magnitudes-twice",
         "rates-twice", "c-grid-twice", "min-p-nan", "min-p-over-1", "min-p-negative",
-        "ct-seed", "scan-track", "haar-zero", "haar-negative", "decohere-haar-zero"])
+        "ct-seed", "decohere-seed", "dtqw-seed", "scan-track", "haar-zero", "haar-negative",
+        "decohere-haar-zero"])
 def test_every_refusal_exits_1_with_its_message(argv, message, tmp_path, capsys):
     (tmp_path / "twice.json").write_text('{"n": 3, "edges": [[0, 1, 1], [1, 0, 2.5], [1, 2, 1]], '
                                          '"loops": []}')
@@ -1020,16 +1054,16 @@ def _rerun_argv(report: dict) -> list[str]:
 
 
 @pytest.mark.parametrize("argv", [
-    # the scan draws its 50 states from seed 7, not from the master seed
+    # the scan draws its 50 states from the seed of its spec, 7
     ["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--init", "haar:50:7", "--steps", "8",
      "--lam", "1"],
-    ["decohere", "--graph", "join k2c n=3", "--pair", "1,0", "--init", "haar:1", "--seed", "5",
+    ["decohere", "--graph", "join k2c n=3", "--pair", "1,0", "--init", "haar:1:5",
      "--policy", "O1", "--basis", "position", "--rate", "0.2", "--steps", "6"],
-    ["decohere", "--graph", "join k2c n=3", "--pair", "1,0", "--init", "haar:1", "--seed", "5",
+    ["decohere", "--graph", "join k2c n=3", "--pair", "1,0", "--init", "haar:1:5",
      "--rates", "0,0.3", "--steps", "6"],
     ["decohere", "--model", "ct", "--graph", "cycle n=4", "--pair", "1,3", "--rate", "0.1",
      "--time", "1"],
-    ["dtqw", "--graph", "join k2c n=4", "--pair", "1,0", "--init", "haar:1", "--seed", "3",
+    ["dtqw", "--graph", "join k2c n=4", "--pair", "1,0", "--init", "haar:1:3",
      "--policy", "O3", "--steps", "9", "--lam", "0.7", "--track", "3,1,5"],
     ["ctqw", "--graph", "join k2k n=3", "--pair", "0,1", "--tmax", "3", "--dt", "0.25",
      "--lam", "0.8", "--track", "4,0"],
@@ -1064,6 +1098,7 @@ READ_MODES = {
                     "--time", "1"],
     "robust-random": ["robust", "--kind", "random", "--n", "3", "--runs", "5"],
     "robust-defect": ["robust", "--kind", "defect", "--n", "3", "--magnitudes", "0.5"],
+    "robust-phase": ["robust", "--kind", "phase", "--n", "3", "--magnitudes", "0.5"],
     "interp-points": ["interp", "--n", "3"],
     "interp-grid": ["interp", "--n", "3", "--c-grid", "0,1"],
 }
@@ -1186,3 +1221,62 @@ def test_readme_option_table_matches_the_parser():
         rows[key.strip("`")] = (float(default), commands)
     readers = _option_readers()
     assert rows == {key: (float(spec[0]), readers[key]) for key, spec in qwalk.cli.OPTIONS.items()}
+
+
+# Each mode row of README's "modes with flags they do not read" table, by its
+# mode cell: each READ_MODES command line that runs it, with the mode's name
+# in a refusal
+README_MODES = {
+    "`dtqw` walk": {"dtqw-walk": "dtqw with --init equal"},
+    "`dtqw` scan (`--init haar:K`, K > 1)": {"dtqw-scan": "dtqw with --init haar:5:1"},
+    "`decohere --model dt` (the default)": {"decohere-dt": "--model dt"},
+    "`decohere --model ct`": {"decohere-ct": "--model ct"},
+    "`robust --kind random`": {"robust-random": "--kind random"},
+    "`robust --kind defect` or `phase`": {"robust-defect": "--kind defect",
+                                          "robust-phase": "--kind phase"},
+    "`interp` with `--c-grid`": {"interp-grid": "interp with --c-grid"},
+}
+
+
+def _readme_mode_rows():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("modes with flags they do not read:", 1)[1].split("\n\n")[1]
+    for line in table.splitlines()[2:]:
+        mode, reads, refuses = (cell.strip() for cell in line.strip("|").split("|"))
+        yield mode, re.findall(r"`(--[a-z-]+)`", reads), re.findall(r"`(--[a-z-]+)`", refuses)
+
+
+def _readme_mode_cases():
+    for mode, reads, refuses in _readme_mode_rows():
+        for key, name in README_MODES[mode].items():
+            for flag in reads + refuses:
+                refused = name if flag in refuses else None
+                yield pytest.param(key, flag, refused, id=f"{key}{flag}")
+
+
+def test_readme_mode_table_names_every_flag_of_its_modes():
+    sub = next(a for a in qwalk.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    rows = list(_readme_mode_rows())
+    assert [mode for mode, _, _ in rows] == list(README_MODES)
+    for mode, reads, refuses in rows:
+        command = READ_MODES[next(iter(README_MODES[mode]))][0]
+        # decohere's --dt is read by no model, and README says so apart
+        flags = {f for a in sub.choices[command]._actions for f in a.option_strings
+                 if f.startswith("--") and f not in ("--help", "--out", "--dt")}
+        assert sorted(reads + refuses) == sorted(flags), mode
+        assert not set(reads) & set(refuses), mode
+
+
+@pytest.mark.parametrize("key, flag, refused", _readme_mode_cases())
+def test_readme_mode_table_matches_what_each_mode_reads(key, flag, refused, capsys):
+    argv = READ_MODES[key]
+    dest = flag[2:].replace("-", "_")
+    value = argv[argv.index(flag) + 1] if flag in argv else READ_VALUES[dest]
+    code = main(_without(argv, flag) + [flag, value])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 1
+        assert f"{flag} is not read by {refused}" in err
+    else:
+        assert code == 0, err

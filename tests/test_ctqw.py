@@ -313,3 +313,10 @@ def test_refined_maxima_are_local_maxima(g, data):
     for step in (-1e-7, 1e-7):
         near = np.abs(evolve_ct_many(spec, psi0, peak_t + step)[:, v]) ** 2
         assert np.all(peak_p >= near - 1e-15)
+
+
+@pytest.mark.parametrize("pair, vertex", [((0, -1), -1), ((5, 0), 5)],
+                         ids=["negative", "past-n"])
+def test_detect_transfer_ct_refuses_a_vertex_outside_the_graph(pair, vertex):
+    with pytest.raises(ConfigError, match=rf"^pair vertex {vertex} outside 0\.\.4$"):
+        detect_transfer_ct(build(Path(5)), pair, t_max=2.0)

@@ -273,6 +273,13 @@ def test_work_at_the_budget_runs_and_more_is_refused(monkeypatch):
     target_probability_vs_rate(g, parse_policy("O2"), init, (0, 2), np.array([0.0, 0.5]), 3)
     with pytest.raises(ConfigError, match="needs 1,024 work units, over the limit of 768"):
         target_probability_vs_rate(g, parse_policy("O2"), init, (0, 2), np.array([0.0, 0.5]), 4)
+    # one density walk: the same units per step, refused on its first draw
+    op, rho0 = build_step_operator(g, parse_policy("O2")), density_from_state(init)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 3 * 8**2 * 2)
+    evolve_density(rho0, op, NoiseModel("coin", 0.5), 3)
+    with pytest.raises(ConfigError, match="density walk's .* needs 512 work units, over the limit "
+                                          "of 384"):
+        next(density_steps(rho0, op, NoiseModel("coin", 0.5), 4))
 
 
 def test_noise_model_refuses_an_unknown_basis_and_a_rate_outside_0_1():
@@ -381,3 +388,19 @@ def test_rate_sweep_reads_the_last_density_step():
     for rate, got in zip(rates, sweep):
         *_, rho = density_steps(rho0, op, NoiseModel("position", float(rate)), 9)
         assert got == np.real(np.trace(rho[sl, sl]))
+
+
+@pytest.mark.parametrize("pair, vertex", [((0, -1), -1), ((0, 5), 5)],
+                         ids=["negative", "past-n"])
+def test_target_probability_vs_rate_refuses_a_vertex_outside_the_graph(pair, vertex):
+    g = build(Cycle(5))
+    psi0 = equal_superposition(ArcSpace.from_graph(g), 0)
+    with pytest.raises(ConfigError, match=rf"^pair vertex {vertex} outside 0\.\.4$"):
+        target_probability_vs_rate(g, parse_policy("O2"), psi0, pair, np.array([0.1]), step=3)
+
+
+@pytest.mark.parametrize("start", [-1, 5], ids=["negative", "past-n"])
+def test_classical_walk_refuses_a_start_outside_the_graph(start):
+    with pytest.raises(ConfigError, match=rf"^start vertex {start} outside 0\.\.4$"):
+        classical_walk(build(Cycle(5)), start, 3)
+

@@ -529,3 +529,25 @@ def test_detect_transfer_pieces_agree_with_one_pass(monkeypatch):
     assert np.array_equal(whole.vertex_series, pieces.vertex_series)
     assert np.array_equal(whole.fidelity_series, pieces.fidelity_series)
     assert whole.to_json_dict() == pieces.to_json_dict()
+
+
+# each entry point that takes a pair, called with a vertex outside 0..4 of path n=5
+PAIR_ENTRY_POINTS = {
+    "detect_transfer": lambda g, op, pair: detect_transfer(
+        g, parse_policy("O2"), equal_superposition(op.space, 0), pair, t_max=8),
+    "max_transfer_scan": lambda g, op, pair: max_transfer_scan(
+        g, parse_policy("O2"), pair, samples=10, t_max=8),
+    "block_scan": lambda g, op, pair: block_scan(
+        op, [pair], [haar_states(1, 10, 0)], t_max=8, lam=0.9),
+    "target_block_powers": lambda g, op, pair: target_block_powers(op, pair, 4),
+}
+
+
+@pytest.mark.parametrize("pair, vertex", [((0, -1), -1), ((0, 5), 5), ((-1, 0), -1)],
+                         ids=["negative-target", "target-past-n", "negative-source"])
+@pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS)
+def test_pair_entry_points_refuse_a_vertex_outside_the_graph(entry, pair, vertex):
+    g = build(Path(5))
+    op = build_step_operator(g, parse_policy("O2"))
+    with pytest.raises(ConfigError, match=rf"^pair vertex {vertex} outside 0\.\.4$"):
+        PAIR_ENTRY_POINTS[entry](g, op, pair)

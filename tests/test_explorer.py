@@ -535,6 +535,12 @@ def test_random_sweep_frozen_and_seeded():
     assert np.array_equal(res, again)
 
 
+def test_random_sweep_refuses_zero_runs():
+    # the mean of no draws would be NaN
+    with pytest.raises(ConfigError, match="^runs must be positive, got 0$"):
+        robustness_sweep("random", [3], runs=0)
+
+
 def test_random_sweep_value_independent_of_listing():
     alone = robustness_sweep("random", [8], runs=200, seed=3)
     grouped = robustness_sweep("random", [3, 8], runs=200, seed=3)
