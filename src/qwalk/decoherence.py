@@ -50,7 +50,7 @@ from typing import Iterator
 import numpy as np
 
 from qwalk.arcs import ArcSpace
-from qwalk.dtqw import StepOperator, build_step_operator
+from qwalk.dtqw import StepOperator, _real_if_real, build_step_operator
 from qwalk.errors import ConfigError, ToleranceError, check_vertices, check_work
 from qwalk.graphs import Graph
 
@@ -99,7 +99,8 @@ def dephasing_mask(space: ArcSpace, basis: str) -> np.ndarray:
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
+    """|psi><psi|, float64 when psi's values are real (``dtqw._real_if_real``)."""
+    psi = _real_if_real(psi)
     return np.outer(psi, psi.conj())
 
 
@@ -130,12 +131,13 @@ def density_steps(
     Each matrix is yielded as soon as it is computed and not kept; the
     last one is first checked with ``validate_density``.  Before the
     first step, a walk of more than ``check_work``'s limit in steps x
-    m^2 d (see ``target_probability_vs_rate``) raises ConfigError.
+    m^2 d (see ``target_probability_vs_rate``) raises ConfigError.  A real
+    rho0 under a real U is stepped in float64, whatever dtype it arrives in.
     """
     check_work("the density walk's steps x arcs^2 x degree", steps * _step_work(op))
     p = noise.rate
     weight = (1.0 - p) + p * dephasing_mask(op.space, noise.basis)
-    rho = np.asarray(rho0, dtype=complex)
+    rho = _real_if_real(rho0)
     for _ in range(steps):
         yield rho
         rho = op.conjugate(rho)

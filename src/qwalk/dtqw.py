@@ -19,6 +19,14 @@ blocks on first use, to a block of columns and never forms a power of
 U.  A step picked from a series is the earliest within ``TIE_TOL`` of
 the series maximum.
 
+Values decide the arithmetic, with no switch: a U whose coin blocks
+have no imaginary part is stored as float64, and so is a start whose
+values are real, whatever dtype it arrives in (``_real_if_real``).  A
+real walk, such as a Grover-family coin from the equal superposition, is
+then stepped in real arithmetic, a quarter of the flops of the complex
+product; each product takes the ``np.result_type`` of its operands, so a
+complex coin or a Haar start walks in complex128 through the same code.
+
 A Haar scan (``block_scan``) bounds every sample's arrival probability
 at step t by the top eigenvalue of that step's Gram matrix, which it
 computes anyway for the PST certificate, and evaluates the samples only
@@ -37,7 +45,7 @@ import numpy as np
 
 from qwalk.arcs import ArcSpace
 from qwalk.coins import CoinPolicy, ExplicitMap
-from qwalk.errors import ConfigError, ToleranceError, check_table, check_vertices
+from qwalk.errors import ConfigError, ToleranceError, check_count, check_table, check_vertices
 from qwalk.graphs import Graph
 
 __all__ = [
@@ -84,11 +92,16 @@ class StepOperator:
     space: ArcSpace
     runs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 when the coin blocks are real (or there are none), else complex128."""
+        return np.result_type(float, *(blocks for _, _, blocks, _ in self.runs))
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense U: each block scattered into U[reverse[arcs], arcs]."""
         m = self.space.n_arcs
-        u = np.zeros((m, m), dtype=complex)
+        u = np.zeros((m, m), dtype=self.dtype)
         arcs = np.arange(m)
         for lo, hi, blocks, _ in self.runs:
             k, d, _ = blocks.shape
@@ -102,10 +115,10 @@ class StepOperator:
         each side, each followed by a gather along ``space.reverse``.
         """
         m = self.space.n_arcs
-        rho = np.asarray(rho, dtype=complex)
+        rho = np.asarray(rho)
         # both products write into one buffer, so that the step's working
         # set stays at four m x m arrays
-        work = np.empty((m, m), dtype=complex)
+        work = np.empty((m, m), dtype=np.result_type(self.dtype, rho))
         for lo, hi, blocks, _ in self.runs:
             k, d, _ = blocks.shape
             np.matmul(blocks, rho[lo:hi].reshape(k, d, m), out=work[lo:hi].reshape(k, d, m))
@@ -126,7 +139,8 @@ def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
     """U = S C from one coin block per vertex, in arc order.
 
     Since S is a permutation, U^H U = C^H C, so unitarity is checked on
-    the blocks: max |B^H B - I| per run, and a NaN fails the check.  The
+    the blocks: max |B^H B - I| per run, and a NaN fails the check.  U is
+    stored as float64 when no block has an imaginary part.  The
     graph is first checked: the arcs read only which edges exist, so a
     weighted graph raises rather than walk as if unweighted.  So does an
     explicit coin map key that names no vertex, whose coin no walk reads.
@@ -146,11 +160,15 @@ def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
         if block.shape != (d, d):
             raise ConfigError(f"vertex {v}: coin block is {block.shape}, expected ({d}, {d})")
         blocks.append(block)
+    # a vertex of degree 0 owns no arcs, so its empty block joins no run
+    stacks = [np.array(list(group)) for _, group in itertools.groupby(
+        (b for b in blocks if b.size), key=len)]
+    if not any(stack.imag.any() for stack in stacks):
+        stacks = [np.ascontiguousarray(stack.real) for stack in stacks]
     runs = []
     lo = 0
-    # a vertex of degree 0 owns no arcs, so its empty block joins no run
-    for d, group in itertools.groupby((b for b in blocks if b.size), key=len):
-        stack = np.array(list(group))
+    for stack in stacks:
+        d = stack.shape[1]
         adjoints = np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
         defect = np.abs(adjoints @ stack - np.eye(d)).max()
         if not defect <= UNITARITY_TOL:
@@ -164,15 +182,24 @@ def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
 def state_at_vertex(space: ArcSpace, v: int, amplitudes: Sequence[complex]) -> np.ndarray:
     """State with the given port amplitudes at v and zero elsewhere."""
     d = space.degree(v)
-    amps = np.asarray(list(amplitudes), dtype=complex)
+    amps = _real_if_real(list(amplitudes))
     if amps.shape != (d,):
         raise ConfigError(f"vertex {v} has {d} ports, got {amps.shape[0]} amplitudes")
     norm = np.linalg.norm(amps)
     if not abs(norm - 1.0) <= 1e-9:
         raise ConfigError(f"initial amplitudes must be unit norm, got {norm}")
-    psi = np.zeros(space.n_arcs, dtype=complex)
+    psi = np.zeros(space.n_arcs, dtype=amps.dtype)
     psi[space.vertex_slice(v)] = amps
     return psi
+
+
+def _real_if_real(x) -> np.ndarray:
+    """x as float64 when none of its values has an imaginary part (of any
+    dtype), else as complex128: the dtype rule of every start."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and x.imag.any():
+        return x.astype(complex, copy=False)
+    return np.ascontiguousarray(x.real, dtype=float)
 
 
 def equal_superposition(space: ArcSpace, v: int) -> np.ndarray:
@@ -205,12 +232,14 @@ def trajectory(op: StepOperator, cols: np.ndarray, t_max: int) -> np.ndarray:
 
     ``cols`` is an (m, k) block, such as the identity columns of a
     vertex's ports, or a single state of shape (m,).  Each step is one
-    product with U, so no m x m power is ever formed.
+    product with U, so no m x m power is ever formed.  The table takes
+    the ``np.result_type`` of U and ``cols``, and U is cast to it once.
     """
-    u = op.matrix
-    cols = np.asarray(cols, dtype=complex)
+    cols = np.asarray(cols)
+    dtype = np.result_type(op.dtype, cols)
+    u = op.matrix.astype(dtype, copy=False)
     check_table("trajectory", t_max + 1, cols.size)
-    out = np.empty((t_max + 1,) + cols.shape, dtype=complex)
+    out = np.empty((t_max + 1,) + cols.shape, dtype=dtype)
     out[0] = cols
     for t in range(t_max):
         np.matmul(u, out[t], out=out[t + 1])
@@ -291,10 +320,11 @@ def detect_transfer(
     off 1 by more than 1e-9 raises ConfigError before the first step; one
     holding NaN walks on and fails the norm drift check (ToleranceError).
     """
+    check_count("t_max", t_max)
     check_vertices(g.n, pair)
     op = build_step_operator(g, policy)
     source, target = pair
-    psi0 = np.asarray(init, dtype=complex)
+    psi0 = _real_if_real(init)
     if psi0.shape != (op.space.n_arcs,):
         raise ConfigError(
             f"initial state has {psi0.shape} entries, arc space has {op.space.n_arcs}"
@@ -337,7 +367,7 @@ def detect_transfer(
 def _port_columns(space: ArcSpace, vertices: Sequence[int]) -> np.ndarray:
     """Identity columns of the ports of the given vertices, in that order."""
     arcs = [a for v in vertices for a in space.ports(v)]
-    cols = np.zeros((space.n_arcs, len(arcs)), dtype=complex)
+    cols = np.zeros((space.n_arcs, len(arcs)))
     cols[arcs, range(len(arcs))] = 1.0
     return cols
 
@@ -425,6 +455,7 @@ def block_scan(
     1.5e-11 at d = 255 and stays under 1e-9 up to d of about 2000;
     eigvalsh adds an error of order d u.
     """
+    check_count("t_max", t_max)
     space = op.space
     check_vertices(len(space.offsets) - 1, [v for pair in pairs for v in pair])
     check_table("scan steps", t_max, len(pairs))
@@ -493,6 +524,8 @@ def max_transfer_scan(
     ``block_scan``.  ``max_step`` is the earliest step whose best
     probability is within ``TIE_TOL`` of ``max_probability``.
     """
+    check_count("samples", samples)
+    check_count("t_max", t_max)
     check_vertices(g.n, pair)
     op = build_step_operator(g, policy)
     states = haar_states(op.space.degree(pair[0]), samples, seed)

@@ -41,6 +41,13 @@ def check_work(what: str, units: float) -> None:
         raise ConfigError(f"{what} needs {_count(units)} work units, over the limit of {WORK_LIMIT:,}")
 
 
+def check_count(what: str, value: int) -> None:
+    """Refuse a count below one (steps, samples, runs) before any work: an
+    empty table would end in numpy's error, or in a silent empty answer."""
+    if not value >= 1:
+        raise ConfigError(f"{what} must be positive, got {value}")
+
+
 def check_vertices(n: int, vertices, what: str = "pair vertex") -> None:
     """Refuse a vertex outside 0..n-1: numpy would read a negative index as
     vertex n + v without a word, and end in IndexError on one of n or more."""

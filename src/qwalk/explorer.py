@@ -47,7 +47,7 @@ from qwalk.dtqw import (
     unit_vector,
     vertex_probability,
 )
-from qwalk.errors import ConfigError, check_table
+from qwalk.errors import ConfigError, check_count, check_table
 from qwalk.graphs import JOIN_FAMILIES, Cycle, Edgeless, Graph, Join, adjacency, build, canonical_key
 
 __all__ = [
@@ -519,8 +519,9 @@ def robustness_sweep(
     mags = np.asarray(list(magnitudes if magnitudes is not None else []), dtype=float)
     if kind != "random" and mags.size == 0:
         raise ConfigError(f"robustness kind {kind!r} needs a magnitude grid")
-    if kind == "random" and runs < 1:
-        raise ConfigError(f"runs must be positive, got {runs}")
+    if kind == "random":
+        check_count("runs", runs)
+    check_count("step", step)
     last = 1.0 - mags if kind == "defect" else np.exp(1j * mags)
     rows = runs if kind == "random" else mags.size
     out = np.empty((len(n_values), 1 if kind == "random" else rows))
@@ -577,6 +578,7 @@ def interpolation_sweep(
         raise ConfigError(
             f"interpolation chain must be one of {tuple(INTERP_CHAINS)}, got {chain!r}"
         )
+    check_count("step", step)
     n_values = tuple(int(n) for n in n_values)
     cs = np.asarray(list(c_grid), dtype=float)
     out = np.empty((len(n_values), cs.size))

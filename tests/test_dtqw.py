@@ -551,3 +551,29 @@ def test_pair_entry_points_refuse_a_vertex_outside_the_graph(entry, pair, vertex
     op = build_step_operator(g, parse_policy("O2"))
     with pytest.raises(ConfigError, match=rf"^pair vertex {vertex} outside 0\.\.4$"):
         PAIR_ENTRY_POINTS[entry](g, op, pair)
+
+
+# each entry point with a count of zero, and the rule its refusal names
+ZERO_COUNTS = {
+    "detect_transfer t_max": (lambda g, op: detect_transfer(
+        g, parse_policy("O2"), equal_superposition(op.space, 0), (0, 2), t_max=0), "t_max"),
+    "block_scan t_max": (lambda g, op: block_scan(
+        op, [(0, 2)], [haar_states(2, 10, 0)], t_max=0, lam=0.9), "t_max"),
+    "max_transfer_scan t_max": (lambda g, op: max_transfer_scan(
+        g, parse_policy("O2"), (0, 2), samples=10, t_max=0), "t_max"),
+    "max_transfer_scan samples": (lambda g, op: max_transfer_scan(
+        g, parse_policy("O2"), (0, 2), samples=0, t_max=8), "samples"),
+}
+
+
+@pytest.mark.parametrize("entry", ZERO_COUNTS)
+def test_entry_points_refuse_a_zero_count_before_any_work(entry, monkeypatch):
+    import qwalk.dtqw as dtqw
+
+    g = build(Cycle(4))
+    op = build_step_operator(g, parse_policy("O2"))
+    call, name = ZERO_COUNTS[entry]
+    for work in ("build_step_operator", "haar_states", "trajectory"):
+        monkeypatch.setattr(dtqw, work, lambda *a, **k: pytest.fail("work before the count check"))
+    with pytest.raises(ConfigError, match=rf"^{name} must be positive, got 0$"):
+        call(g, op)

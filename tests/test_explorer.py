@@ -501,7 +501,8 @@ def test_sweep_equals_one_product_per_start_state(kind):
     for i, n in enumerate([3, 8]):
         block = explorer._hub_cycle_block(n, 6)
         for j, mag in enumerate(mags):
-            amps = np.ones(n, dtype=complex)
+            # the same amplitudes the sweep walks: real for a defect, complex for a phase
+            amps = np.ones(n, dtype=float if kind == "defect" else complex)
             amps[-1] = 1.0 - mag if kind == "defect" else np.exp(1j * mag)
             assert res[i, j] == min(float(np.sum(np.abs(block @ unit_vector(amps)) ** 2)), 1.0)
 
@@ -539,6 +540,19 @@ def test_random_sweep_refuses_zero_runs():
     # the mean of no draws would be NaN
     with pytest.raises(ConfigError, match="^runs must be positive, got 0$"):
         robustness_sweep("random", [3], runs=0)
+
+
+@pytest.mark.parametrize("kind", ["defect", "phase", "random"])
+def test_robustness_sweep_refuses_step_zero_before_any_walk(kind, monkeypatch):
+    monkeypatch.setattr(explorer, "build_step_operator", lambda *a: pytest.fail("walked"))
+    with pytest.raises(ConfigError, match="^step must be positive, got 0$"):
+        robustness_sweep(kind, [3], magnitudes=[0.5], runs=5, step=0)
+
+
+def test_interpolation_sweep_refuses_step_zero_before_any_walk(monkeypatch):
+    monkeypatch.setattr(explorer, "build_step_operator", lambda *a: pytest.fail("walked"))
+    with pytest.raises(ConfigError, match="^step must be positive, got 0$"):
+        interpolation_sweep("k2kn-k2cn", [3], [0.0, 1.0], step=0)
 
 
 def test_random_sweep_value_independent_of_listing():
