@@ -479,31 +479,14 @@ def cmd_search(args: argparse.Namespace) -> int:
         issues.append(f"workers must be positive, got {run['workers']}")
     _raise_issues(issues)
 
-    sink = args.out
-    records = pst_search(
-        run["base"],
-        run["max_new"],
-        policies=policies,
-        samples=run["samples"],
-        t_max=run["steps"],
-        lam=run["lam"],
-        seed=run["seed"],
-        sink_path=sink,
-        workers=run["workers"],
-    )
-    shown = 0
-    for rec in records:
-        if run["pst_only"] and not rec.pst:
-            continue
-        if rec.max_probability < run["min_p"]:
-            continue
-        sys.stdout.write(rec.to_json() + "\n")
-        shown += 1
-    sys.stderr.write(
-        f"search: {len(records)} records ({shown} shown)"
-        + (f", sink {sink}" if sink else "")
-        + "\n"
-    )
+    records = pst_search(run["base"], run["max_new"], policies, samples=run["samples"],
+                         t_max=run["steps"], lam=run["lam"], seed=run["seed"],
+                         sink_path=args.out, workers=run["workers"])
+    shown = [rec.to_json() + "\n" for rec in records
+             if (rec.pst or not run["pst_only"]) and rec.max_probability >= run["min_p"]]
+    sys.stdout.writelines(shown)
+    sink = f", sink {args.out}" if args.out else ""
+    sys.stderr.write(f"search: {len(records)} records ({len(shown)} shown){sink}\n")
     return 0
 
 

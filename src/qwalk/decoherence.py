@@ -51,7 +51,7 @@ import numpy as np
 
 from qwalk.arcs import ArcSpace
 from qwalk.dtqw import StepOperator, _real_if_real, build_step_operator
-from qwalk.errors import ConfigError, ToleranceError, check_vertices, check_work
+from qwalk.errors import ConfigError, ToleranceError, check_table, check_vertices, check_work
 from qwalk.graphs import Graph
 
 __all__ = [
@@ -99,8 +99,10 @@ def dephasing_mask(space: ArcSpace, basis: str) -> np.ndarray:
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
-    """|psi><psi|, float64 when psi's values are real (``dtqw._real_if_real``)."""
+    """|psi><psi|, float64 when psi's values are real (``dtqw._real_if_real``).
+    An m x m density over ``TABLE_LIMIT`` raises ConfigError before it is built."""
     psi = _real_if_real(psi)
+    check_table("density matrix", psi.size, psi.size)
     return np.outer(psi, psi.conj())
 
 

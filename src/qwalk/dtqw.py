@@ -143,26 +143,29 @@ def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
     stored as float64 when no block has an imaginary part.  The
     graph is first checked: the arcs read only which edges exist, so a
     weighted graph raises rather than walk as if unweighted.  So does an
-    explicit coin map key that names no vertex, whose coin no walk reads.
+    explicit coin map key that names no vertex, or a vertex without ports,
+    whose coin no walk reads.  No coin is asked for a block of degree 0.
     """
     if not g.is_unweighted():
         raise ConfigError("coined walks need an unweighted graph: every edge and loop weight 1")
-    if isinstance(policy, ExplicitMap):
-        stray = sorted(v for v in policy.coins if not 0 <= v < g.n)
-        if stray:
-            raise ConfigError(
-                f"coin map keys {', '.join(map(str, stray))} name no vertex in 0..{g.n - 1}"
-            )
     space = ArcSpace.from_graph(g)
+    degrees = np.diff(space.offsets).tolist()
+    if isinstance(policy, ExplicitMap):
+        stray = ", ".join(str(v) for v in sorted(policy.coins) if not 0 <= v < g.n)
+        if stray:
+            raise ConfigError(f"coin map keys {stray} name no vertex in 0..{g.n - 1}")
+        portless = ", ".join(str(v) for v in sorted(policy.coins) if not degrees[v])
+        if portless:
+            raise ConfigError(f"coin map keys {portless} name vertices without ports")
     blocks = []
-    for v, d in enumerate(np.diff(space.offsets).tolist()):
+    for v, d in enumerate(degrees):
+        if not d:
+            continue  # a vertex of degree 0 owns no arcs, so it has no block
         block = np.asarray(policy.coin_for(g, v, d), dtype=complex)
         if block.shape != (d, d):
             raise ConfigError(f"vertex {v}: coin block is {block.shape}, expected ({d}, {d})")
         blocks.append(block)
-    # a vertex of degree 0 owns no arcs, so its empty block joins no run
-    stacks = [np.array(list(group)) for _, group in itertools.groupby(
-        (b for b in blocks if b.size), key=len)]
+    stacks = [np.array(list(group)) for _, group in itertools.groupby(blocks, key=len)]
     if not any(stack.imag.any() for stack in stacks):
         stacks = [np.ascontiguousarray(stack.real) for stack in stacks]
     runs = []

@@ -16,7 +16,9 @@ candidate, at about one key per variant instead of four.
 For each variant and coin policy the harness records the best Haar
 sampled transfer and the exact PST certificate of ``dtqw.block_scan``,
 which decides both from the Gram matrices of the source-to-target
-blocks of U^t.
+blocks of U^t.  A record walks the graph its key spells, from Haar
+states that depend on the seed and the source degree alone, so it is a
+function of its key, policy and scan settings.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import itertools
 import json
 import math
 import os
-import zlib
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
@@ -291,7 +292,7 @@ def _search_cell(
     pair: tuple[int, int],
     samples: int,
     t_max: int,
-    seeds: tuple[int, int],
+    seed: int,
     lam: float,
 ) -> ScanResult:
     """Scan one variant under one policy and keep the stronger direction.
@@ -306,13 +307,20 @@ def _search_cell(
     """
     op = build_step_operator(g, policy)
     directions = (pair, (pair[1], pair[0]))
-    states = [
-        haar_states(op.space.degree(src), samples, sd)
-        for (src, _), sd in zip(directions, seeds)
-    ]
+    states = [_haar_set(op.space.degree(src), samples, seed) for src, _ in directions]
     scans = block_scan(op, directions, states, t_max, lam)
     # max keeps the first of equal keys, so a tie goes to the given direction
     return max(scans, key=lambda s: (bool(s.pst_steps), s.max_probability, s.fraction_over_lam))
+
+
+@functools.lru_cache(maxsize=None)
+def _haar_set(d: int, samples: int, seed: int) -> np.ndarray:
+    """The Haar states of every source of degree d, read-only: they depend
+    on (seed, d) alone and are drawn once per degree in each process, so
+    workers share nothing and agree (``pst_search`` clears the cache)."""
+    states = haar_states(d, samples, np.random.SeedSequence([seed, d]))
+    states.flags.writeable = False
+    return states
 
 
 def pst_search(
@@ -331,19 +339,21 @@ def pst_search(
     Policy names and the enumeration arguments are checked first, so a
     bad or repeated name, an odd base, a base outside 4..16, a
     ``max_new`` below 1 or a table of Haar samples or steps over the
-    limit raises ``ConfigError`` before the sink is touched.  One task is one variant:
-    the graph built while keying it is walked under every policy still
-    missing from the sink.  With a sink path, each variant's records are
+    limit raises ``ConfigError`` before the sink is touched.  One task is
+    one variant, carried as its key: the graph the key spells, in the
+    canonical numbering, is walked under every policy still missing from
+    the sink.  With a sink path, each variant's records are
     appended to a JSON-lines file and flushed as soon as its cells
     finish, in variant order, so a kill loses at most the finished cells
     of one variant and a rerun skips every cell already present.  A torn
     last line, left by a kill in the middle of a write, is cut from the
     file and its cell runs again.  The sink's configuration is kept
     beside it (see ``_read_sink``), so a rerun under another one is
-    refused.  Per-cell seeds derive from the master
-    seed, the variant's position and the policy, which keeps results
-    identical however many workers run; the pool has min(workers, tasks,
-    CPU count) processes.  Records of equal ``max_probability``
+    refused.  A source of degree d starts from
+    ``haar_states(d, samples, SeedSequence([seed, d]))`` in every cell, so
+    a record depends only on its key, policy and scan settings, and results
+    are identical however many workers run; the pool has min(workers,
+    tasks, CPU count) processes.  Records of equal ``max_probability``
     sort by key, then policy, so a resumed run returns the same order.
     """
     parsed: dict[str, CoinPolicy] = {}
@@ -355,21 +365,20 @@ def pst_search(
     # a source port count of 2 + max_new occurs: every new node on vertex 0
     check_table("Haar states", samples, 2 + max_new)
     check_table("scan steps", t_max, 2)
-    # record format 2 names the fields as ScanResult does; format 1 wrote no side file
-    config = {"format": 2, "base": base, "max_new": max_new, "policies": list(policies),
+    # format 3: key numbering, one Haar set per degree; 2: ScanResult's names; 1: no side file
+    config = {"format": 3, "base": base, "max_new": max_new, "policies": list(policies),
               "samples": samples, "steps": t_max, "lam": lam, "seed": seed}
     records = _read_sink(sink_path, config) if sink_path else []
     done = {(rec.key, rec.policy) for rec in records}
 
     tasks = []
-    for idx, (raw_key, desc, g) in enumerate(_keyed_variants(base, max_new)):
+    for raw_key, desc, _ in _keyed_variants(base, max_new):
         key = raw_key.hex()
         missing = [(name, pol) for name, pol in parsed.items() if (key, name) not in done]
         if missing:
-            tasks.append((idx, key, desc, g, missing))
-    run = functools.partial(
-        _run_variant, pair=(0, base // 2), samples=samples, t_max=t_max, lam=lam, seed=seed
-    )
+            tasks.append((key, desc, missing))
+    run = functools.partial(_run_variant, samples=samples, t_max=t_max, lam=lam, seed=seed)
+    _haar_set.cache_clear()
 
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
@@ -446,19 +455,20 @@ def _check_sink_config(path: str, side: str, config: dict) -> None:
         )
 
 
-def _policy_index(name: str) -> int:
-    """Seed index of a policy: 1-3 for O1-O3, else a CRC-32 of its name."""
-    return {"O1": 1, "O2": 2, "O3": 3}.get(name) or zlib.crc32(name.encode())
-
-
-def _run_variant(task, pair, samples, t_max, lam, seed) -> list[SearchRecord]:
-    """Records of one (index, key, descriptor, graph, policies) task, in policy order."""
-    idx, key, desc, g, policies = task
+def _run_variant(task, samples, t_max, lam, seed) -> list[SearchRecord]:
+    """Records of one (key, descriptor, policies) task, in policy order,
+    walked on the graph the key spells: n = key[0], then the upper triangle
+    of the adjacency, diagonal included, row by row.  The marks start in
+    the last colour class, so the pair sits at (n - 2, n - 1)."""
+    key, desc, policies = task
+    raw = bytes.fromhex(key)
+    n = raw[0]
+    adj = np.zeros((n, n))
+    adj[np.triu_indices(n)] = np.frombuffer(raw, np.uint8, offset=1)
+    g = Graph(adj + np.triu(adj, 1).T)
     out = []
     for name, policy in policies:
-        cell_seed = np.random.SeedSequence([seed, idx, _policy_index(name)])
-        seeds = tuple(int(child.generate_state(1)[0]) for child in cell_seed.spawn(2))
-        scan = _search_cell(g, policy, pair, samples, t_max, seeds, lam)
+        scan = _search_cell(g, policy, (n - 2, n - 1), samples, t_max, seed, lam)
         out.append(SearchRecord(key, desc.to_json_dict(), name, **scan.to_json_dict()))
     return out
 

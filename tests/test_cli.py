@@ -604,8 +604,9 @@ def test_search_cli_schema(tmp_path, capsys):
 
 
 def test_resumed_search_prints_tied_records_in_the_same_order(tmp_path, capsys):
-    # at these settings two records share max_probability exactly; the earlier one
-    # in the sink is dropped, so the resume appends it after the other
+    # at these settings seven records tie on max_probability, in three groups (a
+    # sample set carried whole at 1.0, and cells on the same states); the earliest
+    # in the sink is dropped, so the resume appends it after the others
     sink = tmp_path / "s.jsonl"
     argv = ["search", "--base", "4", "--max-new", "1", "--samples", "50",
             "--steps", "20", "--workers", "1", "--out", str(sink)]
@@ -614,7 +615,7 @@ def test_resumed_search_prints_tied_records_in_the_same_order(tmp_path, capsys):
     lines = sink.read_text().splitlines()
     best = [json.loads(line)["max_probability"] for line in lines]
     tied = [i for i, p in enumerate(best) if best.count(p) > 1]
-    assert len(tied) == 2
+    assert len(tied) == 7
     sink.write_text("".join(line + "\n" for i, line in enumerate(lines) if i != tied[0]))
     assert main(argv) == 0
     assert capsys.readouterr().out == full
@@ -809,6 +810,22 @@ def test_coin_map_keys_that_name_no_vertex_exit_1(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("policy", ["O1", "O2", "O3"])
+@pytest.mark.parametrize("command", ["dtqw", "decohere"])
+def test_a_coined_walk_runs_beside_an_isolated_vertex(command, policy, tmp_path):
+    # vertex 2 has no edge and no loop, so it owns no port and asks no coin
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n": 3, "edges": [[0, 1, 1]], "loops": []}')
+    argv = [command, "--graph", str(graph), "--pair", "0,1", "--steps", "3", "--policy", policy,
+            "--out", str(tmp_path / "r")] + (["--rate", "0.1"] if command == "decohere" else [])
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    if command == "dtqw":
+        assert report["report"]["pst_steps"] == [1, 3]
+    else:
+        assert report["final_distribution"] == [0.0, 1.0, 0.0]
+
+
 _SEARCH_SMALL = ["search", "--samples", "5", "--steps", "4", "--workers", "1"]
 
 
@@ -906,8 +923,14 @@ def test_search_refuses_a_base_of_40_without_listing_its_subsets(tmp_path):
     # so is an integer past the float range
     (["dtqw", "--graph", "cycle n=4", "--pair", "0,2", "--steps", "1" + "0" * 400],
      "dtqw step table needs 1e+400 x 4 entries"),
+    # the arcs x arcs density, before it or its O(arcs^3) check is computed
+    (["decohere", "--graph", "cycle n=2100", "--pair", "0,1050", "--steps", "1", "--rate", "0.1"],
+     "density matrix needs 4,200 x 4,200 entries"),
+    (["decohere", "--graph", "cycle n=2100", "--pair", "0,1050", "--steps", "1",
+      "--rates", "0.1"], "density matrix needs 4,200 x 4,200 entries"),
 ], ids=["ctqw-grid", "dtqw-steps", "robust-runs", "robust-start-states", "interp-c-points",
-        "search-samples", "search-steps", "ctqw-grid-1e301", "dtqw-steps-1e400"])
+        "search-samples", "search-steps", "ctqw-grid-1e301", "dtqw-steps-1e400",
+        "decohere-density", "decohere-rates-density"])
 def test_tables_over_the_limit_are_refused_before_allocation(argv, table, tmp_path):
     done = _run_in_1_5_gb(argv + ["--out", str(tmp_path / "r")])
     assert done.returncode == 1, done.stderr

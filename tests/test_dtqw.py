@@ -47,11 +47,12 @@ def shift_matrix(space: ArcSpace) -> np.ndarray:
 
 
 def coin_matrix(g: Graph, policy, space: ArcSpace) -> np.ndarray:
-    """Dense block-diagonal coin C, one ``coin_for`` block per vertex."""
+    """Dense block-diagonal coin C, one ``coin_for`` block per vertex with ports."""
     c = np.zeros((space.n_arcs, space.n_arcs), dtype=complex)
     for v in range(g.n):
-        sl = space.vertex_slice(v)
-        c[sl, sl] = policy.coin_for(g, v, space.degree(v))
+        if space.degree(v):
+            sl = space.vertex_slice(v)
+            c[sl, sl] = policy.coin_for(g, v, space.degree(v))
     return c
 
 
@@ -97,16 +98,17 @@ def test_step_operator_unitary(policy):
 
 @st.composite
 def _graphs_and_policies(draw):
-    """A graph with loops and mixed degrees (an isolated vertex gets a
-    loop) and one of O1, O2, O3 or a JSON map with a real orthogonal
-    coin at vertex 0 and Grover elsewhere."""
+    """A graph with loops and mixed degrees (an isolated vertex 0 gets a
+    loop, any other may keep none) and one of O1, O2, O3 or a JSON map with
+    a real orthogonal coin at vertex 0 and Grover elsewhere."""
     n = draw(st.integers(1, 7))
     bits = draw(st.lists(st.booleans(), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    loops = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     a = np.zeros((n, n))
     a[np.triu_indices(n)] = bits
     a = a + np.triu(a, 1).T
     for v in range(n):
-        if not a[v].any():
+        if not a[v].any() and (v == 0 or loops[v]):
             a[v, v] = 1.0
     g = Graph(a)
     label = draw(st.sampled_from(POLICIES + ["json"]))
@@ -137,6 +139,12 @@ def test_step_operator_runs_hold_the_coin_blocks():
         d = blocks.shape[1]
         assert all(np.array_equal(b, grover(d)) for b in blocks)
         assert np.array_equal(adjoints, blocks.conj().transpose(0, 2, 1))
+
+
+def test_a_coin_map_key_on_a_vertex_without_ports_is_refused():
+    g = Graph(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(ConfigError, match="^coin map keys 2 name vertices without ports$"):
+        build_step_operator(g, ExplicitMap({2: np.eye(1), 0: np.eye(1)}))
 
 
 def test_wrong_coin_shape_is_rejected():

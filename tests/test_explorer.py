@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qwalk.coins import Uniform, grover, interp_grover, parse_policy
 from qwalk.dtqw import (
     PST_SINGULAR_TOL,
+    ScanResult,
     build_step_operator,
     detect_transfer,
     equal_superposition,
@@ -20,7 +21,7 @@ from qwalk.dtqw import (
     vertex_probability,
 )
 from qwalk.errors import ConfigError
-from qwalk.graphs import JOIN_FAMILIES, Edgeless, Join, build
+from qwalk.graphs import JOIN_FAMILIES, Edgeless, Graph, Join, build, canonical_key
 from qwalk.explorer import (
     SearchRecord,
     VariantDescriptor,
@@ -299,7 +300,7 @@ def test_search_sink_refuses_a_field_of_the_wrong_type_and_keeps_its_bytes(tmp_p
     (None, "holds records; cannot read {side}: [Errno 2]"),
     ("{", "holds records; cannot read {side}: Expecting property name"),
     ("[1]", "search sink config {side} must hold a JSON object"),
-    ('{"format": 1}', "format 1 in the file, 2 in this run; base null in the file, 4 in this run"),
+    ('{"format": 1}', "format 1 in the file, 3 in this run; base null in the file, 4 in this run"),
 ], ids=["missing", "not-json", "not-object", "first-format"])
 def test_search_sink_without_its_config_is_refused_and_keeps_its_bytes(tmp_path, side_text, message):
     sink, side = tmp_path / "records.jsonl", tmp_path / "records.jsonl.config.json"
@@ -320,7 +321,7 @@ def test_search_sink_with_no_complete_line_gets_a_fresh_config(tmp_path):
     sink, side = tmp_path / "records.jsonl", tmp_path / "records.jsonl.config.json"
     pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
     assert json.loads(side.read_text()) == {
-        "format": 2, "base": 4, "max_new": 1, "policies": ["O1", "O2", "O3"], "samples": 60,
+        "format": 3, "base": 4, "max_new": 1, "policies": ["O1", "O2", "O3"], "samples": 60,
         "steps": 12, "lam": 0.9, "seed": 1,
     }
     full, fresh = sink.read_bytes(), side.read_bytes()
@@ -369,25 +370,66 @@ def test_search_builds_each_keyed_graph_once(monkeypatch):
     assert calls["build_variant"] == calls["canonical_key"] == 106
 
 
-def test_policy_seeds_differ_beyond_uniform_policies():
-    assert [explorer._policy_index(p) for p in ("O1", "O2", "O3")] == [1, 2, 3]
-    names = ["table1:1", "table1:2", "table1:3", "table1:4", '{"0": [[1]]}']
-    indices = [explorer._policy_index(p) for p in names]
-    assert len(set(indices)) == len(names)
-    assert not set(indices) & {1, 2, 3}
-    assert explorer._policy_index("table1:1") == explorer._policy_index("table1:1")
+@pytest.mark.parametrize("base", [4, 6])
+def test_search_walks_the_graph_its_key_spells_with_the_pair_last(monkeypatch, base):
+    walked = []
+
+    def recording(g, policy, pair, samples, t_max, seed, lam):
+        walked.append((g, pair))
+        # the record's max_step tells which walk it came from
+        return ScanResult(0.5, len(walked), 0.0, (), top_gram=np.zeros(t_max))
+
+    monkeypatch.setattr(explorer, "_search_cell", recording)
+    records = pst_search(base, 2, policies=("O2",), samples=5, t_max=4)
+    assert len(walked) == len(records) == {4: 96, 6: 1097}[base]
+    for rec in records:
+        g, pair = walked[rec.max_step - 1]
+        assert pair == (g.n - 2, g.n - 1)
+        assert canonical_key(g, marks=pair).hex() == rec.key
 
 
-def _old_search_cell(g, policy, pair, samples, t_max, seeds, lam):
+def test_search_draws_one_haar_set_per_source_degree(monkeypatch):
+    drawn = []
+
+    def recording(d, count, seed):
+        drawn.append(d)
+        return haar_states(d, count, seed)
+
+    monkeypatch.setattr(explorer, "haar_states", recording)
+    serial = pst_search(4, 2, samples=20, t_max=8, seed=3)
+    degrees = {g.degree(v) for _, _, g in explorer._keyed_variants(4, 2) for v in (0, 2)}
+    assert sorted(drawn) == sorted(degrees)
+    # a rerun draws its sets again, from the same (seed, degree)
+    assert pst_search(4, 2, samples=20, t_max=8, seed=3) == serial
+    assert sorted(drawn) == sorted(list(degrees) * 2)
+
+
+@pytest.mark.parametrize("policy", ["O1", "O2", "O3"])
+def test_a_relabelled_variant_gives_the_record_of_the_survey(policy):
+    # the O1 and O3 coins give each port its own role, and ports follow the
+    # numbering; a record walks the numbering its key spells, so it does not
+    # depend on the labels a variant arrives with, nor on its survey position
+    survey = {r.key: r.to_json()
+              for r in pst_search(4, 2, policies=(policy,), samples=200, t_max=30, seed=4)}
+    rng = np.random.default_rng(9)
+    for _, desc, g in explorer._keyed_variants(4, 2):
+        perm = rng.permutation(g.n)  # vertex v becomes perm[v], and the pair follows
+        adj = np.empty_like(g.adjacency)
+        adj[np.ix_(perm, perm)] = g.adjacency
+        key = canonical_key(Graph(adj), marks=(perm[0], perm[2])).hex()
+        task = (key, desc, [(policy, parse_policy(policy))])
+        (rec,) = explorer._run_variant(task, samples=200, t_max=30, lam=0.9, seed=4)
+        assert rec.to_json() == survey[key], desc
+
+
+def _old_search_cell(g, policy, pair, t_max, states, lam):
     """The per-step search kernel as it was before the Gram form: one m x m
-    power, one |B s|^2 reduction and one SVD per step and direction.  Its
-    best step follows the tie rule, so that it can be compared exactly."""
+    power, one |B s|^2 reduction and one SVD per step and direction, from
+    the given states of each direction's source.  Its best step follows
+    the tie rule, so that it can be compared exactly."""
     op = build_step_operator(g, policy)
     directions = (pair, (pair[1], pair[0]))
-    states = [
-        haar_states(op.space.degree(src), samples, sd)
-        for (src, _), sd in zip(directions, seeds)
-    ]
+    samples = len(states[0])
     slices = [
         (op.space.vertex_slice(src), op.space.vertex_slice(tgt))
         for src, tgt in directions
@@ -417,12 +459,14 @@ def _old_search_cell(g, policy, pair, samples, t_max, seeds, lam):
 
 def test_search_cell_matches_per_step_reference():
     checked = 0
-    for idx, (desc, g) in enumerate(enumerate_variants(4, 1)):
+    for seed, (desc, g) in enumerate(enumerate_variants(4, 1)):
+        # a source of degree d starts from the states of (seed, d) alone
+        states = [haar_states(g.degree(v), 300, np.random.SeedSequence([seed, g.degree(v)]))
+                  for v in (0, 2)]
         for policy_name in ("O1", "O2", "O3"):
             policy = parse_policy(policy_name)
-            seeds = (1000 + idx, 2000 + idx)
-            new = explorer._search_cell(g, policy, (0, 2), 300, 40, seeds, 0.9)
-            old = _old_search_cell(g, policy, (0, 2), 300, 40, seeds, 0.9)
+            new = explorer._search_cell(g, policy, (0, 2), 300, 40, seed, 0.9)
+            old = _old_search_cell(g, policy, (0, 2), 40, states, 0.9)
             assert abs(new.max_probability - old[0]) <= 1e-12, (desc, policy_name)
             assert (
                 new.max_step, bool(new.pst_steps), new.pst_steps, new.fraction_over_lam

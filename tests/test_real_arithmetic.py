@@ -129,15 +129,17 @@ def test_a_complex_typed_real_start_gives_the_same_bytes_as_a_float_start():
 
 @st.composite
 def _walks(draw):
-    """A small unweighted graph with loops (an isolated vertex gets one), a
-    coin policy, and a real unit start over all arcs."""
+    """A small unweighted graph with loops (an isolated vertex 0 gets one,
+    any other may keep none), a coin policy, and a real unit start over all
+    arcs."""
     n = draw(st.integers(1, 6))
     bits = draw(st.lists(st.booleans(), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    loops = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     a = np.zeros((n, n))
     a[np.triu_indices(n)] = bits
     a = a + np.triu(a, 1).T
     for v in range(n):
-        if not a[v].any():
+        if not a[v].any() and (v == 0 or loops[v]):
             a[v, v] = 1.0
     g = Graph(a)
     label = draw(st.sampled_from(["O1", "O2", "O3", "interp"]))
@@ -153,8 +155,9 @@ def _dense_u(g: Graph, policy, space: ArcSpace) -> np.ndarray:
     m = space.n_arcs
     c = np.zeros((m, m), dtype=complex)
     for v in range(g.n):
-        sl = space.vertex_slice(v)
-        c[sl, sl] = policy.coin_for(g, v, space.degree(v))
+        if space.degree(v):
+            sl = space.vertex_slice(v)
+            c[sl, sl] = policy.coin_for(g, v, space.degree(v))
     s = np.zeros((m, m), dtype=complex)
     s[space.reverse, np.arange(m)] = 1.0
     return s @ c
