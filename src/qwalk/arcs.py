@@ -1,10 +1,13 @@
-"""Arc space of a graph and the flip-flop shift.
+"""Arc space of a graph: port order, the arc layout and the sum over ports.
 
 A coined walk lives on directed arcs.  Vertex v with degree d owns d
 arcs, one per port.  Ports are ordered by ascending neighbor index, and
-when v carries a self loop the loop arc sits last.  Arcs are laid out
-vertex by vertex, so any per-vertex coin becomes a block-diagonal
-matrix in this basis.
+when v carries a self loop the loop arc sits last.  This module is the
+only reader of that rule: every other one asks the arc space which port
+points where (``targets`` over ``ports(v)``).  Arcs are laid out vertex
+by vertex, so any per-vertex coin becomes a block-diagonal matrix in
+this basis, and ``port_sum`` is the one sum of arc values over each
+vertex's ports.
 
 The flip-flop shift sends the arc (v -> w) to (w -> v) and leaves loop
 arcs fixed, which makes it an involution.
@@ -12,6 +15,7 @@ arcs fixed, which makes it an involution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,4 +76,16 @@ class ArcSpace:
 
     def vertex_slice(self, v: int) -> slice:
         return slice(int(self.offsets[v]), int(self.offsets[v + 1]))
+
+    def port_sum(self, values: np.ndarray) -> np.ndarray:
+        """(..., n_arcs) real values -> (..., n) sums over each vertex's
+        ports, added one by one in arc order from 0.0: each row gets the
+        bits of ``np.bincount(heads, weights=row)``, and a vertex without
+        ports reads 0."""
+        values = np.asarray(values)
+        n = len(self.offsets) - 1
+        lead = values.shape[:-1]
+        rows = math.prod(lead)
+        bins = (np.arange(rows)[:, None] * n + self.heads).ravel()
+        return np.bincount(bins, weights=values.ravel(), minlength=rows * n).reshape(lead + (n,))
 

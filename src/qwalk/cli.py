@@ -223,7 +223,7 @@ def _parse_pair(text: str, n: int, issues: list[str]) -> tuple[int, int]:
 
 def _check_source_ports(g: Graph, source: int, issues: list[str]) -> None:
     """A coined walk starts on the source's ports, so the source needs some."""
-    if 0 <= source < g.n and g.degree(source) == 0:
+    if 0 <= source < g.n and ArcSpace.from_graph(g).degree(source) == 0:
         issues.append(f"vertex {source} has no ports")
 
 
@@ -434,7 +434,9 @@ def cmd_decohere(args: argparse.Namespace) -> int:
     _raise_issues(issues)
 
     if model == "ct":
-        rho = decohere_ct(g, density_from_state(np.eye(g.n)[pair[0]]), run["rate"], run["time"])
+        start = np.zeros(g.n)
+        start[pair[0]] = 1.0
+        rho = decohere_ct(g, density_from_state(start), run["rate"], run["time"])
         probs = np.minimum(np.real(np.diag(rho)), 1.0)
         _emit(args, {"command": "decohere-ct", "provenance": run,
                      "vertex_probabilities": probs, "target_probability": probs[pair[1]]})

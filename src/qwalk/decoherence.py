@@ -237,8 +237,7 @@ def classical_walk(g: Graph, start, steps: int) -> np.ndarray:
 
 def vertex_marginal(space: ArcSpace, rho: np.ndarray) -> np.ndarray:
     """Probability per vertex from an arc-basis density matrix."""
-    n = len(space.offsets) - 1
-    return np.bincount(space.heads, weights=np.real(np.diag(rho)), minlength=n)
+    return space.port_sum(np.real(np.diag(rho)))
 
 
 # ===== Rate sweeps =====

@@ -2,10 +2,11 @@
 
 One step is coin then shift: psi' = S C psi, with C block diagonal over
 vertices and S the flip-flop shift.  Transfer is judged on vertex
-probability, the sum of squared amplitude moduli over a vertex's ports,
-so a perfect transfer claim is independent of the coin state in which
-the walker arrives.  A sum of squared moduli can round a few ulps above
-one, so every probability the engine reports is capped at one.
+probability, the sum of squared amplitude moduli over a vertex's ports
+(``ArcSpace.port_sum``), so a perfect transfer claim is independent of
+the coin state in which the walker arrives.  A sum of squared moduli can
+round a few ulps above one, so every probability the engine reports is
+capped at one.
 Periodicity comes in two strengths: strict means the full state returns
 (fidelity with the start state reaches one), positional means all
 probability returns to the start vertex whatever the coin configuration.
@@ -226,8 +227,7 @@ def unit_vector(amps: np.ndarray) -> np.ndarray:
 
 def vertex_probability(space: ArcSpace, psi: np.ndarray, v: int) -> float | np.ndarray:
     """Probability at v of a state, or of each state along leading axes."""
-    block = np.asarray(psi)[..., space.vertex_slice(v)]
-    return np.minimum(np.sum(np.abs(block) ** 2, axis=-1), 1.0)
+    return np.minimum(space.port_sum(np.abs(psi) ** 2)[..., v], 1.0)
 
 
 def trajectory(op: StepOperator, cols: np.ndarray, t_max: int) -> np.ndarray:
@@ -339,8 +339,7 @@ def detect_transfer(
     probs = np.empty((t_max + 1, g.n))
     fidelity_series = np.empty(t_max + 1)
     for lo, piece in _trajectory_pieces(op, psi0, t_max):
-        for v in range(g.n):
-            probs[lo : lo + len(piece), v] = vertex_probability(op.space, piece, v)
+        probs[lo : lo + len(piece)] = np.minimum(op.space.port_sum(np.abs(piece) ** 2), 1.0)
         fidelity_series[lo : lo + len(piece)] = np.minimum(np.abs(piece @ psi0.conj()) ** 2, 1.0)
     drift = abs(np.linalg.norm(piece[-1]) - 1.0)
     if not drift <= 1e-9:

@@ -34,6 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from qwalk.arcs import ArcSpace
 from qwalk.coins import CoinPolicy, ExplicitMap, Uniform, grover, interp_grover, parse_policy
 from qwalk.dtqw import (
     ScanResult,
@@ -49,7 +50,17 @@ from qwalk.dtqw import (
     vertex_probability,
 )
 from qwalk.errors import ConfigError, check_count, check_table
-from qwalk.graphs import JOIN_FAMILIES, Cycle, Edgeless, Graph, Join, adjacency, build, canonical_key
+from qwalk.graphs import (
+    JOIN_FAMILIES,
+    Cycle,
+    Edgeless,
+    Graph,
+    Join,
+    adjacency,
+    build,
+    canonical_key,
+    graph_from_key,
+)
 
 __all__ = [
     "VariantDescriptor",
@@ -457,15 +468,10 @@ def _check_sink_config(path: str, side: str, config: dict) -> None:
 
 def _run_variant(task, samples, t_max, lam, seed) -> list[SearchRecord]:
     """Records of one (key, descriptor, policies) task, in policy order,
-    walked on the graph the key spells: n = key[0], then the upper triangle
-    of the adjacency, diagonal included, row by row.  The marks start in
-    the last colour class, so the pair sits at (n - 2, n - 1)."""
+    walked on the graph the key spells, whose pair sits at (n - 2, n - 1)."""
     key, desc, policies = task
-    raw = bytes.fromhex(key)
-    n = raw[0]
-    adj = np.zeros((n, n))
-    adj[np.triu_indices(n)] = np.frombuffer(raw, np.uint8, offset=1)
-    g = Graph(adj + np.triu(adj, 1).T)
+    g = graph_from_key(bytes.fromhex(key))
+    n = g.n
     out = []
     for name, policy in policies:
         scan = _search_cell(g, policy, (n - 2, n - 1), samples, t_max, seed, lam)
@@ -596,13 +602,14 @@ def interpolation_sweep(
         sparse, dense = (
             build(Join(Edgeless(2), JOIN_FAMILIES[f](n))) for f in INTERP_CHAINS[chain]
         )
-        # (degree, tunnel ports) of each vertex with edges the sparse graph lacks
+        # (degree, tunnel ports) of each vertex with arcs the sparse graph lacks
+        space = ArcSpace.from_graph(dense)
         keys = {}
         for v in range(dense.n):
-            nbrs = dense.neighbors(v)
-            tunnel = tuple(p for p, w in enumerate(nbrs) if not sparse.adjacency[v, w])
+            ends = space.targets[space.vertex_slice(v)]
+            tunnel = tuple(p for p, w in enumerate(ends) if not sparse.adjacency[v, w])
             if tunnel:
-                keys[v] = (len(nbrs), tunnel)
+                keys[v] = (len(ends), tunnel)
         for j, c in enumerate(cs):
             if c == 0.0:
                 op = build_step_operator(sparse, Uniform(grover))

@@ -35,6 +35,7 @@ __all__ = [
     "adjacency",
     "build",
     "canonical_key",
+    "graph_from_key",
     "graph_to_json",
     "graph_from_json",
 ]
@@ -303,6 +304,18 @@ def canonical_key(g: Graph, marks: Sequence[int] = ()) -> bytes:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit to its bit value
+
+
+def graph_from_key(key: bytes) -> Graph:
+    """The graph a ``canonical_key`` spells, in the key's numbering: n from
+    byte 0, then the upper triangle, diagonal included, row by row.  The
+    marks fill the last colour classes, so a marked pair sits at
+    (n - 2, n - 1), and keying the graph with those marks gives the key back.
+    """
+    n = key[0]
+    adj = np.zeros((n, n))
+    adj[np.triu_indices(n)] = np.frombuffer(key, np.uint8, offset=1)
+    return Graph(adj + np.triu(adj, 1).T)
 
 
 class _OrderSearch:

@@ -22,6 +22,7 @@ from qwalk.graphs import (
     build,
     canonical_key,
     graph_from_json,
+    graph_from_key,
     graph_to_json,
 )
 
@@ -352,6 +353,28 @@ def test_key_bytes_equal_the_relabelled_upper_triangle():
         cases.extend(_relabeled(g, marks, seed) for seed in range(5))
     for g, marks in cases:
         assert canonical_key(g, marks) == _key_from_relabelled_adjacency(g, marks)
+
+
+@st.composite
+def _pair_marked_graphs(draw):
+    """A graph of 2-8 vertices, loops allowed, with a marked pair."""
+    n = draw(st.integers(2, 8))
+    adj = np.zeros((n, n))
+    adj[np.triu_indices(n)] = draw(st.lists(st.booleans(), min_size=n * (n + 1) // 2,
+                                            max_size=n * (n + 1) // 2))
+    pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return Graph(adj + np.triu(adj, 1).T), tuple(pair)
+
+
+@given(_pair_marked_graphs())
+@settings(max_examples=150, deadline=None)
+def test_graph_from_key_spells_its_key_with_the_pair_last(case):
+    g, pair = case
+    key = canonical_key(g, marks=pair)
+    h = graph_from_key(key)
+    n = g.n
+    assert h.n == n
+    assert canonical_key(h, marks=(n - 2, n - 1)) == key
 
 
 @pytest.mark.parametrize("base, max_new, count, digest", [

@@ -152,3 +152,20 @@ def test_readme_sink_fields_are_the_search_record_fields():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     listed = readme.split("Each record is one line:", 1)[1].split("}`", 1)[0]
     assert re.findall(r'"(\w+)"', listed) == [f.name for f in dataclasses.fields(SearchRecord)]
+
+
+@pytest.mark.parametrize("attr, owners", [
+    # port order is the arc space's rule; a module that read neighbour order
+    # would hold a second copy of it
+    ("neighbors", {"arcs", "graphs"}),
+    # the key layout is canonical_key's; graph_from_key is its one decoder
+    ("frombuffer", {"graphs"}),
+])
+def test_only_its_owners_read_a_layout(attr, owners):
+    readers = [
+        f"{name}.py:{node.lineno}"
+        for name in MODULES if name not in owners
+        for node in ast.walk(ast.parse((Path(qwalk.__file__).parent / f"{name}.py").read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+    assert readers == []
