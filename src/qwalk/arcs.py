@@ -2,12 +2,13 @@
 
 A coined walk lives on directed arcs.  Vertex v with degree d owns d
 arcs, one per port.  Ports are ordered by ascending neighbor index, and
-when v carries a self loop the loop arc sits last.  This module is the
-only reader of that rule: every other one asks the arc space which port
-points where (``targets`` over ``ports(v)``).  Arcs are laid out vertex
-by vertex, so any per-vertex coin becomes a block-diagonal matrix in
-this basis, and ``port_sum`` is the one sum of arc values over each
-vertex's ports.
+when v carries a self loop the loop arc sits last.  This module alone
+holds that rule, as one sort in ``_build``; a ``Graph`` keeps no
+neighbour order, and every other module asks the arc space which port
+points where (``targets`` over ``ports(v)``) or which port an arc is
+(``port_index``).  Arcs are laid out vertex by vertex, so any per-vertex
+coin becomes a block-diagonal matrix in this basis, and ``port_sum`` is
+the one sum of arc values over each vertex's ports.
 
 The flip-flop shift sends the arc (v -> w) to (w -> v) and leaves loop
 arcs fixed, which makes it an involution.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,29 +45,30 @@ class ArcSpace:
 
     @classmethod
     def _build(cls, g: Graph) -> "ArcSpace":
-        heads: list[int] = []
-        targets: list[int] = []
-        offsets = np.zeros(g.n + 1, dtype=int)
-        for v in range(g.n):
-            offsets[v] = len(heads)
-            for w in g.neighbors(v):
-                heads.append(v)
-                targets.append(w)
-            if g.has_loop(v):
-                heads.append(v)
-                targets.append(v)
-        offsets[g.n] = len(heads)
-        heads_a = np.asarray(heads, dtype=int)
-        targets_a = np.asarray(targets, dtype=int)
-        index = {(v, w): a for a, (v, w) in enumerate(zip(heads, targets))}
-        reverse = np.asarray([index[(w, v)] for v, w in zip(heads, targets)], dtype=int)
-        for arr in (heads_a, targets_a, reverse, offsets):
+        n = g.n
+        heads, targets = np.nonzero(g.adjacency)  # row by row, so head * n + target ascends
+        key = heads * n + targets
+        # the port rule: by head, neighbours in ascending order, the loop last
+        order = np.lexsort((heads == targets, heads))
+        heads, targets = heads[order], targets[order]
+        offsets = np.searchsorted(heads, np.arange(n + 1))
+        rank = np.empty_like(order)  # arc in row order -> its index in port order
+        rank[order] = np.arange(len(order))
+        reverse = rank[np.searchsorted(key, targets * n + heads)]
+        for arr in (heads, targets, reverse, offsets):
             arr.flags.writeable = False
-        return cls(heads_a, targets_a, offsets, reverse)
+        return cls(heads, targets, offsets, reverse)
 
     @property
     def n_arcs(self) -> int:
         return len(self.heads)
+
+    @cached_property
+    def port_index(self) -> np.ndarray:
+        """Arc index -> its port number at its head, read-only."""
+        index = np.arange(self.n_arcs) - self.offsets[self.heads]
+        index.flags.writeable = False
+        return index
 
     def ports(self, v: int) -> range:
         """Arc indices owned by vertex v, in port order."""

@@ -602,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[seed, lam])
     p.add_argument("--base", type=int, default=4, help="even base cycle size")
     p.add_argument("--max-new", type=int, default=2, dest="max_new")
-    p.add_argument("--policies", default="O1,O2,O3")
+    p.add_argument("--policies", default="O1,O2,O3", help="coin families: O1, O2 and/or O3")
     _option(p, "samples", "Haar samples per cell")
     _option(p, "steps", "steps per cell")
     p.add_argument("--workers", type=int, help="parallel cells (default: all cores)")

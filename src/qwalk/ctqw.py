@@ -53,7 +53,7 @@ class Spectrum:
     @classmethod
     def from_graph(cls, g: Graph) -> "Spectrum":
         vals, vecs = np.linalg.eigh(g.adjacency)
-        err = np.abs(vecs @ np.diag(vals) @ vecs.T - g.adjacency).max()
+        err = np.abs((vecs * vals) @ vecs.T - g.adjacency).max()
         if err > RECONSTRUCTION_TOL:
             raise ToleranceError(f"eigendecomposition residual {err:.3e}")
         return cls(vals, vecs)

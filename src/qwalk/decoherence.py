@@ -20,12 +20,12 @@ Three families are offered for the discrete walk.  Position dephasing
 projects onto vertex blocks, killing coherence between vertices while
 leaving each vertex's port coherences alone.  Coin dephasing projects
 onto port-index classes across vertices, killing coherence between
-different port indices.  Port indices follow ascending neighbor order,
-so the coin classes depend on how the vertices are numbered: on a
-cycle, the two vertices at the wrap-around hold their clockwise and
-counter-clockwise ports in the opposite order to all the others, and
-relabelling a graph can change coin-basis results.  Position and both
-dephasing do not depend on the numbering.  Dephasing in both erases
+different port indices (``ArcSpace.port_index``).  Port indices follow
+ascending neighbor order, so the coin classes depend on how the vertices
+are numbered: on a cycle, the two vertices at the wrap-around hold their
+clockwise and counter-clockwise ports in the opposite order to all the
+others, and relabelling a graph can change coin-basis results.  Position
+and both dephasing do not depend on the numbering.  Dephasing in both erases
 everything off the arc diagonal; with coins whose entries all share
 one magnitude this reproduces the classical random walk exactly.
 
@@ -85,17 +85,12 @@ class NoiseModel:
 
 
 def dephasing_mask(space: ArcSpace, basis: str) -> np.ndarray:
-    """0/1 matrix marking arc pairs that survive the projector sum."""
-    m = space.n_arcs
-    if basis == "both":
-        return np.eye(m)
-    if basis == "position":
-        labels = space.heads
-    elif basis == "coin":
-        labels = np.arange(m) - space.offsets[space.heads]
-    else:
+    """0/1 matrix marking arc pairs that survive the projector sum: the
+    pairs of equal label, under one label array per basis."""
+    labels = {"position": space.heads, "coin": space.port_index, "both": np.arange(space.n_arcs)}
+    if basis not in labels:
         raise ConfigError(f"unknown dephasing basis {basis!r}")
-    return (labels[:, None] == labels[None, :]).astype(float)
+    return (labels[basis][:, None] == labels[basis][None, :]).astype(float)
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:

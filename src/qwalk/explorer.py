@@ -348,9 +348,11 @@ def pst_search(
     """Survey every variant under every policy and sort by best transfer.
 
     Policy names and the enumeration arguments are checked first, so a
-    bad or repeated name, an odd base, a base outside 4..16, a
-    ``max_new`` below 1 or a table of Haar samples or steps over the
-    limit raises ``ConfigError`` before the sink is touched.  One task is
+    bad or repeated name, a policy other than the coin families O1, O2
+    and O3 (a preset row or coin map does not fit every variant), an odd
+    base, a base outside 4..16, a ``max_new`` below 1 or a table of Haar
+    samples or steps over the limit raises ``ConfigError`` before the
+    sink is touched.  One task is
     one variant, carried as its key: the graph the key spells, in the
     canonical numbering, is walked under every policy still missing from
     the sink.  With a sink path, each variant's records are
@@ -372,6 +374,8 @@ def pst_search(
         if name in parsed:
             raise ConfigError(f"policy {name!r} listed twice")
         parsed[name] = parse_policy(name)
+        if not isinstance(parsed[name], Uniform):
+            raise ConfigError(f"policy {name!r} is no coin family; search takes O1, O2 or O3")
     _check_variant_args(base, max_new)
     # a source port count of 2 + max_new occurs: every new node on vertex 0
     check_table("Haar states", samples, 2 + max_new)

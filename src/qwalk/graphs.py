@@ -1,10 +1,11 @@
 """Undirected graphs with optional edge weights and self loops.
 
-A graph is stored as a symmetric non-negative adjacency matrix.  A self
-loop is a single unit on the diagonal and contributes one to the degree
-of its vertex.  Vertex indices are dense integers starting at zero, and
-every construction helper documents where its pieces land so that walk
-sources and targets can be addressed deterministically.
+A graph is its validated adjacency matrix, symmetric and non-negative,
+and keeps no neighbour order (port order is the rule of ``qwalk.arcs``).
+A self loop is a single unit on the diagonal and contributes one to the
+degree of its vertex.  Vertex indices are dense integers starting at
+zero, and every construction helper documents where its pieces land so
+that walk sources and targets can be addressed deterministically.
 
 The join of two graphs keeps the left operand's vertices first, so for
 example ``build(Join(Edgeless(2), Cycle(5)))`` places the two hub
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -73,25 +73,12 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    @cached_property
-    def _neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        rows, cols = np.nonzero(self.adjacency)
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for v, w in zip(rows.tolist(), cols.tolist()):
-            if v != w:
-                out[v].append(w)
-        return tuple(map(tuple, out))
-
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors of v in ascending index order, excluding v itself."""
-        return list(self._neighbor_lists[v])
-
     def has_loop(self, v: int) -> bool:
         return self.adjacency[v, v] != 0
 
     def degree(self, v: int) -> int:
         """Number of incident edge ends at v; a self loop counts once."""
-        return len(self.neighbors(v)) + (1 if self.has_loop(v) else 0)
+        return int(np.count_nonzero(self.adjacency[v]))
 
     def is_unweighted(self) -> bool:
         adj = self.adjacency
@@ -99,7 +86,7 @@ class Graph:
 
     def edge_set(self) -> set[tuple[int, int]]:
         """Off-diagonal edges as (i, j) pairs with i < j."""
-        return {(v, w) for v, ws in enumerate(self._neighbor_lists) for w in ws if v < w}
+        return set(map(tuple, np.argwhere(np.triu(self.adjacency, 1)).tolist()))
 
 
 # ===== Graph families =====
@@ -470,10 +457,15 @@ def _members(mask: int) -> list[int]:
 
 
 def graph_to_json(g: Graph) -> str:
-    """Serialize to the {"n", "edges", "loops"} JSON schema."""
-    edges = [[i, j, float(g.adjacency[i, j])] for i, j in sorted(g.edge_set())]
-    loops = [int(v) for v in range(g.n) if g.has_loop(v)]
-    return json.dumps({"n": g.n, "edges": edges, "loops": loops})
+    """Serialize to the {"n", "edges", "loops"} JSON schema.  The schema
+    has no loop weight, so a loop of weight other than 1 raises ConfigError."""
+    adj = g.adjacency
+    loops = np.flatnonzero(np.diag(adj))
+    for v in loops.tolist():
+        if adj[v, v] != 1:
+            raise ConfigError(f"vertex {v} has loop weight {adj[v, v]}; a JSON loop weighs 1")
+    edges = [[i, j, float(adj[i, j])] for i, j in sorted(g.edge_set())]
+    return json.dumps({"n": g.n, "edges": edges, "loops": loops.tolist()})
 
 
 def graph_from_json(text: str) -> Graph:

@@ -47,6 +47,55 @@ def test_port_sum_is_bincount_over_heads_row_by_row(case):
     assert vertex_marginal(space, rho).tobytes() == space.port_sum(np.real(np.diag(rho))).tobytes()
 
 
+def _loop_built(g: Graph) -> ArcSpace:
+    """The arc space as a per-vertex loop builds it: ascending neighbours,
+    then the loop, with reversed arcs paired through a dict."""
+    heads: list[int] = []
+    targets: list[int] = []
+    offsets = np.zeros(g.n + 1, dtype=int)
+    for v in range(g.n):
+        offsets[v] = len(heads)
+        for w in range(g.n):
+            if w != v and g.adjacency[v, w] != 0:
+                heads.append(v)
+                targets.append(w)
+        if g.has_loop(v):
+            heads.append(v)
+            targets.append(v)
+    offsets[g.n] = len(heads)
+    index = {(v, w): a for a, (v, w) in enumerate(zip(heads, targets))}
+    reverse = [index[(w, v)] for v, w in zip(heads, targets)]
+    arrays = [np.asarray(a, dtype=int) for a in (heads, targets, offsets, reverse)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return ArcSpace(*arrays)
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """1 to 40 vertices with weighted edges, weighted loops and isolated vertices."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    a = np.triu(rng.random((n, n)) < density) * rng.choice([1.0, 0.5, 3.0], (n, n))
+    a = a + np.triu(a, 1).T
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        a[v] = a[:, v] = 0.0
+    return Graph(a)
+
+
+@given(_weighted_graphs())
+@settings(max_examples=200, deadline=None)
+def test_arc_layout_equals_the_loop_builder(g):
+    got, want = ArcSpace._build(g), _loop_built(g)
+    for name in ("heads", "targets", "offsets", "reverse"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.flags.writeable == b.flags.writeable, name
+        assert np.array_equal(a, b), name
+    assert np.array_equal(got.port_index, np.arange(got.n_arcs) - got.offsets[got.heads])
+    assert not got.port_index.flags.writeable
+
+
 def _reversed_ports(space: ArcSpace) -> ArcSpace:
     """The same arcs with every vertex's ports listed in reverse order."""
     ends = zip(space.offsets[:-1].tolist(), space.offsets[1:].tolist())

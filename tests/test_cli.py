@@ -720,7 +720,8 @@ def test_search_refuses_a_sink_of_the_first_record_format(tmp_path, capsys):
 @pytest.mark.parametrize("policies, message", [
     ("O2,table1:9", "preset row must be 1..4, got 9"),
     ("O2,O2", "policy 'O2' listed twice"),
-], ids=["invalid", "repeated"])
+    ("O2,table1:3", "policy 'table1:3' is no coin family; search takes O1, O2 or O3"),
+], ids=["invalid", "repeated", "preset"])
 def test_search_checks_policies_before_writing(tmp_path, capsys, policies, message):
     fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
     kept.write_text('{"torn')

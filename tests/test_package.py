@@ -155,11 +155,12 @@ def test_readme_sink_fields_are_the_search_record_fields():
 
 
 @pytest.mark.parametrize("attr, owners", [
-    # port order is the arc space's rule; a module that read neighbour order
-    # would hold a second copy of it
-    ("neighbors", {"arcs", "graphs"}),
+    # port order is the arc space's rule; a module that derived neighbours
+    # from an adjacency would hold a second copy of it
+    ("nonzero", {"arcs", "graphs"}),
     # the key layout is canonical_key's; graph_from_key is its one decoder
     ("frombuffer", {"graphs"}),
+    ("argwhere", {"arcs", "graphs"}),
 ])
 def test_only_its_owners_read_a_layout(attr, owners):
     readers = [
