@@ -400,9 +400,9 @@ def cmd_ctqw(args: argparse.Namespace) -> int:
     track = _parse_track(run["track"], pair, g.n, issues)
     _raise_issues(issues)
 
-    report = detect_transfer_ct(g, pair, t_max=tmax, dt=dt, lam=run["lam"])
+    report = detect_transfer_ct(g, pair, t_max=tmax, dt=dt, lam=run["lam"], track=track)
     _emit(args, {"command": "ctqw", "provenance": run, "report": report.to_json_dict()},
-          ["t"] + [f"v{v}" for v in track], report.times, report.vertex_series[:, track])
+          ["t"] + [f"v{v}" for v in track], report.times, report.vertex_series[:, 2:])
     return 0
 
 

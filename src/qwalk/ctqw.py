@@ -3,18 +3,19 @@
 The Hamiltonian is gamma * A with gamma fixed at 1.  Evolution goes
 through the eigendecomposition, psi(t) = V exp(-i Lambda t) V* psi(0),
 so states at arbitrary times cost one small matrix product each.
-Transfer detection scans a time grid, evaluated in blocks of at most
-``_GRID_BLOCK_BYTES`` of complex states, so that a scan holds only its
-float table of vertex probabilities, and sharpens every local maximum
-of the probability P(t) = |a(t)|^2, and only the refined values are
-allowed to certify perfect transfer.  The slope has a closed form from
-the spectrum, P'(t) = 2 Re(conj(a) a'), and it crosses zero linearly at
-a peak, so each maximum is found by bisecting the sign of the slope
-between its grid neighbours.  All maxima of a scan are refined in
-lockstep, one matrix product per iteration for every bracket still open.
-A bracket closes when its midpoint equals one of its ends, that is when
-its ends are adjacent floats, at any t.  The reported time is the
-earliest refined maximum within ``TIE_TOL`` of the largest (``peak_step``).
+Transfer detection scans a time grid at the vertices it reads only (source,
+target and any tracked vertex), in blocks of at most ``_GRID_BLOCK_BYTES``
+of complex phases, so that a scan holds only its float table of their
+probabilities, and sharpens every local maximum of the probability
+P(t) = |a(t)|^2; only the refined values may certify perfect transfer.
+The slope has a closed form from the spectrum, P'(t) = 2 Re(conj(a) a'),
+and it crosses zero linearly at a peak, so each maximum is found by
+bisecting the sign of the slope between its grid neighbours.  All maxima
+of a scan are refined in lockstep, one matrix product per iteration for
+every bracket still open.  A bracket closes when its midpoint equals one
+of its ends, that is when its ends are adjacent floats, at any t.  The
+reported time is the earliest refined maximum within ``TIE_TOL`` of the
+largest (``peak_step``).
 The period is the first refined maximum of the source probability
 within ``PST_TOL`` of 1 after the first grid minimum of that probability.
 """
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 RECONSTRUCTION_TOL = 1e-9
-_GRID_BLOCK_BYTES = 1 << 17  # bound on the complex states of one block of a grid scan
+_GRID_BLOCK_BYTES = 1 << 17  # bound on the complex phases of one block of a grid scan
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,16 @@ def evolve_ct(g: Graph, psi0: np.ndarray, t: float) -> np.ndarray:
 
 def evolve_ct_many(spec: Spectrum, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """(len(times), n) array of states, one row per requested time."""
-    coeff = spec.eigenvectors.T @ np.asarray(psi0, dtype=complex)
+    return _amplitudes(spec, spec.eigenvectors.T @ np.asarray(psi0, dtype=complex), times)
+
+
+def _amplitudes(
+    spec: Spectrum, coeff: np.ndarray, times: np.ndarray, cols=slice(None)
+) -> np.ndarray:
+    """Amplitudes at the vertices cols, one row per time, of the state whose
+    eigenbasis coefficients are coeff = V^T psi0."""
     phases = np.exp(-1j * np.outer(times, spec.eigenvalues))
-    return (phases * coeff) @ spec.eigenvectors.T
+    return (phases * coeff) @ spec.eigenvectors[cols].T
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ class CtTransferReport:
     source: int
     target: int
     times: np.ndarray
-    vertex_series: np.ndarray  # (len(times), n) vertex probabilities
+    vertex_series: np.ndarray  # (len(times), 2 + len(track)): source, target, *track
     pst_times: tuple[float, ...]
     period: float | None
     max_probability: float
@@ -93,7 +101,7 @@ class CtTransferReport:
 
     @property
     def target_series(self) -> np.ndarray:
-        return self.vertex_series[:, self.target]
+        return self.vertex_series[:, 1]
 
     def to_json_dict(self) -> dict:
         return report_json(self, ("times", "vertex_series")) | {"pst_tol": PST_TOL}
@@ -132,24 +140,34 @@ def detect_transfer_ct(
     t_max: float = 100.0,
     dt: float = 0.01,
     lam: float = 0.9,
+    track: tuple[int, ...] = (),
 ) -> CtTransferReport:
-    """Scan [0, t_max] for transfer and periodicity of the continuous walk."""
+    """Scan [0, t_max] for transfer and periodicity of the continuous walk,
+    at the vertices source, target, *track: the report's vertex_series columns."""
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
     check_vertices(g.n, pair)
+    check_vertices(g.n, track, "tracked vertex")
     source, target = pair
     spec = Spectrum.from_graph(g)
     psi0 = np.zeros(g.n, dtype=complex)
     psi0[source] = 1.0
+    coeff = spec.eigenvectors.T @ psi0
+    cols = [source, target, *track]
+    # the scan still evaluates T x n phases, so the bound counts those
     check_table("ctqw time grid", t_max / dt + 1, g.n)
     times = np.arange(0.0, t_max + dt / 2, dt)
-    vertex_series = np.empty((times.size, g.n))
+    vertex_series = np.empty((times.size, len(cols)))
     # blocks of equal length, so that no block of a grid of two or more rows
     # has a single row (matmul takes another BLAS path for one row)
     blocks = -(-times.size // max(1, _GRID_BLOCK_BYTES // (16 * g.n)))
     for out, part in zip(np.array_split(vertex_series, blocks), np.array_split(times, blocks)):
-        out[:] = np.abs(evolve_ct_many(spec, psi0, part)) ** 2
+        out[:] = np.abs(_amplitudes(spec, coeff, part, cols)) ** 2
     # |psi|^2 of a spectral sum can land a few ulps above 1; no probability does
     np.minimum(vertex_series, 1.0, out=vertex_series)
-    target_series = vertex_series[:, target]
+    # psi0 is the source basis vector, so its fidelity is the source probability
+    fid_series, target_series = vertex_series[:, 0], vertex_series[:, 1]
 
     peak_t, peak_p = _refined_maxima(target_series, times, spec, psi0, target)
     pst_times = tuple(peak_t[peak_p >= 1.0 - PST_TOL].tolist())
@@ -160,8 +178,6 @@ def detect_transfer_ct(
         max_probability = float(peak_p.max())
         max_time = float(peak_t[peak_step(peak_p) - 1])
 
-    # psi0 is the source basis vector, so its fidelity is the source probability
-    fid_series = vertex_series[:, source]
     # skip the descent from the peak at t = 0: look only from the first grid
     # minimum, where the fidelity first rises
     rises = np.flatnonzero(fid_series[1:] > fid_series[:-1])

@@ -73,9 +73,6 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    def has_loop(self, v: int) -> bool:
-        return self.adjacency[v, v] != 0
-
     def degree(self, v: int) -> int:
         """Number of incident edge ends at v; a self loop counts once."""
         return int(np.count_nonzero(self.adjacency[v]))

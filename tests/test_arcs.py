@@ -59,7 +59,7 @@ def _loop_built(g: Graph) -> ArcSpace:
             if w != v and g.adjacency[v, w] != 0:
                 heads.append(v)
                 targets.append(w)
-        if g.has_loop(v):
+        if g.adjacency[v, v] != 0:
             heads.append(v)
             targets.append(v)
     offsets[g.n] = len(heads)

@@ -20,6 +20,7 @@ import qwalk.dtqw
 from qwalk.cli import main, parse_graph_spec, parse_init_spec
 from qwalk.arcs import ArcSpace
 from qwalk.coins import parse_policy
+from qwalk.ctqw import Spectrum, evolve_ct_many
 from qwalk.errors import ConfigError
 from qwalk.explorer import INTERP_CHAINS, interpolation_sweep
 from qwalk.graphs import Cycle, Edgeless, Join, build, graph_from_json
@@ -32,7 +33,7 @@ def test_parse_graph_spec_families():
     assert g.n == 7
     assert sorted(g.degree(v) for v in range(7)) == [4, 4, 4, 4, 4, 5, 5]
     assert parse_graph_spec("cycle n=6").n == 6
-    assert parse_graph_spec("diamond n=2 loops=ends").has_loop(0)
+    assert parse_graph_spec("diamond n=2 loops=ends").adjacency[0, 0] != 0
 
 
 def test_parse_graph_spec_errors():
@@ -492,6 +493,19 @@ def test_ctqw_csv_caps_grid_probabilities(tmp_path):
     rows = stem.with_suffix(".csv").read_text().splitlines()
     assert rows[0] == "t,v0,v4" and rows[1].startswith("0,1,")
     assert max(float(v) for row in rows[1:] for v in row.split(",")[1:]) <= 1.0
+
+
+def test_ctqw_csv_writes_the_tracked_columns_of_the_full_evolution(tmp_path):
+    stem = tmp_path / "k2c"
+    argv = ["ctqw", "--graph", "join k2c n=7", "--pair", "0,1", "--tmax", "5", "--dt", "0.01",
+            "--track", "3,1,5"]
+    assert main(argv + ["--out", str(stem)]) == 0
+    g = parse_graph_spec("join k2c n=7")
+    times = np.arange(0.0, 5.0 + 0.005, 0.01)
+    states = evolve_ct_many(Spectrum.from_graph(g), np.eye(g.n, dtype=complex)[0], times)
+    probs = np.minimum(np.abs(states[:, [3, 1, 5]]) ** 2, 1.0)
+    want = ["t,v3,v1,v5"] + [",".join("%.17g" % x for x in (t, *row)) for t, row in zip(times, probs)]
+    assert stem.with_suffix(".csv").read_text().splitlines() == want
 
 
 def test_decohere_classical_limit(tmp_path):

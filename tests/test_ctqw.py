@@ -133,7 +133,7 @@ def test_grid_probabilities_are_capped_at_one():
     g = build(Cycle(8))
     rep = detect_transfer_ct(g, (0, 4), t_max=1.0, dt=0.5)
     psi0 = np.eye(8, dtype=complex)[0]
-    raw = np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)) ** 2
+    raw = np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)[:, [0, 4]]) ** 2
     assert raw.max() > 1.0
     assert np.array_equal(rep.vertex_series, np.minimum(raw, 1.0))
 
@@ -175,15 +175,33 @@ def test_hub_path_best_transfer_frozen():
     assert rep.max_time == pytest.approx(34.98, abs=0.02)
 
 
+def _full_probabilities(g, source, times):
+    """The whole (len(times), n) probability table of one evolve_ct_many call."""
+    psi0 = np.eye(g.n, dtype=complex)[source]
+    return np.minimum(np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, times)) ** 2, 1.0)
+
+
 def test_report_vertex_series_is_the_scanned_evolution():
     g = build(Cycle(6))
     rep = detect_transfer_ct(g, (0, 3), t_max=5.0, dt=0.05)
-    psi0 = np.zeros(6, dtype=complex)
-    psi0[0] = 1.0
-    want = np.minimum(np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)) ** 2, 1.0)
-    assert rep.vertex_series.shape == (len(rep.times), 6)
+    want = _full_probabilities(g, 0, rep.times)[:, [0, 3]]
+    assert rep.vertex_series.shape == (len(rep.times), 2)
     assert np.array_equal(rep.vertex_series, want)
-    assert np.array_equal(rep.target_series, rep.vertex_series[:, 3])
+    assert np.array_equal(rep.target_series, rep.vertex_series[:, 1])
+
+
+@pytest.mark.parametrize("pair, track", [
+    ((0, 3), (0, 3)),
+    ((0, 3), (4,)),
+    ((0, 3), (5, 1, 5, 3)),
+    ((0, 0), (0, 2)),
+], ids=["pair", "outside-pair", "repeated", "pair-0-0"])
+def test_scan_columns_are_the_full_evolution_columns(pair, track):
+    g = build(Cycle(6))
+    rep = detect_transfer_ct(g, pair, t_max=5.0, dt=0.05, track=track)
+    want = _full_probabilities(g, pair[0], rep.times)
+    assert np.array_equal(rep.vertex_series, want[:, [*pair, *track]])
+    assert np.array_equal(rep.target_series, want[:, pair[1]])
 
 
 @pytest.mark.parametrize("graph, pair, t_max, dt", [
@@ -195,9 +213,9 @@ def test_report_vertex_series_is_the_scanned_evolution():
 ], ids=["C8-40001-rows", "two-rows", "K33-ragged", "K2+K200", "K16-block-plus-one"])
 def test_vertex_series_is_seamless_across_grid_blocks(graph, pair, t_max, dt):
     g = build(graph)
-    rep = detect_transfer_ct(g, pair, t_max=t_max, dt=dt)
-    psi0 = np.eye(g.n, dtype=complex)[pair[0]]
-    want = np.minimum(np.abs(evolve_ct_many(Spectrum.from_graph(g), psi0, rep.times)) ** 2, 1.0)
+    track = (g.n - 1, 0)
+    rep = detect_transfer_ct(g, pair, t_max=t_max, dt=dt, track=track)
+    want = _full_probabilities(g, pair[0], rep.times)[:, [*pair, *track]]
     assert rep.vertex_series.shape == want.shape
     assert np.array_equal(rep.vertex_series, want)
 
@@ -211,6 +229,34 @@ def test_grid_scan_holds_only_its_probability_table():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * rep.vertex_series.nbytes + 2**20
+
+
+def test_grid_scan_holds_no_table_of_every_vertex():
+    # 50,001 times x 202 vertices: the full probability table alone is 81 MB
+    g = build(Join(Edgeless(2), Edgeless(200)))
+    tracemalloc.start()
+    try:
+        detect_transfer_ct(g, (0, 1), t_max=50.0, dt=0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("t_max, dt, bad", [
+    (10.0, 0.0, "dt must be positive and finite, got 0.0"),
+    (10.0, -0.1, "dt must be positive and finite, got -0.1"),
+    (10.0, math.nan, "dt must be positive and finite, got nan"),
+    (10.0, math.inf, "dt must be positive and finite, got inf"),
+    (-1.0, 0.01, "t_max must be positive and finite, got -1.0"),
+    (0.0, 0.01, "t_max must be positive and finite, got 0.0"),
+    (math.nan, 0.01, "t_max must be positive and finite, got nan"),
+    (math.inf, 0.01, "t_max must be positive and finite, got inf"),
+], ids=["dt-zero", "dt-negative", "dt-nan", "dt-inf", "tmax-negative", "tmax-zero", "tmax-nan",
+        "tmax-inf"])
+def test_detect_transfer_ct_refuses_a_grid_that_is_not_positive_and_finite(t_max, dt, bad):
+    with pytest.raises(ConfigError, match=f"^{bad}$"):
+        detect_transfer_ct(build(Cycle(4)), (0, 2), t_max=t_max, dt=dt)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -320,3 +366,9 @@ def test_refined_maxima_are_local_maxima(g, data):
 def test_detect_transfer_ct_refuses_a_vertex_outside_the_graph(pair, vertex):
     with pytest.raises(ConfigError, match=rf"^pair vertex {vertex} outside 0\.\.4$"):
         detect_transfer_ct(build(Path(5)), pair, t_max=2.0)
+
+
+@pytest.mark.parametrize("vertex", [-1, 5], ids=["negative", "past-n"])
+def test_detect_transfer_ct_refuses_a_tracked_vertex_outside_the_graph(vertex):
+    with pytest.raises(ConfigError, match=rf"^tracked vertex {vertex} outside 0\.\.4$"):
+        detect_transfer_ct(build(Path(5)), (0, 4), t_max=2.0, track=(1, vertex))

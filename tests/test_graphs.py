@@ -96,8 +96,8 @@ def test_diamond_chain_shape():
 
 def test_diamond_chain_loop_ends_degree():
     g = build(DiamondChain(3, loop_ends=True))
-    assert g.has_loop(0) and g.has_loop(g.n - 1)
-    assert sum(g.has_loop(v) for v in range(g.n)) == 2
+    assert g.adjacency[0, 0] != 0 and g.adjacency[g.n - 1, g.n - 1] != 0
+    assert sum(g.adjacency[v, v] != 0 for v in range(g.n)) == 2
     assert g.degree(0) == 3 and g.degree(g.n - 1) == 3
 
 
@@ -265,7 +265,7 @@ def test_canonical_key_matches_brute_force(case):
 def _to_networkx(g: Graph, marks) -> nx.Graph:
     h = nx.Graph()
     for v in range(g.n):
-        h.add_node(v, mark=v in marks, loop=g.has_loop(v))
+        h.add_node(v, mark=v in marks, loop=g.adjacency[v, v] != 0)
     h.add_edges_from(g.edge_set())
     return h
 

@@ -161,6 +161,9 @@ def test_readme_sink_fields_are_the_search_record_fields():
     # the key layout is canonical_key's; graph_from_key is its one decoder
     ("frombuffer", {"graphs"}),
     ("argwhere", {"arcs", "graphs"}),
+    # the spectral sum is ctqw's; a module that read the eigenvectors would
+    # hold a second copy of it
+    ("eigenvectors", {"ctqw"}),
 ])
 def test_only_its_owners_read_a_layout(attr, owners):
     readers = [
