@@ -28,19 +28,24 @@ then stepped in real arithmetic, a quarter of the flops of the complex
 product; each product takes the ``np.result_type`` of its operands, so a
 complex coin or a Haar start walks in complex128 through the same code.
 
-A Haar scan (``block_scan``) bounds every sample's arrival probability
-at step t by the top eigenvalue of that step's Gram matrix, which it
-computes anyway for the PST certificate, and evaluates the samples only
-at the steps where that bound can still beat ``lam`` or the best sample
-so far.
+A Haar scan (``block_scan``) walks the source ports' identity columns,
+not the samples, and bounds every sample's arrival probability at step t
+by the top eigenvalue of that step's Gram matrix, which it computes
+anyway for the PST certificate.  It evaluates the samples only at the
+steps where that bound can still beat ``lam`` or the best sample found
+so far, and there in real arithmetic: a sample's probability is
+one real dot product of the Gram's coordinates with the sample's
+features (``_features``), so a Haar state meets no complex product.  A
+batch of scan cells, such as a survey task, walks as stacked products,
+and no result depends on the cells it is batched with.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,17 +235,24 @@ def vertex_probability(space: ArcSpace, psi: np.ndarray, v: int) -> float | np.n
     return np.minimum(space.port_sum(np.abs(psi) ** 2)[..., v], 1.0)
 
 
-def trajectory(op: StepOperator, cols: np.ndarray, t_max: int) -> np.ndarray:
+def trajectory(
+    op: StepOperator | Sequence[StepOperator], cols: np.ndarray, t_max: int
+) -> np.ndarray:
     """U^t @ cols for t = 0..t_max, shape (t_max + 1,) + cols.shape.
 
     ``cols`` is an (m, k) block, such as the identity columns of a
     vertex's ports, or a single state of shape (m,).  Each step is one
     product with U, so no m x m power is ever formed.  The table takes
     the ``np.result_type`` of U and ``cols``, and U is cast to it once.
+    A sequence of c operators on equal arc counts steps a (c, m, k)
+    stack of blocks, block i under operator i: one stacked product a
+    step, whose items get the bits of each walk stepped alone.
     """
     cols = np.asarray(cols)
-    dtype = np.result_type(op.dtype, cols)
-    u = op.matrix.astype(dtype, copy=False)
+    ops = [op] if isinstance(op, StepOperator) else op
+    dtype = np.result_type(*(o.dtype for o in ops), cols)
+    mats = [o.matrix.astype(dtype, copy=False) for o in ops]
+    u = mats[0] if len(mats) == 1 else np.array(mats)
     check_table("trajectory", t_max + 1, cols.size)
     out = np.empty((t_max + 1,) + cols.shape, dtype=dtype)
     out[0] = cols
@@ -250,11 +262,12 @@ def trajectory(op: StepOperator, cols: np.ndarray, t_max: int) -> np.ndarray:
 
 
 def _trajectory_pieces(
-    op: StepOperator, cols: np.ndarray, t_max: int
+    op: StepOperator | Sequence[StepOperator], cols: np.ndarray, t_max: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """``trajectory(op, cols, t_max)`` in (first step, piece) pairs of at
-    most ``_CHUNK_BYTES``; each piece starts at its predecessor's end."""
-    per_piece = max(1, _CHUNK_BYTES // (16 * np.size(cols)))
+    """``trajectory(op, cols, t_max)`` in (first step, piece) pairs; each
+    piece starts at its predecessor's end.  The piece being made and the
+    one its caller still holds take at most ``_CHUNK_BYTES`` together."""
+    per_piece = max(1, _CHUNK_BYTES // (32 * np.size(cols)))
     for lo in range(0, max(t_max, 1), per_piece):
         piece = trajectory(op, cols, min(per_piece, t_max - lo))
         cols = piece[-1]
@@ -419,20 +432,24 @@ class ScanResult(_Verdict):
         return {f.name: getattr(self, f.name) for f in fields(_Verdict)}
 
 
-def block_scan(
-    op: StepOperator,
-    pairs: Sequence[tuple[int, int]],
-    states: Sequence[np.ndarray],
-    t_max: int,
-    lam: float,
-) -> list[ScanResult]:
-    """Haar-sampled and exact transfer across each (source, target) pair.
+# A scan cell: an operator, the (source, target) pairs scanned on it, and
+# the Haar rows of each pair's source
+ScanCell = tuple[StepOperator, Sequence[tuple[int, int]], Sequence[np.ndarray]]
+
+
+def block_scan(cells: Sequence[ScanCell], t_max: int, lam: float) -> list[list[ScanResult]]:
+    """Haar-sampled and exact transfer across each pair of each cell: one
+    list per cell, one ``ScanResult`` per pair, in order.
 
     With B_t the source-to-target block of U^t and G_t = B_t^H B_t, a
     source coin state s arrives at step t with probability s^H G_t s,
     and no unit s does better than top_t, the top eigenvalue of G_t (the
-    square of B_t's top singular value).  One trajectory of all source
-    ports, taken in pieces, gives every G_t and top_t.
+    square of B_t's top singular value).  One trajectory of a cell's
+    source ports gives every G_t and top_t of its pairs
+    (``_gram_spans``), and blocks of equal shape get their Grams and
+    eigenvalues in stacked calls.  A stacked item gets the bits of
+    its own 2-D call, so no result depends on the other cells scanned
+    with it.
 
     The certificate: step t admits perfect transfer from some source
     coin state if and only if B_t has a unit singular value, so
@@ -440,74 +457,234 @@ def block_scan(
     (1 - PST_SINGULAR_TOL)^2.  It catches the measure-zero families of
     initial states that sampling always misses.
 
-    The rows of ``states[i]`` are folded only into the steps whose top_t
-    leaves the result open, with B the best sampled probability so far:
+    A pair's Haar rows are folded (``_fold``) only into the steps whose
+    top_t leaves the result open.  The steps come in spans, all t_max of
+    them in one span unless their blocks would take more than
+    ``_CHUNK_BYTES``, and a span is folded in two rounds, with B the best
+    sampled probability so far and slack the margin ``_prune_slack(d)``
+    at source degree d:
 
-        top_t > lam - _PRUNE_SLACK  or  top_t >= B - TIE_TOL - _PRUNE_SLACK
+        1. every step with top_t > lam - slack, and the span's top step
+           if top_t >= B - TIE_TOL - slack;
+        2. every other step with top_t >= B - TIE_TOL - slack.
 
-    A piece's steps are taken in decreasing order of top_t, so its top
-    step sets B first, and the first step that fails both tests ends the
-    piece.  No other step can hold a sample over lam or a probability
-    within TIE_TOL of the best, so the result equals folding every step.
+    Round 1 holds every step where a sample can beat lam, and B is never
+    above the final best, so no step left out can hold a sample over lam
+    or a probability within TIE_TOL of the best: the result equals
+    folding every step.
 
-    _PRUNE_SLACK bounds the rounding gap between a computed s^H G s and
-    the computed top_t.  For unit s the error of s^H G s is below
-    (2d + 4) u sum_ij |s_i G_ij s_j| <= (2d + 4) u tr G <= (2d + 4) d u
-    (u = 2**-53, tr G <= d since B_t is a block of a unitary), which is
-    1.5e-11 at d = 255 and stays under 1e-9 up to d of about 2000;
-    eigvalsh adds an error of order d u.
+    The slack bounds the rounding gap between a computed s^H G s and
+    the computed top_t.  ``_fold`` forms s^H G s as a real dot product
+    of d^2 terms, whose error is below about (d^2 + 2) u sum_ij
+    |G_ij| |s_i| |s_j| <= (d^2 + 2) u ||G||_F <= (d^2 + 2) sqrt(d) u
+    (u = 2**-53, ||G||_F <= sqrt(d) since B_t is a block of a unitary);
+    eigvalsh adds an error of order d u.  2**-52 d**2.5 covers both, and
+    reaches 1e-9 at d = 458.
+
+    The (pairs, t_max) tables of every cell, ``top_gram`` among them,
+    are held at once, so a caller bounds its batch by t_max.
     """
     check_count("t_max", t_max)
-    space = op.space
-    check_vertices(len(space.offsets) - 1, [v for pair in pairs for v in pair])
-    check_table("scan steps", t_max, len(pairs))
-    offsets = np.cumsum([0] + [space.degree(src) for src, _ in pairs])
+    for op, pairs, _ in cells:
+        check_vertices(len(op.space.offsets) - 1, [v for pair in pairs for v in pair])
+        check_table("scan steps", t_max, len(pairs))
+    n = sum(len(pairs) for _, pairs, _ in cells)
+    states = [np.ascontiguousarray(s, dtype=complex) for _, _, sets in cells for s in sets]
+    slack = np.array([[_prune_slack(s.shape[1])] for s in states])
+    tops = np.empty((n, t_max))
     # a step never folded keeps -inf: it cannot be the best or tie with it
-    step_best = [np.full(t_max, -np.inf) for _ in pairs]
+    step_best = np.full((n, t_max), -np.inf)
     over = [np.zeros(len(s), dtype=bool) for s in states]
-    top_gram = [np.empty(t_max) for _ in pairs]
-    states = [np.ascontiguousarray(s, dtype=complex) for s in states]
-    cols = _port_columns(space, [src for src, _ in pairs])
-    for lo, piece in _trajectory_pieces(op, cols, t_max):
-        for i, (_, tgt) in enumerate(pairs):
-            blocks = piece[1:, space.vertex_slice(tgt), offsets[i] : offsets[i + 1]]
-            grams = blocks.conj().transpose(0, 2, 1) @ blocks
-            top = np.linalg.eigvalsh(grams)[:, -1]
-            top_gram[i][lo : lo + len(top)] = top
-            best = step_best[i].max()
-            for j in np.argsort(-top, kind="stable").tolist():
-                if top[j] <= lam - _PRUNE_SLACK and top[j] < best - TIE_TOL - _PRUNE_SLACK:
-                    break
-                probs = np.minimum(_sample_probabilities(grams[j], states[i]), 1.0)
-                step_best[i][lo + j] = probs.max()
-                over[i] |= probs > lam
-                best = max(best, step_best[i][lo + j])
-    return [
+
+    def fold(opened: np.ndarray, coords: list[np.ndarray], best: np.ndarray) -> None:
+        steps = [np.flatnonzero(row) for row in opened]
+        folding = [i for i in range(n) if steps[i].size]
+        # one fold per Haar set and coordinate width
+        for members in _groups(folding, lambda i: (id(states[i]), coords[i].shape[1])):
+            folds = _fold(states[members[0]], [coords[i][steps[i]] for i in members], lam)
+            for i, (step_max, hits) in zip(members, folds):
+                best[i, steps[i]] = step_max
+                over[i] |= hits
+
+    for lo, top, coords in _gram_spans(cells, t_max):
+        hi = lo + top.shape[1]
+        tops[:, lo:hi] = top
+        best = step_best[:, lo:hi]
+        peak = np.arange(hi - lo) == top.argmax(axis=1)[:, None]
+        so_far = step_best[:, :lo].max(axis=1, keepdims=True, initial=-np.inf)
+        fold((top > lam - slack) | peak & (top >= so_far - TIE_TOL - slack), coords, best)
+        so_far = step_best[:, :hi].max(axis=1, keepdims=True)
+        fold((best == -np.inf) & (top >= so_far - TIE_TOL - slack), coords, best)
+    certified = tops >= (1.0 - PST_SINGULAR_TOL) ** 2
+    results = iter([
         ScanResult(
             float(sb.max()),
             peak_step(sb),
             float(np.mean(ov)),
-            tuple((np.flatnonzero(tg >= (1.0 - PST_SINGULAR_TOL) ** 2) + 1).tolist()),
+            tuple((np.flatnonzero(cert) + 1).tolist()),
             top_gram=tg,
         )
-        for sb, ov, tg in zip(step_best, over, top_gram)
-    ]
+        for sb, ov, cert, tg in zip(step_best, over, certified, tops)
+    ])
+    return [[next(results) for _ in pairs] for _, pairs, _ in cells]
 
 
-def _sample_probabilities(gram: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """s^H G s for every row s of ``states``.
+def _groups(indices: Iterable[int], key) -> list[list[int]]:
+    """``indices`` split by the value of ``key(i)``, each group in order."""
+    out: dict = {}
+    for i in indices:
+        out.setdefault(key(i), []).append(i)
+    return list(out.values())
 
-    Per chunk of rows, S G^T holds G s in each row, and s^H G s is the
-    real dot product of the (Re, Im) pairs of s with those of G s.  A
-    chunk's G s takes at most 1/16 of ``_CHUNK_BYTES``.
+
+def _gram_spans(
+    cells: Sequence[ScanCell], t_max: int
+) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
+    """The Gram spectra of every pair of every cell, the pairs numbered
+    cell by cell, in spans of steps lo + 1..hi: (lo, the top eigenvalue of
+    each pair's G_t, shape (pairs, hi - lo), and each pair's
+    ``_gram_coordinates`` at those steps).
+
+    A cell walks the identity columns of its sources' ports, one source
+    after another.  Cells of equal arc count, column count and dtype
+    walk as one stack, in pieces, of which only the target blocks are
+    kept.  Blocks of equal shape and dtype are stacked, and a span's
+    blocks take at most ``_CHUNK_BYTES``.
     """
-    d = len(gram)
-    rows = max(1, _CHUNK_BYTES // (256 * d))
-    pairs = states.view(np.float64)
-    out = np.empty(len(states))
+    shapes = [
+        (op.space.degree(tgt), op.space.degree(src), op.dtype)
+        for op, pairs, _ in cells
+        for src, tgt in pairs
+    ]
+    groups = _groups(range(len(shapes)), shapes.__getitem__)
+    slot = {i: (g, k) for g, members in enumerate(groups) for k, i in enumerate(members)}
+    first = np.cumsum([0] + [len(pairs) for _, pairs, _ in cells]).tolist()
+    cols = [_port_columns(op.space, [src for src, _ in pairs]) for op, pairs, _ in cells]
+    walks = []  # (operators, columns at the span's start, kept blocks) of each stack
+    for members in _groups(range(len(cells)), lambda c: cols[c].shape + (cells[c][0].dtype,)):
+        kept = []  # (shape group, slot, walk in the stack, target rows, source columns)
+        for item, c in enumerate(members):
+            op, pairs, _ = cells[c]
+            lo = 0
+            for i, (src, tgt) in enumerate(pairs, first[c]):
+                hi = lo + op.space.degree(src)
+                kept.append(slot[i] + (item, op.space.vertex_slice(tgt), slice(lo, hi)))
+                lo = hi
+        walks.append([[cells[c][0] for c in members], np.array([cols[c] for c in members]), kept])
+    per_step = sum(d_t * d_s * np.dtype(dtype).itemsize for d_t, d_s, dtype in shapes)
+    span = max(1, _CHUNK_BYTES // per_step)
+    for lo in range(0, t_max, span):
+        steps = min(span, t_max - lo)
+        stacks = [np.empty((len(g), steps) + shapes[g[0]][:2], shapes[g[0]][2]) for g in groups]
+        for walk in walks:
+            walk[1] = _walk_blocks(*walk, stacks, steps)
+        top, coords = np.empty((len(shapes), steps)), [None] * len(shapes)
+        for g, members in enumerate(groups):
+            group_top, group_coords = _gram_spectra(stacks[g])
+            stacks[g] = None  # a group's blocks go once its spectra are taken
+            top[members] = group_top
+            for i, c in zip(members, group_coords):
+                coords[i] = c
+        yield lo, top, coords
+
+
+def _walk_blocks(ops, start, kept, stacks, steps) -> np.ndarray:
+    """Walk a stack ``steps`` further from the columns ``start``, copying
+    each kept target block into its slot of ``stacks``; the columns it
+    ends at."""
+    for at, piece in _trajectory_pieces(ops, start, steps):
+        for g, k, item, rows, ports in kept:
+            stacks[g][k, at : at + len(piece) - 1] = piece[1:, item, rows, ports]
+    return piece[-1].copy()
+
+
+def _gram_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The top eigenvalue and the ``_gram_coordinates`` of G = B^H B for
+    each block B of a (..., d_t, d_s) stack, with the Grams formed in
+    pieces of at most 1/4 of ``_CHUNK_BYTES``."""
+    flat = blocks.reshape((-1,) + blocks.shape[-2:])
+    d = blocks.shape[-1]
+    per = max(1, _CHUNK_BYTES // (4 * d * d * blocks.itemsize))
+    tops, coords = [], []
+    for lo in range(0, len(flat), per):
+        piece = flat[lo : lo + per]
+        grams = piece.conj().transpose(0, 2, 1) @ piece
+        tops.append(np.linalg.eigvalsh(grams)[:, -1])
+        coords.append(_gram_coordinates(grams))
+    lead = blocks.shape[:-2]
+    return np.concatenate(tops).reshape(lead), np.concatenate(coords).reshape(lead + (-1,))
+
+
+def _prune_slack(d: int) -> float:
+    """The pruning margin of ``block_scan`` at source degree d:
+    ``_PRUNE_SLACK`` up to d = 458, and 2**-52 d**2.5 past it."""
+    return _PRUNE_SLACK * max(1.0, d / 458) ** 2.5
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries above the diagonal of a d x d
+    matrix, row by row; read-only, as they are shared."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _gram_coordinates(grams: np.ndarray) -> np.ndarray:
+    """(..., d, d) Hermitian Grams -> (..., F) real coordinates: the
+    diagonal, then 2 Re and, for a complex stack, -2 Im of the entries
+    above it.  F is d(d + 1)/2 for a real stack and d^2 for a complex
+    one; each pairs with the first F rows of ``_features``."""
+    upper = grams[(...,) + _upper_pairs(grams.shape[-1])]
+    parts = [np.diagonal(grams, axis1=-2, axis2=-1).real, 2 * upper.real]
+    if np.iscomplexobj(grams):
+        parts.append(-2 * upper.imag)
+    return np.concatenate(parts, axis=-1)
+
+
+def _features(states: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` of the d^2 real features of each row s of
+    ``states``, one column per row: |s_i|^2, then Re and Im of
+    conj(s_i) s_j for i < j.
+
+    For Hermitian G, s^H G s = sum_i G_ii |s_i|^2 + 2 sum_{i<j}
+    (Re G_ij Re(conj(s_i) s_j) - Im G_ij Im(conj(s_i) s_j)), the dot
+    product of G's ``_gram_coordinates`` with s's features.
+    """
+    re, im = np.ascontiguousarray(states.real.T), np.ascontiguousarray(states.imag.T)
+    iu, ju = _upper_pairs(len(re))
+    parts = [re * re + im * im, re[iu] * re[ju] + im[iu] * im[ju]]
+    if width > len(re) + len(iu):
+        parts.append(re[iu] * im[ju] - im[iu] * re[ju])
+    return np.concatenate(parts)
+
+
+def _fold(
+    states: np.ndarray, coords: Sequence[np.ndarray], lam: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Fold the sample rows ``states`` into each (J, F) table of Gram
+    coordinates: per table, the best probability (capped at one) at each
+    of its J steps, and which samples beat lam at any of them.
+
+    A step's probabilities are one (1, F) @ (F, rows) product per piece
+    of rows, stacked over steps: each step gets the same gemv whatever
+    else is folded with it, and the pieces depend on F alone.  A piece
+    of the feature table takes at most 1/8 of ``_CHUNK_BYTES``, so that
+    it stays in cache while every step reads it, and a piece of the
+    products at most ``_CHUNK_BYTES``.
+    """
+    width = coords[0].shape[1]
+    rows = max(1, _CHUNK_BYTES // (64 * width))
+    steps = max(1, _CHUNK_BYTES // (8 * min(rows, len(states))))
+    out = [(np.full(len(c), -np.inf), np.zeros(len(states), dtype=bool)) for c in coords]
     for lo in range(0, len(states), rows):
-        gs = states[lo : lo + rows] @ gram.T
-        out[lo : lo + rows] = np.einsum("ij,ij->i", pairs[lo : lo + rows], gs.view(np.float64))
+        feats = _features(states[lo : lo + rows], width)
+        for c, (best, hits) in zip(coords, out):
+            for j in range(0, len(c), steps):
+                probs = np.minimum(np.matmul(c[j : j + steps, None], feats)[:, 0], 1.0)
+                np.maximum(best[j : j + steps], probs.max(axis=1), out=best[j : j + steps])
+                hits[lo : lo + rows] |= (probs > lam).any(axis=0)
     return out
 
 
@@ -531,4 +708,4 @@ def max_transfer_scan(
     check_vertices(g.n, pair)
     op = build_step_operator(g, policy)
     states = haar_states(op.space.degree(pair[0]), samples, seed)
-    return block_scan(op, [pair], [states], t_max, lam)[0]
+    return block_scan([(op, [pair], [states])], t_max, lam)[0][0]

@@ -37,7 +37,6 @@ import numpy as np
 from qwalk.arcs import ArcSpace
 from qwalk.coins import CoinPolicy, ExplicitMap, Uniform, grover, interp_grover, parse_policy
 from qwalk.dtqw import (
-    ScanResult,
     _JSON_TYPES,
     _Verdict,
     block_scan,
@@ -297,31 +296,11 @@ class SearchRecord(_Verdict, _Cell):
         return cls(**{k: tuple(v) if type(v) is list else v for k, v in data.items()})
 
 
-def _search_cell(
-    g: Graph,
-    policy: CoinPolicy,
-    pair: tuple[int, int],
-    samples: int,
-    t_max: int,
-    seed: int,
-    lam: float,
-) -> ScanResult:
-    """Scan one variant under one policy and keep the stronger direction.
-
-    Deduplication treats the marked pair as unordered, so one emitted
-    representative can stand for a variant and its mirror image.  Those
-    two differ dynamically (walking toward a modified vertex is not the
-    same as walking away from it), so the scan runs the transfer both
-    ways across the pair and reports whichever direction does better,
-    preferring exact PST, then best probability, then sample fraction.
-    One ``block_scan`` trajectory serves both directions.
-    """
-    op = build_step_operator(g, policy)
-    directions = (pair, (pair[1], pair[0]))
-    states = [_haar_set(op.space.degree(src), samples, seed) for src, _ in directions]
-    scans = block_scan(op, directions, states, t_max, lam)
-    # max keeps the first of equal keys, so a tie goes to the given direction
-    return max(scans, key=lambda s: (bool(s.pst_steps), s.max_probability, s.fraction_over_lam))
+# Consecutive variants per search task: their cells are scanned together,
+# and a kill loses at most one task's records
+_TASK_VARIANTS = 16
+# Cells x steps per block_scan call, which holds its cells' tables at once
+_BATCH_STEPS = 1 << 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,20 +331,22 @@ def pst_search(
     and O3 (a preset row or coin map does not fit every variant), an odd
     base, a base outside 4..16, a ``max_new`` below 1 or a table of Haar
     samples or steps over the limit raises ``ConfigError`` before the
-    sink is touched.  One task is
-    one variant, carried as its key: the graph the key spells, in the
-    canonical numbering, is walked under every policy still missing from
-    the sink.  With a sink path, each variant's records are
-    appended to a JSON-lines file and flushed as soon as its cells
-    finish, in variant order, so a kill loses at most the finished cells
-    of one variant and a rerun skips every cell already present.  A torn
+    sink is touched.  A variant is carried as its key: the graph the key
+    spells, in the canonical numbering, is walked under every policy still
+    missing from the sink.  One task is ``_TASK_VARIANTS`` consecutive
+    such variants, whose cells are scanned together (``_scan_task``).
+    With a sink path, each task's records are appended to a JSON-lines
+    file and flushed as soon as its cells finish, in variant order, then
+    policy order, so a kill loses at most the finished cells of one task
+    and a rerun skips every cell already present.  A torn
     last line, left by a kill in the middle of a write, is cut from the
     file and its cell runs again.  The sink's configuration is kept
     beside it (see ``_read_sink``), so a rerun under another one is
     refused.  A source of degree d starts from
-    ``haar_states(d, samples, SeedSequence([seed, d]))`` in every cell, so
-    a record depends only on its key, policy and scan settings, and results
-    are identical however many workers run; the pool has min(workers,
+    ``haar_states(d, samples, SeedSequence([seed, d]))`` in every cell, and
+    no cell's result depends on the cells scanned with it, so a record
+    depends only on its key, policy and scan settings, and results are
+    identical however many workers run; the pool has min(workers,
     tasks, CPU count) processes.  Records of equal ``max_probability``
     sort by key, then policy, so a resumed run returns the same order.
     """
@@ -380,19 +361,21 @@ def pst_search(
     # a source port count of 2 + max_new occurs: every new node on vertex 0
     check_table("Haar states", samples, 2 + max_new)
     check_table("scan steps", t_max, 2)
-    # format 3: key numbering, one Haar set per degree; 2: ScanResult's names; 1: no side file
-    config = {"format": 3, "base": base, "max_new": max_new, "policies": list(policies),
+    # format 4: the real-feature fold; 3: key numbering, one Haar set per degree;
+    # 2: ScanResult's names; 1: no side file
+    config = {"format": 4, "base": base, "max_new": max_new, "policies": list(policies),
               "samples": samples, "steps": t_max, "lam": lam, "seed": seed}
     records = _read_sink(sink_path, config) if sink_path else []
     done = {(rec.key, rec.policy) for rec in records}
 
-    tasks = []
+    variants = []
     for raw_key, desc, _ in _keyed_variants(base, max_new):
         key = raw_key.hex()
         missing = [(name, pol) for name, pol in parsed.items() if (key, name) not in done]
         if missing:
-            tasks.append((key, desc, missing))
-    run = functools.partial(_run_variant, samples=samples, t_max=t_max, lam=lam, seed=seed)
+            variants.append((key, desc, missing))
+    tasks = [variants[i : i + _TASK_VARIANTS] for i in range(0, len(variants), _TASK_VARIANTS)]
+    run = functools.partial(_scan_task, samples=samples, t_max=t_max, lam=lam, seed=seed)
     _haar_set.cache_clear()
 
     workers = min(workers, len(tasks), os.cpu_count() or 1)
@@ -402,14 +385,14 @@ def pst_search(
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            fresh = pool.map(run, tasks, chunksize=max(1, round(8 / len(parsed))))
+            fresh = pool.map(run, tasks)
         else:
             fresh = map(run, tasks)
-        for variant_records in fresh:
+        for task_records in fresh:
             if sink:
-                sink.writelines(rec.to_json() + "\n" for rec in variant_records)
+                sink.writelines(rec.to_json() + "\n" for rec in task_records)
                 sink.flush()
-            records.extend(variant_records)
+            records.extend(task_records)
     records.sort(key=lambda r: (-r.max_probability, r.key, r.policy))
     return records
 
@@ -470,17 +453,38 @@ def _check_sink_config(path: str, side: str, config: dict) -> None:
         )
 
 
-def _run_variant(task, samples, t_max, lam, seed) -> list[SearchRecord]:
-    """Records of one (key, descriptor, policies) task, in policy order,
-    walked on the graph the key spells, whose pair sits at (n - 2, n - 1)."""
-    key, desc, policies = task
-    g = graph_from_key(bytes.fromhex(key))
-    n = g.n
-    out = []
-    for name, policy in policies:
-        scan = _search_cell(g, policy, (n - 2, n - 1), samples, t_max, seed, lam)
-        out.append(SearchRecord(key, desc.to_json_dict(), name, **scan.to_json_dict()))
-    return out
+def _scan_task(task, samples, t_max, lam, seed) -> list[SearchRecord]:
+    """Records of a task's (key, descriptor, policies) variants, in
+    variant order, then policy order, scanned in ``block_scan`` batches
+    of at most ``_BATCH_STEPS`` cells x steps (one batch at 60 steps).
+
+    A variant walks the graph its key spells, whose pair sits at
+    (n - 2, n - 1).  Deduplication treats the marked pair as unordered,
+    so one representative stands for a variant and its mirror image.
+    Those two differ dynamically (walking toward a modified vertex is not
+    the same as walking away from it), so each cell scans the transfer
+    both ways across the pair and keeps the direction that does better,
+    preferring exact PST, then best probability, then sample fraction.
+    """
+    cells, heads = [], []
+    for key, desc, policies in task:
+        g = graph_from_key(bytes.fromhex(key))
+        directions = ((g.n - 2, g.n - 1), (g.n - 1, g.n - 2))
+        for name, policy in policies:
+            op = build_step_operator(g, policy)
+            states = [_haar_set(op.space.degree(src), samples, seed) for src, _ in directions]
+            cells.append((op, directions, states))
+            heads.append((key, desc.to_json_dict(), name))
+    records = []
+    # cells per block_scan: a batch's (pairs, t_max) tables stay small at any t_max
+    per_batch = max(1, _BATCH_STEPS // t_max)
+    for lo in range(0, len(cells), per_batch):
+        scanned = block_scan(cells[lo : lo + per_batch], t_max, lam)
+        for head, scans in zip(heads[lo : lo + per_batch], scanned):
+            # max keeps the first of equal keys, so a tie goes to the first direction
+            scan = max(scans, key=lambda s: (bool(s.pst_steps), s.max_probability, s.fraction_over_lam))
+            records.append(SearchRecord(*head, **scan.to_json_dict()))
+    return records
 
 
 # ===== Initial-state family for tailed cycles =====

@@ -378,7 +378,7 @@ def test_gram_certificate_matches_singular_values():
             op = build_step_operator(g, parse_policy(policy))
             pairs = [(0, 2), (2, 0)]
             states = [haar_states(op.space.degree(s), 20, seed=1) for s, _ in pairs]
-            scans = block_scan(op, pairs, states, 40, 0.9)
+            [scans] = block_scan([(op, pairs, states)], 40, 0.9)
             for pair, scan in zip(pairs, scans):
                 gram_hits = scan.top_gram >= (1.0 - PST_SINGULAR_TOL) ** 2
                 svd_hits = np.array([
@@ -399,7 +399,7 @@ def test_block_scan_matches_direct_probabilities():
     blocks = target_block_powers(op, (0, 1), 25)
     probs = np.stack([np.sum(np.abs(states @ block.T) ** 2, axis=1) for block in blocks])
     for lam in (0.3, 0.9):
-        [scan] = block_scan(op, [(0, 1)], [states], 25, lam)
+        [[scan]] = block_scan([(op, [(0, 1)], [states])], 25, lam)
         assert abs(scan.max_probability - probs.max()) <= 1e-12
         assert scan.max_step == peak_step(probs.max(axis=1))
         assert scan.fraction_over_lam == np.mean(probs.max(axis=0) > lam)
@@ -422,10 +422,10 @@ def test_block_scan_chunks_agree_with_one_pass(monkeypatch):
     op = build_step_operator(g, parse_policy("O3"))
     pairs = [(0, 1), (2, 5)]
     states = [haar_states(op.space.degree(s), 90, seed=s) for s, _ in pairs]
-    whole = block_scan(op, pairs, states, 33, 0.5)
+    [whole] = block_scan([(op, pairs, states)], 33, 0.5)
     # pieces of a few steps, and one sample row per product
     monkeypatch.setattr(dtqw, "_CHUNK_BYTES", 3000)
-    chunked = block_scan(op, pairs, states, 33, 0.5)
+    [chunked] = block_scan([(op, pairs, states)], 33, 0.5)
     for a, b in zip(whole, chunked):
         assert abs(a.max_probability - b.max_probability) <= 1e-12
         assert (a.max_step, a.fraction_over_lam) == (b.max_step, b.fraction_over_lam)
@@ -439,19 +439,19 @@ def _scan_with_and_without_pruning(monkeypatch, op, pairs, states, t_max, lam):
     import qwalk.dtqw as dtqw
 
     folds = []
-    fold = dtqw._sample_probabilities
+    fold = dtqw._fold
 
-    def counted(gram, rows):
-        folds[-1] += 1
-        return fold(gram, rows)
+    def counted(states, coords, lam):
+        folds[-1] += sum(len(c) for c in coords)
+        return fold(states, coords, lam)
 
     scans = []
     for slack in (dtqw._PRUNE_SLACK, np.inf):
         with monkeypatch.context() as patch:
-            patch.setattr(dtqw, "_sample_probabilities", counted)
+            patch.setattr(dtqw, "_fold", counted)
             patch.setattr(dtqw, "_PRUNE_SLACK", slack)
             folds.append(0)
-            scans.append(block_scan(op, pairs, states, t_max, lam))
+            scans.append(block_scan([(op, pairs, states)], t_max, lam)[0])
     return scans, folds
 
 
@@ -480,6 +480,44 @@ def test_pruned_scan_equals_folding_every_step(monkeypatch):
                 pruned_folds += folds[0]
                 full_folds += folds[1]
     assert pruned_folds < full_folds / 4
+    # hubs of degree 300 (join k2c n=300): each sample sums 45,150 terms
+    op = build_step_operator(build(Join(Edgeless(2), Cycle(300))), parse_policy("O2"))
+    states = [haar_states(300, 6, seed=s) for s in (1, 2)]
+    (pruned, full), folds = _scan_with_and_without_pruning(
+        monkeypatch, op, [(0, 1), (1, 0)], states, 8, 0.9
+    )
+    _assert_same_scans(pruned, full)
+    assert 0 < folds[0] < folds[1]
+
+
+def test_prune_slack_is_the_constant_up_to_degree_458_then_grows_as_d_to_the_2_5():
+    import qwalk.dtqw as dtqw
+
+    assert dtqw._prune_slack(1) == dtqw._prune_slack(458) == dtqw._PRUNE_SLACK == 1e-9
+    for d in (459, 600, 1000, 5000):
+        assert dtqw._prune_slack(d) == pytest.approx(2.0**-52 * d**2.5, rel=1e-2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 36]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_feature_fold_matches_the_complex_quadratic_form(d, real, seed):
+    import qwalk.dtqw as dtqw
+
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2 * d, 2 * d)) + (0.0 if real else 1j) * rng.standard_normal((2 * d, 2 * d))
+    block = np.linalg.qr(z)[0][:d, :d]  # a block of a unitary, so G lies between 0 and I
+    gram = block.conj().T @ block
+    states = haar_states(d, 40, seed)
+    direct = np.einsum("si,ij,sj->s", states.conj(), gram, states).real
+    coords = dtqw._gram_coordinates(gram[None])
+    assert coords.dtype == np.float64
+    assert coords.shape == (1, d * (d + 1) // 2 if real else d * d)
+    folded = (coords @ dtqw._features(states, coords.shape[1]))[0]
+    assert np.max(np.abs(folded - direct)) <= 1e-13
+    [(best, hits)] = dtqw._fold(states, [coords], 0.5)
+    assert abs(best[0] - min(direct.max(), 1.0)) <= 1e-13
+    clear = np.abs(direct - 0.5) > 1e-13
+    assert np.array_equal(hits[clear], direct[clear] > 0.5)
 
 
 def test_pruned_scan_keeps_steps_only_the_best_holds_open(monkeypatch):
@@ -515,7 +553,8 @@ def test_pruned_scan_counts_a_sample_just_over_lam(monkeypatch):
     states = np.ascontiguousarray(vecs[[21, best]])
     probs = np.stack([np.sum(np.abs(states @ block.T) ** 2, axis=1) for block in blocks])
     lam = top[21]
-    assert dtqw._sample_probabilities(grams[21], states[:1])[0] > lam
+    [(_, hits)] = dtqw._fold(states, [dtqw._gram_coordinates(grams[21:22])], lam)
+    assert hits[0]  # s beats lam at step 22
     assert np.all(np.delete(probs[:, 0], 21) < lam) and top[21] < top[best] - 1e-3
     ([pruned], [full]), folds = _scan_with_and_without_pruning(
         monkeypatch, op, [(0, 2)], [states], 30, lam
@@ -523,7 +562,7 @@ def test_pruned_scan_counts_a_sample_just_over_lam(monkeypatch):
     _assert_same_scans([pruned], [full])
     assert pruned.fraction_over_lam == 1.0
     monkeypatch.setattr(dtqw, "_PRUNE_SLACK", 0.0)
-    assert block_scan(op, [(0, 2)], [states], 30, lam)[0].fraction_over_lam == 0.5
+    assert block_scan([(op, [(0, 2)], [states])], 30, lam)[0][0].fraction_over_lam == 0.5
 
 
 def test_detect_transfer_pieces_agree_with_one_pass(monkeypatch):
@@ -546,7 +585,7 @@ PAIR_ENTRY_POINTS = {
     "max_transfer_scan": lambda g, op, pair: max_transfer_scan(
         g, parse_policy("O2"), pair, samples=10, t_max=8),
     "block_scan": lambda g, op, pair: block_scan(
-        op, [pair], [haar_states(1, 10, 0)], t_max=8, lam=0.9),
+        [(op, [pair], [haar_states(1, 10, 0)])], t_max=8, lam=0.9),
     "target_block_powers": lambda g, op, pair: target_block_powers(op, pair, 4),
 }
 
@@ -566,7 +605,7 @@ ZERO_COUNTS = {
     "detect_transfer t_max": (lambda g, op: detect_transfer(
         g, parse_policy("O2"), equal_superposition(op.space, 0), (0, 2), t_max=0), "t_max"),
     "block_scan t_max": (lambda g, op: block_scan(
-        op, [(0, 2)], [haar_states(2, 10, 0)], t_max=0, lam=0.9), "t_max"),
+        [(op, [(0, 2)], [haar_states(2, 10, 0)])], t_max=0, lam=0.9), "t_max"),
     "max_transfer_scan t_max": (lambda g, op: max_transfer_scan(
         g, parse_policy("O2"), (0, 2), samples=10, t_max=0), "t_max"),
     "max_transfer_scan samples": (lambda g, op: max_transfer_scan(

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import itertools
 import json
 import os
@@ -21,7 +22,7 @@ from qwalk.dtqw import (
     vertex_probability,
 )
 from qwalk.errors import ConfigError
-from qwalk.graphs import JOIN_FAMILIES, Edgeless, Graph, Join, build, canonical_key
+from qwalk.graphs import JOIN_FAMILIES, Edgeless, Graph, Join, build, canonical_key, graph_from_key
 from qwalk.explorer import (
     SearchRecord,
     VariantDescriptor,
@@ -205,9 +206,39 @@ def test_a_record_field_whose_annotation_has_no_json_type_fails_to_read():
 
 
 def test_search_worker_count_does_not_change_results():
-    serial = pst_search(4, 1, samples=80, t_max=16, seed=2, workers=1)
-    parallel = pst_search(4, 1, samples=80, t_max=16, seed=2, workers=3)
+    # six tasks of C4 variants, so that a pool of workers runs them
+    serial = pst_search(4, 2, samples=80, t_max=16, seed=2, workers=1)
+    parallel = pst_search(4, 2, samples=80, t_max=16, seed=2, workers=3)
     assert serial == parallel
+
+
+def test_a_task_gives_the_records_of_each_variant_scanned_alone(monkeypatch):
+    # no record depends on the cells scanned with it: one task of all 96
+    # variants, each variant alone, shuffled tasks of 7 and block_scan
+    # batches of 3 cells give the same bytes
+    policies = [(name, parse_policy(name)) for name in ("O1", "O2", "O3")]
+    variants = [(key.hex(), desc, policies) for key, desc, _ in explorer._keyed_variants(4, 2)]
+    scan = functools.partial(explorer._scan_task, samples=200, t_max=30, lam=0.9, seed=5)
+    whole = [rec.to_json() for rec in scan(variants)]
+    assert [json.loads(line)["policy"] for line in whole] == ["O1", "O2", "O3"] * 96
+    assert [rec.to_json() for v in variants for rec in scan([v])] == whole
+    order = np.random.default_rng(2).permutation(len(variants))
+    shuffled = [variants[i] for i in order]
+    tasks = [shuffled[i : i + 7] for i in range(0, len(shuffled), 7)]
+    assert sorted(rec.to_json() for task in tasks for rec in scan(task)) == sorted(whole)
+    monkeypatch.setattr(explorer, "_BATCH_STEPS", 3 * 30)
+    assert [rec.to_json() for rec in scan(variants)] == whole
+
+
+@pytest.mark.parametrize("base, counts", [
+    (4, {"O1": 3, "O2": 38, "O3": 1}),
+    (6, {"O1": 0, "O2": 141, "O3": 0}),
+], ids=["C4", "C6"])
+def test_search_finds_the_pst_records_readme_counts(base, counts):
+    # README's counts at --samples 1500 --steps 60 --seed 0 --max-new 2; a
+    # change to the walk or the fold must keep them
+    records = pst_search(base, 2, samples=1500, t_max=60, seed=0)
+    assert {name: sum(r.pst for r in records if r.policy == name) for name in counts} == counts
 
 
 class _RecordingPool:
@@ -227,7 +258,7 @@ class _RecordingPool:
 
 
 @pytest.mark.parametrize("workers, cpus, sizes", [
-    (100_000, 64, [8]),  # the 8 variants of C4 with one added node
+    (100_000, 64, [6]),  # the 96 variants of C4 with up to two added nodes, 16 a task
     (100_000, 3, [3]),
     (4, 64, [4]),
     (100_000, 1, []),  # one process walks in the caller, with no pool
@@ -237,8 +268,8 @@ def test_search_pool_is_sized_by_workers_tasks_and_cpus(monkeypatch, workers, cp
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(started, max_workers))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    serial = pst_search(4, 1, samples=20, t_max=8, seed=0, workers=1)
-    assert pst_search(4, 1, samples=20, t_max=8, seed=0, workers=workers) == serial
+    serial = pst_search(4, 2, samples=20, t_max=8, seed=0, workers=1)
+    assert pst_search(4, 2, samples=20, t_max=8, seed=0, workers=workers) == serial
     assert started == sizes
 
 
@@ -300,7 +331,7 @@ def test_search_sink_refuses_a_field_of_the_wrong_type_and_keeps_its_bytes(tmp_p
     (None, "holds records; cannot read {side}: [Errno 2]"),
     ("{", "holds records; cannot read {side}: Expecting property name"),
     ("[1]", "search sink config {side} must hold a JSON object"),
-    ('{"format": 1}', "format 1 in the file, 3 in this run; base null in the file, 4 in this run"),
+    ('{"format": 1}', "format 1 in the file, 4 in this run; base null in the file, 4 in this run"),
 ], ids=["missing", "not-json", "not-object", "first-format"])
 def test_search_sink_without_its_config_is_refused_and_keeps_its_bytes(tmp_path, side_text, message):
     sink, side = tmp_path / "records.jsonl", tmp_path / "records.jsonl.config.json"
@@ -321,7 +352,7 @@ def test_search_sink_with_no_complete_line_gets_a_fresh_config(tmp_path):
     sink, side = tmp_path / "records.jsonl", tmp_path / "records.jsonl.config.json"
     pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
     assert json.loads(side.read_text()) == {
-        "format": 3, "base": 4, "max_new": 1, "policies": ["O1", "O2", "O3"], "samples": 60,
+        "format": 4, "base": 4, "max_new": 1, "policies": ["O1", "O2", "O3"], "samples": 60,
         "steps": 12, "lam": 0.9, "seed": 1,
     }
     full, fresh = sink.read_bytes(), side.read_bytes()
@@ -333,22 +364,23 @@ def test_search_sink_with_no_complete_line_gets_a_fresh_config(tmp_path):
 
 
 def test_search_sink_streams_finished_cells(tmp_path, monkeypatch):
+    # the 96 variants of C4 with up to two added nodes make six tasks
     sink = tmp_path / "records.jsonl"
-    run_variant = explorer._run_variant
+    scan_task = explorer._scan_task
     done = []
 
     def failing_on_third(task, **kwargs):
         if len(done) == 2:
             raise RuntimeError("killed")
         done.append(task)
-        return run_variant(task, **kwargs)
+        return scan_task(task, **kwargs)
 
-    monkeypatch.setattr(explorer, "_run_variant", failing_on_third)
+    monkeypatch.setattr(explorer, "_scan_task", failing_on_third)
     with pytest.raises(RuntimeError):
-        pst_search(4, 1, samples=60, t_max=12, seed=1, sink_path=str(sink))
+        pst_search(4, 2, samples=60, t_max=12, seed=1, sink_path=str(sink))
     records = [explorer.SearchRecord.from_json(l) for l in sink.read_text().splitlines()]
-    assert [r.policy for r in records] == ["O1", "O2", "O3"] * 2
-    assert len({r.key for r in records}) == 2
+    assert [r.policy for r in records] == ["O1", "O2", "O3"] * 2 * explorer._TASK_VARIANTS
+    assert len({r.key for r in records}) == 2 * explorer._TASK_VARIANTS
 
 
 def test_search_builds_each_keyed_graph_once(monkeypatch):
@@ -374,18 +406,24 @@ def test_search_builds_each_keyed_graph_once(monkeypatch):
 def test_search_walks_the_graph_its_key_spells_with_the_pair_last(monkeypatch, base):
     walked = []
 
-    def recording(g, policy, pair, samples, t_max, seed, lam):
-        walked.append((g, pair))
-        # the record's max_step tells which walk it came from
-        return ScanResult(0.5, len(walked), 0.0, (), top_gram=np.zeros(t_max))
+    def recording(cells, t_max, lam):
+        out = []
+        for op, pairs, _ in cells:
+            walked.append((op.space, pairs[0]))
+            # the record's max_step tells which walk it came from
+            out.append([ScanResult(0.5, len(walked), 0.0, (), top_gram=np.zeros(t_max))] * 2)
+        return out
 
-    monkeypatch.setattr(explorer, "_search_cell", recording)
+    monkeypatch.setattr(explorer, "block_scan", recording)
     records = pst_search(base, 2, policies=("O2",), samples=5, t_max=4)
     assert len(walked) == len(records) == {4: 96, 6: 1097}[base]
     for rec in records:
-        g, pair = walked[rec.max_step - 1]
-        assert pair == (g.n - 2, g.n - 1)
-        assert canonical_key(g, marks=pair).hex() == rec.key
+        space, pair = walked[rec.max_step - 1]
+        n = len(space.offsets) - 1
+        adj = np.zeros((n, n))
+        adj[space.heads, space.targets] = 1.0
+        assert pair == (n - 2, n - 1)
+        assert canonical_key(Graph(adj), marks=pair).hex() == rec.key
 
 
 def test_search_draws_one_haar_set_per_source_degree(monkeypatch):
@@ -418,7 +456,7 @@ def test_a_relabelled_variant_gives_the_record_of_the_survey(policy):
         adj[np.ix_(perm, perm)] = g.adjacency
         key = canonical_key(Graph(adj), marks=(perm[0], perm[2])).hex()
         task = (key, desc, [(policy, parse_policy(policy))])
-        (rec,) = explorer._run_variant(task, samples=200, t_max=30, lam=0.9, seed=4)
+        (rec,) = explorer._scan_task([task], samples=200, t_max=30, lam=0.9, seed=4)
         assert rec.to_json() == survey[key], desc
 
 
@@ -459,14 +497,18 @@ def _old_search_cell(g, policy, pair, t_max, states, lam):
 
 def test_search_cell_matches_per_step_reference():
     checked = 0
-    for seed, (desc, g) in enumerate(enumerate_variants(4, 1)):
+    policies = [(name, parse_policy(name)) for name in ("O1", "O2", "O3")]
+    for seed, (key, desc, _) in enumerate(explorer._keyed_variants(4, 1)):
+        # a record walks the graph its key spells, with the pair last
+        g = graph_from_key(key)
+        pair = (g.n - 2, g.n - 1)
         # a source of degree d starts from the states of (seed, d) alone
         states = [haar_states(g.degree(v), 300, np.random.SeedSequence([seed, g.degree(v)]))
-                  for v in (0, 2)]
-        for policy_name in ("O1", "O2", "O3"):
-            policy = parse_policy(policy_name)
-            new = explorer._search_cell(g, policy, (0, 2), 300, 40, seed, 0.9)
-            old = _old_search_cell(g, policy, (0, 2), 40, states, 0.9)
+                  for v in pair]
+        task = [(key.hex(), desc, policies)]
+        records = explorer._scan_task(task, samples=300, t_max=40, lam=0.9, seed=seed)
+        for (policy_name, policy), new in zip(policies, records):
+            old = _old_search_cell(g, policy, pair, 40, states, 0.9)
             assert abs(new.max_probability - old[0]) <= 1e-12, (desc, policy_name)
             assert (
                 new.max_step, bool(new.pst_steps), new.pst_steps, new.fraction_over_lam

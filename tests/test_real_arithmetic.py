@@ -45,21 +45,22 @@ REAL_POLICIES = {
 
 
 def _traced_dtypes(monkeypatch) -> list:
-    """Record the dtype of every trajectory table and of every Gram a scan folds."""
+    """Record the dtype of every trajectory table and of every Gram stack a
+    scan folds into sample coordinates."""
     seen = []
-    walk, fold = dtqw.trajectory, dtqw._sample_probabilities
+    walk, fold = dtqw.trajectory, dtqw._gram_coordinates
 
     def traced_walk(op, cols, t_max):
         out = walk(op, cols, t_max)
         seen.append(out.dtype)
         return out
 
-    def traced_fold(gram, states):
-        seen.append(gram.dtype)
-        return fold(gram, states)
+    def traced_fold(grams):
+        seen.append(grams.dtype)
+        return fold(grams)
 
     monkeypatch.setattr(dtqw, "trajectory", traced_walk)
-    monkeypatch.setattr(dtqw, "_sample_probabilities", traced_fold)
+    monkeypatch.setattr(dtqw, "_gram_coordinates", traced_fold)
     return seen
 
 
@@ -77,7 +78,7 @@ def test_real_coins_from_real_starts_walk_in_float64(label, monkeypatch):
     assert target_block_powers(op, (0, 1), 6).dtype == np.float64
     seen = _traced_dtypes(monkeypatch)
     detect_transfer(HUB_CYCLE, REAL_POLICIES[label], psi, (0, 1), t_max=12)
-    [scan] = block_scan(op, [(0, 1)], [haar_states(5, 30, 2)], 12, 0.9)
+    [[scan]] = block_scan([(op, [(0, 1)], [haar_states(5, 30, 2)])], 12, 0.9)
     assert scan.top_gram.dtype == np.float64
     assert len(seen) >= 3 and all(dtype == np.float64 for dtype in seen)
 
