@@ -158,28 +158,23 @@ class PresetRow:
     row: int
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        if self.row == 1:
+        if self.row not in (1, 2, 3, 4):
+            raise ConfigError(f"unknown preset row {self.row}")
+        hub = v in (0, 1)
+        if self.row == 1 or self.row == 4 and hub:
             return dft(d)
-        hubs = {0, 1}
-        if self.row == 2:
-            if v in hubs:
-                return _haar_unitary(d, v)
-            if d != 2:
-                raise ConfigError(f"vertex {v}: preset row 2 expects degree 2, got {d}")
-            return grover(2)
         if self.row == 3:
-            return grover(d) if v in hubs else hadamard()
-        if self.row == 4:
-            if v in hubs:
-                return dft(d)
-            if d != 2:
-                raise ConfigError(f"vertex {v}: preset row 4 expects degree 2, got {d}")
-            others = [w for w in range(g.n) if w not in hubs]
-            if len(others) % 2 != 0:
-                raise ConfigError("preset row 4 needs an even number of degree-2 vertices")
-            half = len(others) // 2
-            return hadamard() if others.index(v) < half else hadamard_columns_swapped()
-        raise ConfigError(f"unknown preset row {self.row}")
+            return grover(d) if hub else hadamard()
+        if hub:
+            return _haar_unitary(d, v)  # row 2
+        if d != 2:
+            raise ConfigError(f"vertex {v}: preset row {self.row} expects degree 2, got {d}")
+        if self.row == 2:
+            return grover(2)
+        # the non-hubs are 2..n-1 in order, so v is the (v - 2)-th of them
+        if (g.n - 2) % 2:
+            raise ConfigError("preset row 4 needs an even number of degree-2 vertices")
+        return hadamard() if v - 2 < (g.n - 2) // 2 else hadamard_columns_swapped()
 
 
 def _haar_unitary(d: int, seed: int) -> np.ndarray:
@@ -196,9 +191,7 @@ class ExplicitMap:
     coins: dict[int, np.ndarray]
 
     def coin_for(self, g: Graph, v: int, d: int) -> np.ndarray:
-        if v in self.coins:
-            return np.asarray(self.coins[v], dtype=complex)
-        return _shared(grover, d)
+        return self.coins[v] if v in self.coins else _shared(grover, d)
 
 
 CoinPolicy = Union[Uniform, PresetRow, ExplicitMap]

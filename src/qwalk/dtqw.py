@@ -12,19 +12,19 @@ Periodicity comes in two strengths: strict means the full state returns
 probability returns to the start vertex whatever the coin configuration.
 
 The per-vertex coin blocks and the arc reversal are the operator:
-``StepOperator`` stores nothing else.  A density matrix is stepped by
-``StepOperator.conjugate``, which forms U rho U^H from the blocks and
-never multiplies by a dense U.  Every state-vector walk is stepped by
-one kernel, ``trajectory``, which applies the dense U, built from the
-blocks on first use, to a block of columns and never forms a power of
-U.  A step picked from a series is the earliest within ``TIE_TOL`` of
-the series maximum.
+``StepOperator`` stores nothing else, not even the blocks' adjoints.
+A density matrix is stepped by ``StepOperator.conjugate``, which forms
+U rho U^H from the blocks and never multiplies by a dense U.  Every
+state-vector walk is stepped by one kernel, ``trajectory``, which
+applies the dense U, built from the blocks on first use, to a block of
+columns and never forms a power of U.  A step picked from a series is
+the earliest within ``TIE_TOL`` of the series maximum.
 
-Values decide the arithmetic, with no switch: a U whose coin blocks
-have no imaginary part is stored as float64, and so is a start whose
-values are real, whatever dtype it arrives in (``_real_if_real``).  A
-real walk, such as a Grover-family coin from the equal superposition, is
-then stepped in real arithmetic, a quarter of the flops of the complex
+Values decide the arithmetic, with no switch, by one rule
+(``_real_if_real``): a coin run or a start with no imaginary part is
+float64, whatever its dtype, and U is float64 when every run is.  A real
+walk, such as a Grover-family coin from the equal superposition, is then
+stepped in real arithmetic, a quarter of the flops of the complex
 product; each product takes the ``np.result_type`` of its operands, so a
 complex coin or a Haar start walks in complex128 through the same code.
 
@@ -89,19 +89,19 @@ class StepOperator:
     C is block diagonal with one contiguous block per vertex, and S is
     the arc reversal ``space.reverse``, an involution.  ``runs`` holds
     the coin blocks, the one stored form of the operator: (first arc,
-    end arc, blocks, their adjoints) per run of consecutive vertices of
-    equal degree, the blocks stacked (k, d, d).  ``conjugate`` steps a
-    density matrix from the runs; ``matrix`` is the dense U, built on
-    first use for state-vector steps.
+    end arc, blocks) per run of consecutive vertices of equal degree,
+    the blocks stacked (k, d, d).  ``conjugate`` steps a density matrix
+    from the runs; ``matrix`` is the dense U, built on first use for
+    state-vector steps.
     """
 
     space: ArcSpace
-    runs: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+    runs: tuple[tuple[int, int, np.ndarray], ...]
 
-    @property
+    @cached_property
     def dtype(self) -> np.dtype:
-        """float64 when the coin blocks are real (or there are none), else complex128."""
-        return np.result_type(float, *(blocks for _, _, blocks, _ in self.runs))
+        """float64 when every run is real (or there are none), else complex128."""
+        return np.result_type(float, *(blocks for _, _, blocks in self.runs))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -109,7 +109,7 @@ class StepOperator:
         m = self.space.n_arcs
         u = np.zeros((m, m), dtype=self.dtype)
         arcs = np.arange(m)
-        for lo, hi, blocks, _ in self.runs:
+        for lo, hi, blocks in self.runs:
             k, d, _ = blocks.shape
             u[self.space.reverse[lo:hi].reshape(k, d, 1), arcs[lo:hi].reshape(k, 1, d)] = blocks
         return u
@@ -119,21 +119,24 @@ class StepOperator:
 
         U rho U^H = S (C rho C^H) S: one batched product per coin run on
         each side, each followed by a gather along ``space.reverse``.
+        Each run is cast to the step's dtype, and its adjoints formed
+        from the cast, so a real run of a complex U gives complex bits.
         """
         m = self.space.n_arcs
         rho = np.asarray(rho)
         # both products write into one buffer, so that the step's working
         # set stays at four m x m arrays
         work = np.empty((m, m), dtype=np.result_type(self.dtype, rho))
-        for lo, hi, blocks, _ in self.runs:
+        runs = [(lo, hi, blocks.astype(work.dtype, copy=False)) for lo, hi, blocks in self.runs]
+        for lo, hi, blocks in runs:
             k, d, _ = blocks.shape
             np.matmul(blocks, rho[lo:hi].reshape(k, d, m), out=work[lo:hi].reshape(k, d, m))
         left = work.take(self.space.reverse, axis=0)
-        for lo, hi, _, adjoints in self.runs:
-            k, d, _ = adjoints.shape
+        for lo, hi, blocks in runs:
+            k, d, _ = blocks.shape
             np.matmul(
                 left[:, lo:hi].reshape(m, k, d).transpose(1, 0, 2),
-                adjoints,
+                np.ascontiguousarray(blocks.conj().transpose(0, 2, 1)),
                 out=work[:, lo:hi].reshape(m, k, d).transpose(1, 0, 2),
             )
         # take keeps C order, so the next step's reshapes are views, not
@@ -145,12 +148,13 @@ def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
     """U = S C from one coin block per vertex, in arc order.
 
     Since S is a permutation, U^H U = C^H C, so unitarity is checked on
-    the blocks: max |B^H B - I| per run, and a NaN fails the check.  U is
-    stored as float64 when no block has an imaginary part.  The
-    graph is first checked: the arcs read only which edges exist, so a
-    weighted graph raises rather than walk as if unweighted.  So does an
-    explicit coin map key that names no vertex, or a vertex without ports,
-    whose coin no walk reads.  No coin is asked for a block of degree 0.
+    the blocks: max |B^H B - I| per run, and a NaN fails the check.  A
+    run is stored by ``_real_if_real``, so U is float64 when every run
+    is.  The graph is first checked: the arcs read only which edges
+    exist, so a weighted graph raises rather than walk as if unweighted.
+    So does an explicit coin map key that names no vertex, or a vertex
+    without ports, whose coin no walk reads.  No coin is asked for a
+    block of degree 0.
     """
     if not g.is_unweighted():
         raise ConfigError("coined walks need an unweighted graph: every edge and loop weight 1")
@@ -167,24 +171,19 @@ def build_step_operator(g: Graph, policy: CoinPolicy) -> StepOperator:
     for v, d in enumerate(degrees):
         if not d:
             continue  # a vertex of degree 0 owns no arcs, so it has no block
-        block = np.asarray(policy.coin_for(g, v, d), dtype=complex)
+        block = np.asarray(policy.coin_for(g, v, d))
         if block.shape != (d, d):
             raise ConfigError(f"vertex {v}: coin block is {block.shape}, expected ({d}, {d})")
         blocks.append(block)
-    stacks = [np.array(list(group)) for _, group in itertools.groupby(blocks, key=len)]
-    if not any(stack.imag.any() for stack in stacks):
-        stacks = [np.ascontiguousarray(stack.real) for stack in stacks]
-    runs = []
-    lo = 0
-    for stack in stacks:
+    runs, hi = [], 0
+    for _, group in itertools.groupby(blocks, key=len):
+        stack = _real_if_real(np.array(list(group)))
         d = stack.shape[1]
-        adjoints = np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
-        defect = np.abs(adjoints @ stack - np.eye(d)).max()
+        defect = np.abs(stack.conj().transpose(0, 2, 1).copy() @ stack - np.eye(d)).max()
         if not defect <= UNITARITY_TOL:
             raise ToleranceError(f"step operator unitarity defect {defect:.3e}")
-        hi = lo + len(stack) * d
-        runs.append((lo, hi, stack, adjoints))
-        lo = hi
+        lo, hi = hi, hi + len(stack) * d
+        runs.append((lo, hi, stack))
     return StepOperator(space, tuple(runs))
 
 
@@ -204,9 +203,9 @@ def state_at_vertex(space: ArcSpace, v: int, amplitudes: Sequence[complex]) -> n
 
 def _real_if_real(x) -> np.ndarray:
     """x as float64 when none of its values has an imaginary part (of any
-    dtype), else as complex128: the dtype rule of every start."""
+    dtype), else as complex128: the dtype rule of every start and coin run."""
     x = np.asarray(x)
-    if np.iscomplexobj(x) and x.imag.any():
+    if x.dtype.kind == "c" and np.count_nonzero(x.imag):
         return x.astype(complex, copy=False)
     return np.ascontiguousarray(x.real, dtype=float)
 
@@ -459,10 +458,10 @@ def block_scan(cells: Sequence[ScanCell], t_max: int, lam: float) -> list[list[S
 
     A pair's Haar rows are folded (``_fold``) only into the steps whose
     top_t leaves the result open.  The steps come in spans, all t_max of
-    them in one span unless their blocks would take more than
-    ``_CHUNK_BYTES``, and a span is folded in two rounds, with B the best
-    sampled probability so far and slack the margin ``_prune_slack(d)``
-    at source degree d:
+    them in one span unless their blocks and Gram coordinates would take
+    more than ``_CHUNK_BYTES``, and a span is folded in two rounds, with B
+    the best sampled probability so far and slack the margin
+    ``_prune_slack(d)`` at source degree d:
 
         1. every step with top_t > lam - slack, and the span's top step
            if top_t >= B - TIE_TOL - slack;
@@ -549,7 +548,8 @@ def _gram_spans(
     after another.  Cells of equal arc count, column count and dtype
     walk as one stack, in pieces, of which only the target blocks are
     kept.  Blocks of equal shape and dtype are stacked, and a span's
-    blocks take at most ``_CHUNK_BYTES``.
+    blocks and the Gram coordinates kept from them take at most
+    ``_CHUNK_BYTES``, unless one step alone takes more.
     """
     shapes = [
         (op.space.degree(tgt), op.space.degree(src), op.dtype)
@@ -571,7 +571,8 @@ def _gram_spans(
                 kept.append(slot[i] + (item, op.space.vertex_slice(tgt), slice(lo, hi)))
                 lo = hi
         walks.append([[cells[c][0] for c in members], np.array([cols[c] for c in members]), kept])
-    per_step = sum(d_t * d_s * np.dtype(dtype).itemsize for d_t, d_s, dtype in shapes)
+    # a step keeps each pair's block and its float64 Gram coordinates
+    per_step = sum(d_t * d_s * t.itemsize + 8 * _width(d_s, t) for d_t, d_s, t in shapes)
     span = max(1, _CHUNK_BYTES // per_step)
     for lo in range(0, t_max, span):
         steps = min(span, t_max - lo)
@@ -605,14 +606,19 @@ def _gram_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat = blocks.reshape((-1,) + blocks.shape[-2:])
     d = blocks.shape[-1]
     per = max(1, _CHUNK_BYTES // (4 * d * d * blocks.itemsize))
-    tops, coords = [], []
+    tops, coords = np.empty(len(flat)), np.empty((len(flat), _width(d, blocks.dtype)))
     for lo in range(0, len(flat), per):
         piece = flat[lo : lo + per]
         grams = piece.conj().transpose(0, 2, 1) @ piece
-        tops.append(np.linalg.eigvalsh(grams)[:, -1])
-        coords.append(_gram_coordinates(grams))
+        tops[lo : lo + per] = np.linalg.eigvalsh(grams)[:, -1]
+        coords[lo : lo + per] = _gram_coordinates(grams)
     lead = blocks.shape[:-2]
-    return np.concatenate(tops).reshape(lead), np.concatenate(coords).reshape(lead + (-1,))
+    return tops.reshape(lead), coords.reshape(lead + (-1,))
+
+
+def _width(d: int, dtype: np.dtype) -> int:
+    """How many ``_gram_coordinates`` a d x d Gram of this dtype has."""
+    return d * d if dtype.kind == "c" else d * (d + 1) // 2
 
 
 def _prune_slack(d: int) -> float:
@@ -634,8 +640,8 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 def _gram_coordinates(grams: np.ndarray) -> np.ndarray:
     """(..., d, d) Hermitian Grams -> (..., F) real coordinates: the
     diagonal, then 2 Re and, for a complex stack, -2 Im of the entries
-    above it.  F is d(d + 1)/2 for a real stack and d^2 for a complex
-    one; each pairs with the first F rows of ``_features``."""
+    above it.  F is ``_width(d, dtype)``; each pairs with the first F
+    rows of ``_features``."""
     upper = grams[(...,) + _upper_pairs(grams.shape[-1])]
     parts = [np.diagonal(grams, axis1=-2, axis2=-1).real, 2 * upper.real]
     if np.iscomplexobj(grams):

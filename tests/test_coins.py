@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qwalk.coins import (
     parse_policy,
 )
 from qwalk.errors import ConfigError
-from qwalk.graphs import Cycle, Edgeless, Join, build
+from qwalk.graphs import Cycle, Edgeless, Graph, Join, build
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -142,6 +143,44 @@ def test_explicit_map_with_fallback():
     pol = ExplicitMap({1: np.eye(2)})
     assert np.allclose(pol.coin_for(g, 1, 2), np.eye(2))
     assert np.allclose(pol.coin_for(g, 0, 2), grover(2))
+
+
+def _row4_by_list(g, v, d):
+    """Preset row 4 as it was first written: each lookup lists the non-hubs."""
+    if v in (0, 1):
+        return dft(d)
+    if d != 2:
+        raise ConfigError(f"vertex {v}: preset row 4 expects degree 2, got {d}")
+    others = [w for w in range(g.n) if w not in (0, 1)]
+    if len(others) % 2 != 0:
+        raise ConfigError("preset row 4 needs an even number of degree-2 vertices")
+    return hadamard() if others.index(v) < len(others) // 2 else hadamard_columns_swapped()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_preset_row_4_picks_the_half_by_index(n):
+    g = Graph(np.zeros((n, n)))
+    for v in range(n):
+        for d in (2, 3):
+            try:
+                expected = _row4_by_list(g, v, d)
+            except ConfigError as exc:
+                with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                    PresetRow(4).coin_for(g, v, d)
+            else:
+                assert np.array_equal(PresetRow(4).coin_for(g, v, d), expected)
+
+
+def test_preset_row_4_lookups_do_not_scan_the_vertices():
+    g = build(Join(Edgeless(2), Edgeless(2000)))
+    policy = PresetRow(4)
+    best = np.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        for v in range(g.n - 100, g.n):
+            policy.coin_for(g, v, 2)
+        best = min(best, time.perf_counter() - start)
+    assert best < 2e-3, f"100 lookups took {best * 1e3:.1f} ms"
 
 
 # ----- policy string parsing -----

@@ -10,6 +10,7 @@ from qwalk.coins import ExplicitMap, Uniform, grover, parse_policy
 from qwalk.dtqw import (
     PST_SINGULAR_TOL,
     TIE_TOL,
+    StepOperator,
     block_scan,
     build_step_operator,
     detect_transfer,
@@ -131,14 +132,30 @@ def test_step_operator_runs_hold_the_coin_blocks():
     g = build(Join(Edgeless(2), Cycle(3)))
     op = build_step_operator(g, Uniform(grover))
     # two hubs of degree 3, then three cycle vertices of degree 4
-    assert [(lo, hi, blocks.shape) for lo, hi, blocks, _ in op.runs] == [
+    assert [(lo, hi, blocks.shape) for lo, hi, blocks in op.runs] == [
         (0, 6, (2, 3, 3)),
         (6, 18, (3, 4, 4)),
     ]
-    for _, _, blocks, adjoints in op.runs:
+    for _, _, blocks in op.runs:
         d = blocks.shape[1]
         assert all(np.array_equal(b, grover(d)) for b in blocks)
-        assert np.array_equal(adjoints, blocks.conj().transpose(0, 2, 1))
+
+
+def test_a_real_run_of_a_complex_operator_steps_with_complex_bits():
+    # one complex block among real Grover blocks: only its run is complex
+    g = build(Join(Edgeless(2), Cycle(7)))
+    op = build_step_operator(g, ExplicitMap({4: np.diag([1, 1, 1, 1j])}))
+    assert [blocks.dtype for _, _, blocks in op.runs] == [np.float64, np.complex128]
+    assert op.dtype == np.complex128 and "dtype" in vars(op)  # derived once, then cached
+    every_complex = StepOperator(
+        op.space, tuple((lo, hi, blocks.astype(complex)) for lo, hi, blocks in op.runs)
+    )
+    assert op.matrix.tobytes() == every_complex.matrix.tobytes()
+    m = op.space.n_arcs
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((m, m))
+    for rho in (real, real + 1j * rng.standard_normal((m, m))):
+        assert op.conjugate(rho).tobytes() == every_complex.conjugate(rho).tobytes()
 
 
 def test_a_coin_map_key_on_a_vertex_without_ports_is_refused():
@@ -431,6 +448,20 @@ def test_block_scan_chunks_agree_with_one_pass(monkeypatch):
         assert (a.max_step, a.fraction_over_lam) == (b.max_step, b.fraction_over_lam)
         assert a.top_gram.shape == b.top_gram.shape == (33,)
         assert np.max(np.abs(a.top_gram - b.top_gram)) <= 1e-12
+
+
+def test_a_scan_span_keeps_at_most_chunk_bytes():
+    import qwalk.dtqw as dtqw
+
+    # a hub of degree 120 to a cycle vertex of degree 4: a step's Gram
+    # coordinates take 15 times the bytes of its block
+    g = build(Join(Edgeless(2), Cycle(120)))
+    op = build_step_operator(g, parse_policy("O2"))
+    spans = list(dtqw._gram_spans([(op, [(0, 5)], [None])], 60))
+    assert len(spans) > 1
+    for _, top, coords in spans:
+        blocks = top.shape[1] * 4 * 120 * op.dtype.itemsize
+        assert blocks + sum(c.nbytes for c in coords) <= dtqw._CHUNK_BYTES
 
 
 def _scan_with_and_without_pruning(monkeypatch, op, pairs, states, t_max, lam):
